@@ -6,13 +6,6 @@
   interpreter (``step()``-equivalent loop), the decoded no-record fast path
   and the decoded trace path.  The decoded/reference ratio is the headline
   number the pre-decoded interpreter is accountable for.
-* **engines** — the two upper execution tiers: trace-JIT committed
-  instructions per second (``jit_minstr_s``) and batched lane-instruction
-  throughput across a multi-lane batch (``batched_minstr_s_per_lane``,
-  i.e. per-lane committed instructions summed over all lanes, divided by
-  the batch wall time).  The batched series is what same-program campaign
-  fusion is accountable for: it must beat the decoded fast path's
-  single-lane rate by a wide margin to pay for lane masking.
 * **pipeline** — cycle-engine throughput (simulated cycles per wall second)
   driving :func:`repro.uarch.pipeline.simulate` off a materialized trace, for
   both timing tiers: the reference per-cycle loop measured cold (stream
@@ -66,11 +59,6 @@ REGRESSION_METRICS = (
     "trace_minstr_s_geomean",
     "pipeline_cycles_per_s_geomean",
     "pipeline_fast_cycles_per_s_geomean",
-    # The two upper execution tiers.  Baselines that predate these series
-    # (BENCH_1.json) simply skip them in compare_benchmarks, so the gate
-    # only arms once a baseline carrying them is committed.
-    "jit_minstr_s_geomean",
-    "batched_minstr_s_per_lane_geomean",
 )
 
 #: Workloads used by ``--quick`` (one SPECint, one SPECfp).
@@ -84,7 +72,6 @@ class BenchConfig:
     workloads: Sequence[str] = field(default_factory=lambda: tuple(WORKLOAD_CLASSES))
     max_instructions: int = 40_000
     repeats: int = 3
-    lanes: int = 32
     quick: bool = False
     #: >0 enables the cProfile hook: top-N cumulative hot spots per benched
     #: engine (funcsim reference/decoded, pipeline reference/fast) collected
@@ -99,15 +86,10 @@ class BenchConfig:
             raise ValueError("max_instructions must be positive")
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
-        if self.lanes <= 0:
-            raise ValueError("lanes must be positive")
         return self
 
     @classmethod
     def quick_config(cls) -> "BenchConfig":
-        # Quick keeps the default lane count: the batched series' aggregate
-        # rate scales with lanes, so a narrower quick batch would compare
-        # apples-to-oranges against a full-run baseline and false-fail.
         return cls(workloads=QUICK_WORKLOADS, max_instructions=20_000, repeats=2, quick=True)
 
 
@@ -154,49 +136,6 @@ def _bench_funcsim(name: str, max_insts: int, repeats: int) -> Dict[str, float]:
         "trace_minstr_s": trace_rate,
         "fast_speedup": fast_rate / ref_rate if ref_rate else 0.0,
         "trace_speedup": trace_rate / ref_rate if ref_rate else 0.0,
-    }
-
-
-def _bench_engines(name: str, max_insts: int, repeats: int, lanes: int) -> Dict[str, float]:
-    """Trace-JIT and batched-tier throughput on one workload.
-
-    ``jit_minstr_s`` is directly comparable to ``fast_minstr_s``: same
-    single-lane run, same commit count, hot blocks stitched into compiled
-    superinstructions.  ``batched_minstr_s_per_lane`` sums per-lane committed
-    instructions across a ``lanes``-wide batch and divides by the batch wall
-    time — the aggregate rate campaign fusion achieves per wall second.
-    """
-    from ..sim.batched import run_batch
-
-    workload = make_workload(name)
-    program, _ = workload.build("ref")
-
-    def run_jit() -> int:
-        # Fresh memory per run: the ref input is mutated by stores.
-        _, memory = workload.build("ref")
-        sim = FunctionalSimulator(program, memory=memory, engine="jit")
-        return sim.run(max_instructions=max_insts).instructions
-
-    instructions = run_jit()  # warms the per-Program JIT block cache
-    jit_s = _best_time(run_jit, repeats)
-    jit_rate = instructions / jit_s / 1e6 if jit_s > 0 else 0.0
-
-    best_s = math.inf
-    lane_instructions = 0
-    for _ in range(repeats):
-        memories = [workload.build("ref")[1] for _ in range(lanes)]
-        start = time.perf_counter()
-        lanes_out = run_batch(program, memories, max_instructions=max_insts)
-        best_s = min(best_s, time.perf_counter() - start)
-        lane_instructions = sum(lane.instructions for lane in lanes_out)
-    batched_rate = lane_instructions / best_s / 1e6 if best_s > 0 else 0.0
-
-    return {
-        "instructions": instructions,
-        "jit_minstr_s": jit_rate,
-        "lanes": lanes,
-        "lane_instructions": lane_instructions,
-        "batched_minstr_s_per_lane": batched_rate,
     }
 
 
@@ -335,16 +274,11 @@ def run_benchmarks(
     config = config.validated()
     note = progress or (lambda message: None)
     funcsim: Dict[str, Dict[str, float]] = {}
-    engines: Dict[str, Dict[str, float]] = {}
     pipeline: Dict[str, Dict[str, float]] = {}
     session: Dict[str, Dict[str, float]] = {}
     for name in config.workloads:
         note(f"bench {name}: funcsim")
         funcsim[name] = _bench_funcsim(name, config.max_instructions, config.repeats)
-        note(f"bench {name}: engines")
-        engines[name] = _bench_engines(
-            name, config.max_instructions, config.repeats, config.lanes
-        )
         note(f"bench {name}: pipeline")
         pipeline[name] = _bench_pipeline(name, config.max_instructions, config.repeats)
         note(f"bench {name}: session")
@@ -356,10 +290,6 @@ def run_benchmarks(
         "trace_minstr_s_geomean": _geomean([r["trace_minstr_s"] for r in funcsim.values()]),
         "fast_speedup_geomean": _geomean([r["fast_speedup"] for r in funcsim.values()]),
         "trace_speedup_geomean": _geomean([r["trace_speedup"] for r in funcsim.values()]),
-        "jit_minstr_s_geomean": _geomean([r["jit_minstr_s"] for r in engines.values()]),
-        "batched_minstr_s_per_lane_geomean": _geomean(
-            [r["batched_minstr_s_per_lane"] for r in engines.values()]
-        ),
         "pipeline_cycles_per_s_geomean": _geomean([r["cycles_per_s"] for r in pipeline.values()]),
         "pipeline_fast_cycles_per_s_geomean": _geomean(
             [r["fast_cycles_per_s"] for r in pipeline.values()]
@@ -386,11 +316,9 @@ def run_benchmarks(
             "workloads": list(config.workloads),
             "max_instructions": config.max_instructions,
             "repeats": config.repeats,
-            "lanes": config.lanes,
         },
         "results": {
             "funcsim": funcsim,
-            "engines": engines,
             "pipeline": pipeline,
             "session": session,
         },

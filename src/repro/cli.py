@@ -1002,8 +1002,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             max_instructions=args.max_insts,
             repeats=args.repeats,
         )
-    if args.lanes is not None:
-        config.lanes = args.lanes
     config.profile_top = max(0, args.profile)
     try:
         config = config.validated()
@@ -1059,9 +1057,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({summary['fast_speedup_geomean']:.1f}x), "
               f"trace {summary['trace_minstr_s_geomean']:.2f} Minstr/s "
               f"({summary['trace_speedup_geomean']:.1f}x)")
-        print(f"engines:  jit {summary['jit_minstr_s_geomean']:.2f} Minstr/s, "
-              f"batched {summary['batched_minstr_s_per_lane_geomean']:.2f} M lane-instr/s "
-              f"({config.lanes} lanes)")
         print(f"pipeline: reference {summary['pipeline_cycles_per_s_geomean']:,.0f} cycles/s, "
               f"fast {summary['pipeline_fast_cycles_per_s_geomean']:,.0f} cycles/s "
               f"({summary['pipeline_fast_speedup_geomean']:.1f}x)")
@@ -1294,9 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument("--max-insts", type=int, default=40_000, help="committed-instruction budget per run")
     bench_parser.add_argument("--repeats", type=int, default=3, help="timed repetitions per section (best kept)")
-    bench_parser.add_argument(
-        "--lanes", type=int, default=None, help="batch width for the batched-engine series (default 32)"
-    )
     bench_parser.add_argument("--json", action="store_true", help="emit the full payload as JSON on stdout")
     bench_parser.add_argument("--out", metavar="FILE", help="write the payload to FILE instead of BENCH_<n>.json")
     bench_parser.add_argument(

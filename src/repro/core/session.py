@@ -386,24 +386,27 @@ class SimSession:
         return stream
 
     # ------------------------------------------------------------------
-    # Batched digests (one fused run per program across its inputs)
+    # Final-state digests (one run per program input)
     # ------------------------------------------------------------------
     @staticmethod
-    def _lane_digest(lane) -> str:
-        """Canonical hash of one lane's final architectural outcome.
+    def _lane_digest(result) -> str:
+        """Canonical hash of one run's final architectural outcome.
 
-        Covers pc, both register files, commit count, halt status and every
-        nonzero memory word (:class:`~repro.sim.memory.Memory` equality is
-        modulo zero words, so the digest must be too).
+        ``result`` is a :class:`~repro.sim.functional.RunResult`.  Covers pc,
+        both register files, commit count, halt status and every nonzero
+        memory word (:class:`~repro.sim.memory.Memory` equality is modulo
+        zero words, so the digest must be too).  The payload is frozen:
+        ``<run>.batches.json`` sidecars written by earlier versions verify
+        against it on resume.
         """
         hasher = hashlib.sha256()
-        state = lane.state
+        state = result.state
         words = sorted(
             (index, value)
-            for index, value in getattr(lane.memory, "_words", {}).items()
+            for index, value in getattr(result.memory, "_words", {}).items()
             if value
         )
-        payload = (state.pc, lane.instructions, lane.halted, tuple(state.int_regs), tuple(state.fp_regs), tuple(words))
+        payload = (state.pc, result.instructions, result.halted, tuple(state.int_regs), tuple(state.fp_regs), tuple(words))
         hasher.update(repr(payload).encode())
         return hasher.hexdigest()
 
@@ -417,13 +420,12 @@ class SimSession:
         threshold: Optional[float] = None,
         default_threshold: float = 0.8,
     ) -> Dict[str, Dict[str, object]]:
-        """Per-input digests of one program variant via a single fused run.
+        """Per-input final-state digests of one program variant.
 
-        All the inputs of one program become lanes of one
-        :func:`~repro.sim.batched.run_batch` call — one decode, one vector
-        loop — instead of N scalar runs.  Keys follow the same canonical
+        One no-record run per input; the decode itself is memoized per
+        program, so the inputs share it.  Keys follow the same canonical
         value-key rules as every other session cache, so campaign cells that
-        share a program share the batch.
+        share a program share the digests.
         """
         variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
         key = (name, scale, max_instructions, variant, eff_threshold, tuple(input_names))
@@ -433,23 +435,19 @@ class SimSession:
             metrics.inc("session.batch.hits")
             return cached
         metrics.inc("session.batch.misses")
-        from ..sim.batched import run_batch
-
         program = self.program_variant(
             name, scale, max_instructions, variant, eff_threshold, default_threshold
         )
         workload = self.workload(name, scale)
-        memories = [workload.memory(input_name) for input_name in input_names]
-        with metrics.timer("sim.wall"):
-            lanes = run_batch(program, memories, max_instructions=max_instructions)
         digests: Dict[str, Dict[str, object]] = {}
-        for input_name, lane in zip(input_names, lanes):
-            if lane.error is not None:
-                raise lane.error
+        for input_name in input_names:
+            sim = FunctionalSimulator(program, memory=workload.memory(input_name))
+            with metrics.timer("sim.wall"):
+                result = sim.run(max_instructions=max_instructions)
             digests[input_name] = {
-                "digest": self._lane_digest(lane),
-                "instructions": lane.instructions,
-                "halted": lane.halted,
+                "digest": self._lane_digest(result),
+                "instructions": result.instructions,
+                "halted": result.halted,
             }
         self._batches[key] = digests
         return digests

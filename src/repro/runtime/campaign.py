@@ -36,7 +36,7 @@ from ..core.experiment import ExperimentResult
 from ..core.session import ParallelSuiteRunner, SuiteCell, get_session
 from ..uarch.config import MachineConfig, aggressive_config, table1_config
 from .atomic import atomic_write_json
-from .journal import OK, PENDING, RunJournal, new_run_id
+from .journal import OK, PENDING, JournalError, RunJournal, new_run_id
 
 #: Machine configurations a campaign can name (names go into the fingerprint).
 MACHINE_FACTORIES: Dict[str, Callable[[], MachineConfig]] = {
@@ -120,19 +120,18 @@ class CampaignSpec:
 
 
 def batch_sidecar_path(out_dir: str, run_id: str) -> str:
-    """Path of the fused-batch digest sidecar for one campaign run."""
+    """Path of the functional-digest sidecar for one campaign run."""
     return os.path.join(out_dir, f"{run_id}.batches.json")
 
 
 def compute_batch_digests(spec: CampaignSpec) -> Dict[str, Dict[str, Dict[str, object]]]:
-    """Fused per-workload functional digests for every workload in the grid.
+    """Per-workload functional digests for every workload in the grid.
 
     All of a campaign's cells for one workload share the same base program
     and inputs — only the predictor/recovery configuration varies — so their
-    functional outcome is one shared artifact.  A single
-    :func:`~repro.sim.batched.run_batch` call per workload (inputs as lanes)
-    replaces N scalar warm-up runs, and the resulting digests pin the
-    workload's architectural behaviour for the run's lifetime: a resume
+    functional outcome is one shared artifact, computed once per workload by
+    :meth:`~repro.core.session.SimSession.batch_digests`.  The digests pin
+    the workload's architectural behaviour for the run's lifetime: a resume
     recomputes them and refuses to continue into a grid whose programs or
     inputs no longer produce the journaled results.
     """
@@ -155,13 +154,13 @@ def _write_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec) -> Dict:
 
 
 def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec) -> Dict:
-    """On resume: recompute the fused digests and compare with the sidecar.
+    """On resume: recompute the digests and compare with the sidecar.
 
     A missing sidecar (campaign predates the feature, or was killed before
     the write) is backfilled silently; a *divergent* one means the programs
     or inputs drifted between run and resume, which would silently mix
-    incompatible results — that is an error, mirroring the journal's config
-    fingerprint check.
+    incompatible results — that is a :class:`JournalError`, exactly like the
+    journal's config fingerprint check.
     """
     digests = compute_batch_digests(spec)
     path = batch_sidecar_path(out_dir, run_id)
@@ -174,7 +173,7 @@ def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec) -> Dict
         drifted = sorted(
             name for name in set(stored) | set(digests) if stored.get(name) != digests.get(name)
         )
-        raise ValueError(
+        raise JournalError(
             f"batch digest mismatch on resume of run {run_id!r}: workload(s) "
             f"{', '.join(drifted)} no longer reproduce the journaled functional "
             f"state; refusing to mix incompatible results"
@@ -201,7 +200,7 @@ class CampaignReport:
     executed: int = 0
     resumed: bool = False
     used_processes: bool = False
-    #: workload -> input -> fused-batch digest record (see
+    #: workload -> input -> functional digest record (see
     #: :func:`compute_batch_digests`).
     batch_digests: Dict[str, Dict[str, Dict[str, object]]] = field(default_factory=dict)
     #: Cells satisfied by the shared content-addressed result store without

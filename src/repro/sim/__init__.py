@@ -1,6 +1,5 @@
 """Functional simulation substrate: memory, architectural state, interpreter, traces."""
 
-from .batched import LaneResult, run_batch
 from .decoded import DecodedProgram, decode
 from .functional import (
     DEFAULT_ENGINE,
@@ -10,7 +9,6 @@ from .functional import (
     run_program,
     stream_program,
 )
-from .jit import JitProgram, jit_decode
 from .machine import ArchState
 from .memory import WORD_BYTES, Memory
 from .trace import TraceRecord
@@ -19,10 +17,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DecodedProgram",
     "decode",
-    "LaneResult",
-    "run_batch",
-    "JitProgram",
-    "jit_decode",
     "FunctionalSimulator",
     "RunResult",
     "SimulationError",

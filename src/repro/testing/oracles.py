@@ -9,14 +9,10 @@ Six oracle families, each a callable ``oracle(case)`` registered in
     state, memory and halt status — and both must match the retained
     reference interpreter (``engine="reference"``, the pre-decode ``step()``
     loop) bit for bit, pinning the decoded execution core to its oracle.
-    Two further legs pin the PR-8 execution tiers: the trace-JIT
-    (``engine="jit"``) must match the reference on a full run *and* match
-    the decoded engine on a truncated-budget run that forces guard exits
-    mid-superinstruction, and the batched vectorized tier (``run_batch``)
-    must reproduce the reference on lane 0 while a deliberately perturbed
-    lane 1 (one flipped memory word, forcing lane divergence) matches a
-    decoded run over the identically perturbed memory — fault type, message,
-    pc and commit count included.
+    A fourth leg pins fault fidelity: on a deliberately perturbed memory
+    image (the first word the program loads, inverted), where the case may
+    diverge or fault, the decoded engine must match the reference — fault
+    type, message, pc, commit count, final state and memory included.
 
 ``pass-preservation``
     Every verifier-guarded compiler pass (marking, insertion, stride,
@@ -59,7 +55,7 @@ Six oracle families, each a callable ``oracle(case)`` registered in
     oracle exists to police.
 
 Helper entry points (``_eager_run`` / ``_streaming_run`` / ``_reference_run``
-/ ``_simulate`` / ``_train_predictor``) are deliberate seams: the mutation self-tests
+/ ``_engine_run`` / ``_simulate`` / ``_train_predictor``) are deliberate seams: the mutation self-tests
 monkeypatch them to seed defects and prove each family actually detects
 something.
 """
@@ -82,7 +78,6 @@ from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.deadness import reg_id
 from ..profiling.reuse import ReuseProfile
 from ..sim.functional import FunctionalSimulator, RunResult, SimulationError, run_program, stream_program
-from ..sim.memory import Memory
 from ..sim.trace import TraceRecord
 from ..uarch.config import table1_config
 from ..uarch.recovery import RecoveryScheme
@@ -147,8 +142,8 @@ def _engine_run(program: Program, memory, engine: str, max_instructions: int):
     """Run one engine, capturing the fault instead of propagating it.
 
     Returns ``(sim, result, error)`` where ``result`` is ``sim.last_result``
-    when the run faulted — the tier contracts require faulting runs to leave
-    the same partial state behind as the decoded engine.
+    when the run faulted — a faulting decoded run must leave the same partial
+    state behind as the reference engine.
     """
     sim = FunctionalSimulator(program, memory=memory, engine=engine)
     error: Optional[BaseException] = None
@@ -163,11 +158,11 @@ def _engine_run(program: Program, memory, engine: str, max_instructions: int):
 def _perturbed_memory(case: GeneratedCase, reference: RunResult):
     """The case's memory with the first word the program *reads* inverted.
 
-    Feeding this as a sibling batch lane forces data divergence (and usually
-    control divergence) against the pristine lane, exercising the batched
-    tier's masking machinery on every fuzz case.  Targeting the first loaded
-    address (from the reference trace) rather than an arbitrary word is what
-    makes the perturbation reliably observable.
+    Running the case on this image forces data divergence (and sometimes a
+    fault) away from the pristine run, exercising fault fidelity on every
+    fuzz case.  Targeting the first loaded address (from the reference
+    trace) rather than an arbitrary word is what makes the perturbation
+    reliably observable.
     """
     memory = case.memory()
     index = None
@@ -246,170 +241,45 @@ def check_trace_equivalence(case: GeneratedCase) -> None:
         "decoded halt/commit-count diverges from reference",
     )
 
-    # Fourth leg: the trace-JIT tier.  A full run must match the reference;
-    # a half-budget rerun must match the decoded engine at the same commit
-    # count — truncation lands mid-execution, so the JIT's budget guard has
-    # to fall back to single decoded steps instead of overcommitting a
-    # superinstruction (the seeded-guard-defect self-test lives here).
-    # Generated cases are small (tens of commits), so the hotness threshold
-    # is pinned to 1 for the leg: every multi-instruction block compiles and
-    # the guard discipline is exercised on every case, not just long ones.
-    from ..sim import jit as jit_tier
-
-    saved_threshold = jit_tier.JIT_THRESHOLD
-    jit_tier.JIT_THRESHOLD = 1
-    try:
-        _jit_leg(case, reference, name)
-    finally:
-        jit_tier.JIT_THRESHOLD = saved_threshold
-
-    # Fifth leg: the batched vectorized tier.
-    _batched_leg(case, reference, name)
+    # Fourth leg: fault fidelity.  The case re-runs on a perturbed memory
+    # image (one flipped input word), where it may take a different path or
+    # fault; the decoded engine must still match the reference exactly.
+    _perturbed_leg(case, reference, name)
 
 
-def _jit_leg(case: GeneratedCase, reference: RunResult, name: str) -> None:
-    _, jit_full, jit_err = _engine_run(case.program, case.memory(), "jit", MAX_INSTRUCTIONS)
-    _require(jit_err is None, name, f"jit engine faulted on a clean case: {jit_err!r}")
-    _require(
-        (jit_full.halted, jit_full.instructions) == (reference.halted, reference.instructions),
-        name,
-        f"jit halt/commit-count diverges from reference: "
-        f"{(jit_full.halted, jit_full.instructions)} != {(reference.halted, reference.instructions)}",
-    )
-    _require(jit_full.state.state_equal(reference.state), name, "jit final state diverges from reference")
-    _require(jit_full.memory == reference.memory, name, "jit final memory diverges from reference")
-
-    budget = max(1, reference.instructions // 2)
-    dec_sim, dec_cut, dec_cut_err = _engine_run(case.program, case.memory(), "decoded", budget)
-    jit_sim, jit_cut, jit_cut_err = _engine_run(case.program, case.memory(), "jit", budget)
-    _require(
-        (dec_cut_err is None) == (jit_cut_err is None),
-        name,
-        f"truncated jit fault status diverges from decoded: {jit_cut_err!r} vs {dec_cut_err!r}",
-    )
-    _require(
-        jit_cut.instructions == dec_cut.instructions,
-        name,
-        f"truncated jit committed {jit_cut.instructions}, decoded {dec_cut.instructions} "
-        f"(budget {budget}): guard exit overcommitted a superinstruction",
-    )
-    _require(
-        jit_sim.state.pc == dec_sim.state.pc,
-        name,
-        f"truncated jit stopped at pc {jit_sim.state.pc}, decoded at {dec_sim.state.pc}",
-    )
-    _require(jit_cut.state.state_equal(dec_cut.state), name, "truncated jit state diverges from decoded")
-    _require(jit_cut.memory == dec_cut.memory, name, "truncated jit memory diverges from decoded")
-
-#: Companion program for the batched leg: one data-dependent branch plus
-#: disjoint stores per side.  Generated programs are verifier-clean counted
-#: loops whose control flow is input-independent, so two lanes of a
-#: generated case can data-diverge but never *control*-diverge; this probe
-#: is what actually drives the two batch lanes down different paths and
-#: exercises the divergence-masking machinery (and its mutation seam) on
-#: every fuzz case.
-_DIVERGENCE_PROBE_TEXT = """
-    ld r1, 0x0(r31)
-    li r2, #0
-    li r3, #0
-    bne r1, taken
-    li r2, #1111
-    st r2, 0x8(r31)
-    br done
-taken:
-    li r3, #2222
-    st r3, 0x10(r31)
-done:
-    add r4, r2, r3
-    mul r5, r1, r4
-    halt
-"""
-
-
-def _divergence_probe() -> Program:
-    from ..isa.assembler import assemble
-
-    return assemble(_DIVERGENCE_PROBE_TEXT, name="divergence-probe")
-
-
-def _batched_leg(case: GeneratedCase, reference: RunResult, name: str) -> None:
-    """Lane 0 re-runs the pristine case and must reproduce the reference;
-    lane 1 runs a deliberately perturbed memory image (forcing divergence
-    between the lanes) and must match a decoded run over the identically
-    perturbed image — fault type/message/pc included when the perturbation
-    makes the program crash."""
-    from ..sim.batched import run_batch
-
-    lane0, lane1 = run_batch(
-        case.program,
-        [case.memory(), _perturbed_memory(case, reference)],
-        max_instructions=MAX_INSTRUCTIONS,
-    )
-    _require(lane0.error is None, name, f"batched lane 0 faulted on a clean case: {lane0.error!r}")
-    _require(
-        (lane0.halted, lane0.instructions) == (reference.halted, reference.instructions),
-        name,
-        f"batched lane 0 halt/commit-count diverges from reference: "
-        f"{(lane0.halted, lane0.instructions)} != {(reference.halted, reference.instructions)}",
-    )
-    _require(
-        lane0.state.state_equal(reference.state), name, "batched lane 0 state diverges from reference"
-    )
-    _require(lane0.memory == reference.memory, name, "batched lane 0 memory diverges from reference")
-
-    pert_sim, pert_res, pert_err = _engine_run(
+def _perturbed_leg(case: GeneratedCase, reference: RunResult, name: str) -> None:
+    """Decoded vs reference on the perturbed image: fault type, message,
+    pc, commit count, final state and memory must all agree."""
+    dec_sim, dec_res, dec_err = _engine_run(
         case.program, _perturbed_memory(case, reference), "decoded", MAX_INSTRUCTIONS
     )
+    ref_sim, ref_res, ref_err = _engine_run(
+        case.program, _perturbed_memory(case, reference), "reference", MAX_INSTRUCTIONS
+    )
     _require(
-        type(lane1.error) is type(pert_err) and str(lane1.error) == str(pert_err),
+        type(dec_err) is type(ref_err) and str(dec_err) == str(ref_err),
         name,
-        f"batched lane 1 fault diverges from decoded on perturbed memory: "
-        f"{lane1.error!r} vs {pert_err!r}",
+        f"decoded fault diverges from reference on perturbed memory: {dec_err!r} vs {ref_err!r}",
     )
     _require(
-        (lane1.halted, lane1.instructions) == (pert_res.halted, pert_res.instructions),
+        (dec_res.halted, dec_res.instructions) == (ref_res.halted, ref_res.instructions),
         name,
-        f"batched lane 1 halt/commit-count diverges from decoded on perturbed memory: "
-        f"{(lane1.halted, lane1.instructions)} != {(pert_res.halted, pert_res.instructions)}",
+        f"decoded halt/commit-count diverges from reference on perturbed memory: "
+        f"{(dec_res.halted, dec_res.instructions)} != {(ref_res.halted, ref_res.instructions)}",
     )
     _require(
-        lane1.state.pc == pert_sim.state.pc,
+        dec_sim.state.pc == ref_sim.state.pc,
         name,
-        f"batched lane 1 stopped at pc {lane1.state.pc}, decoded at {pert_sim.state.pc}",
+        f"decoded stopped at pc {dec_sim.state.pc} on perturbed memory, reference at {ref_sim.state.pc}",
     )
     _require(
-        lane1.state.state_equal(pert_sim.state), name, "batched lane 1 state diverges from decoded"
+        dec_sim.state.state_equal(ref_sim.state),
+        name,
+        "decoded state diverges from reference on perturbed memory",
     )
-    _require(lane1.memory == pert_sim.memory, name, "batched lane 1 memory diverges from decoded")
-
-    # Divergence probe: two lanes forced down opposite sides of a branch
-    # (generated cases cannot control-diverge — see _DIVERGENCE_PROBE_TEXT).
-    probe = _divergence_probe()
-    probe_values = (0, (case.seed & MASK64) | 1)
-    memories = []
-    for value in probe_values:
-        memory = Memory()
-        memory.store_word_index(0, value)
-        memories.append(memory)
-    probe_lanes = run_batch(probe, memories, max_instructions=64)
-    for which, (value, lane) in enumerate(zip(probe_values, probe_lanes)):
-        solo_memory = Memory()
-        solo_memory.store_word_index(0, value)
-        solo_sim, solo_res, solo_err = _engine_run(probe, solo_memory, "decoded", 64)
-        _require(
-            lane.error is None and solo_err is None,
-            name,
-            f"divergence probe lane {which} faulted: {lane.error!r} / {solo_err!r}",
-        )
-        _require(
-            (lane.halted, lane.instructions) == (solo_res.halted, solo_res.instructions)
-            and lane.state.state_equal(solo_sim.state)
-            and lane.memory == solo_sim.memory,
-            name,
-            f"divergence probe lane {which} diverges from decoded "
-            f"(lane-mask handling is broken): committed {lane.instructions} "
-            f"vs {solo_res.instructions}",
-        )
+    _require(
+        dec_sim.memory == ref_sim.memory, name, "decoded memory diverges from reference on perturbed memory"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -76,12 +76,22 @@ def test_compare_reports_metrics_absent_from_baseline_as_missing():
     assert all(e["baseline"] is None and e["drop"] is None for e in report)
 
     current = _payload(1.0, 1.0, 1.0)
-    current["summary"]["jit_minstr_s_geomean"] = 4.0
-    current["summary"]["batched_minstr_s_per_lane_geomean"] = 9.0
+    current["summary"]["pipeline_fast_cycles_per_s_geomean"] = 4.0
     report = {e["metric"]: e for e in compare_benchmarks(current, _payload(1.0, 1.0, 1.0))}
-    assert report["jit_minstr_s_geomean"]["status"] == "missing"
-    assert report["batched_minstr_s_per_lane_geomean"]["status"] == "missing"
+    assert report["pipeline_fast_cycles_per_s_geomean"]["status"] == "missing"
     assert report["fast_minstr_s_geomean"]["status"] == "ok"
+
+
+def test_compare_ignores_series_no_longer_gated():
+    # Committed baselines may carry summary series this harness no longer
+    # measures (BENCH_2/BENCH_3 hold two removed execution tiers); they are
+    # history, never a gate.
+    baseline = _payload(1.0, 1.0, 1.0)
+    baseline["summary"]["batched_minstr_s_per_lane_geomean"] = 9.0
+    current = _payload(1.0, 1.0, 1.0)
+    current["summary"]["batched_minstr_s_per_lane_geomean"] = 0.1
+    metrics = {e["metric"] for e in compare_benchmarks(current, baseline)}
+    assert metrics == {"fast_minstr_s_geomean", "trace_minstr_s_geomean", "pipeline_cycles_per_s_geomean"}
 
 
 def test_compare_custom_thresholds():
@@ -103,8 +113,6 @@ def test_config_validation():
         BenchConfig(max_instructions=0).validated()
     with pytest.raises(ValueError, match="repeats"):
         BenchConfig(repeats=0).validated()
-    with pytest.raises(ValueError, match="lanes"):
-        BenchConfig(lanes=0).validated()
     quick = BenchConfig.quick_config()
     assert quick.quick and quick.validated() is not None
 
@@ -124,24 +132,17 @@ def test_default_workloads_cover_the_full_registry():
 # A tiny real campaign + the CLI surface
 # ----------------------------------------------------------------------
 def test_run_benchmarks_payload_shape():
-    config = BenchConfig(workloads=("li",), max_instructions=300, repeats=1, lanes=2)
+    config = BenchConfig(workloads=("li",), max_instructions=300, repeats=1)
     payload = run_benchmarks(config)
     assert payload["schema"] == BENCH_SCHEMA
     funcsim = payload["results"]["funcsim"]["li"]
     assert funcsim["instructions"] > 0
     assert funcsim["fast_minstr_s"] > 0
-    engines = payload["results"]["engines"]["li"]
-    assert engines["jit_minstr_s"] > 0
-    assert engines["lanes"] == 2
-    assert engines["lane_instructions"] == 2 * engines["instructions"]
-    assert engines["batched_minstr_s_per_lane"] > 0
+    assert set(payload["results"]) == {"funcsim", "pipeline", "session"}
     assert payload["results"]["pipeline"]["li"]["cycles"] > 0
     session = payload["results"]["session"]["li"]
     assert session["warm_s"] <= session["cold_s"]
     assert payload["summary"]["fast_speedup_geomean"] > 0
-    assert payload["summary"]["jit_minstr_s_geomean"] > 0
-    assert payload["summary"]["batched_minstr_s_per_lane_geomean"] > 0
-    assert payload["config"]["lanes"] == 2
 
 
 def _bench_cli(*extra):

@@ -169,11 +169,26 @@ def test_suite_cell_is_hashable():
 
 
 # ----------------------------------------------------------------------
-# Fused batch digests
+# Functional digests (the campaign's .batches.json sidecar)
 # ----------------------------------------------------------------------
-def test_batch_digests_cached_and_scalar_consistent():
-    from repro.sim.functional import FunctionalSimulator
+#: ``li`` at MAX_INSTS, as written into sidecars by earlier versions (which
+#: computed them on a since-removed engine).  Resume compares against stored
+#: sidecars, so these values must never change.
+LI_GOLDEN_DIGESTS = {
+    "ref": {
+        "digest": "d33e00fb44acbc69729d81166ef57da7ec23d7dbab62689fb597a50c1c55bf42",
+        "instructions": 4_000,
+        "halted": False,
+    },
+    "train": {
+        "digest": "99673a120fc7fb1f30e447c6f7315e475f7972a82dbc17ec25aeb4fad94b7e65",
+        "instructions": 4_000,
+        "halted": False,
+    },
+}
 
+
+def test_batch_digests_cached_and_scalar_consistent():
     session = SimSession()
     metrics = get_metrics()
     misses = metrics.get("session.batch.misses")
@@ -187,21 +202,7 @@ def test_batch_digests_cached_and_scalar_consistent():
     assert session.batch_digests("li", 1.0, MAX_INSTS) is digests
     assert metrics.get("session.batch.hits") == hits + 1
 
-    # Each lane's digest pins the same outcome a scalar run produces.
-    workload = session.workload("li", 1.0)
-    for input_name in ("ref", "train"):
-        sim = FunctionalSimulator(workload.program, memory=workload.memory(input_name))
-        result = sim.run(max_instructions=MAX_INSTS)
-        assert digests[input_name]["instructions"] == result.instructions
-        assert digests[input_name]["halted"] == result.halted
-        assert digests[input_name]["digest"] == SimSession._lane_digest(
-            type("L", (), {
-                "state": sim.state,
-                "memory": sim.memory,
-                "instructions": result.instructions,
-                "halted": result.halted,
-            })()
-        )
+    assert digests == LI_GOLDEN_DIGESTS
 
 
 def test_batch_digests_key_includes_inputs_and_variant():
@@ -209,7 +210,7 @@ def test_batch_digests_key_includes_inputs_and_variant():
     base = session.batch_digests("li", 1.0, MAX_INSTS)
     ref_only = session.batch_digests("li", 1.0, MAX_INSTS, input_names=("ref",))
     assert ref_only is not base
-    assert ref_only["ref"] == base["ref"]  # same lane outcome either way
+    assert ref_only["ref"] == base["ref"]  # same run outcome either way
     assert session.cache_stats()["batch_digests"] == 2
     session.reset()
     assert session.cache_stats()["batch_digests"] == 0

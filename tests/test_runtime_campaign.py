@@ -222,7 +222,7 @@ def test_cli_resume_unknown_run_id_exits_two(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Fused-batch digest sidecar (same-program cells share one batched run)
+# Functional-digest sidecar (same-program cells share one set of digests)
 # ----------------------------------------------------------------------
 def test_fresh_campaign_writes_batch_sidecar(tmp_path):
     from repro.runtime.campaign import batch_sidecar_path
@@ -264,18 +264,34 @@ def test_resume_backfills_missing_batch_sidecar(tmp_path):
     assert os.path.exists(path)
 
 
-def test_resume_refuses_drifted_batch_digest(tmp_path):
+def _drift_sidecar(out_dir, run_id):
     from repro.runtime.campaign import batch_sidecar_path
 
-    run_campaign(SPEC, str(tmp_path), run_id="drift", executor_factory=_ExecutorFactory())
-    path = batch_sidecar_path(str(tmp_path), "drift")
+    path = batch_sidecar_path(str(out_dir), run_id)
     with open(path) as handle:
         stored = json.load(handle)
     stored["li"]["ref"]["digest"] = "0" * 64
     with open(path, "w") as handle:
         json.dump(stored, handle)
-    with pytest.raises(ValueError, match="batch digest mismatch.*li"):
+
+
+def test_resume_refuses_drifted_batch_digest(tmp_path):
+    run_campaign(SPEC, str(tmp_path), run_id="drift", executor_factory=_ExecutorFactory())
+    _drift_sidecar(tmp_path, "drift")
+    with pytest.raises(JournalError, match="batch digest mismatch.*li"):
         resume_campaign(str(tmp_path), "drift", jobs=2, executor_factory=_ExecutorFactory())
+
+
+def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
+    argv = ["run", "--workload", "li", "--config", "no_predict", "--max-insts", str(MAX_INSTS),
+            "--out-dir", str(tmp_path), "--run-id", "drift"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _drift_sidecar(tmp_path, "drift")
+    assert main(["run", "--resume", "drift", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "repro: batch digest mismatch" in err
+    assert "internal error" not in err
 
 
 # ----------------------------------------------------------------------

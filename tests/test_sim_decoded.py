@@ -152,6 +152,13 @@ def test_decode_is_memoized_per_program():
     assert decode(program) is decode(program)
 
 
+@pytest.mark.parametrize("engine", ["warp", "batched"])
+def test_unknown_engine_rejected(engine):
+    program = SimSession().workload("li").program
+    with pytest.raises(ValueError, match="unknown engine"):
+        FunctionalSimulator(program, engine=engine)
+
+
 # ----------------------------------------------------------------------
 # Satellite: run_program / stream_program forward a caller-supplied state
 # ----------------------------------------------------------------------

@@ -1,15 +1,12 @@
-"""Differential matrix across every execution tier, workload, and variant.
+"""Campaign digests against the reference engine, on every workload cell.
 
-Each cell of the matrix runs one (workload, program variant) pair through
-all four engines — ``reference`` (the oracle), ``decoded`` (the fast
-interpreter), ``jit`` (trace-JIT superinstructions), and lane 0 of a
-multi-lane ``batched`` run — and requires byte-identical final architectural
-state: commit count, halt status, final pc, every integer and FP register,
-and the full nonzero memory image.
-
-The batched leg deliberately runs *multiple* lanes (lane 0 on the cell's
-input, lane 1 on the train input) so lane masking and per-lane retirement
-are actually exercised, then checks only lane 0 against the scalar engines.
+Each cell takes one (workload, program variant) pair and checks the
+per-input digests :meth:`SimSession.batch_digests` computes for the
+campaign's ``.batches.json`` sidecar against the same digests of
+``reference``-engine runs, on both the ``ref`` and ``train`` inputs.  The
+digest covers commit count, halt status, final pc, every integer and FP
+register and the full nonzero memory image, so a digest that drifts from
+the oracle makes every campaign resume refuse that program.
 """
 
 from __future__ import annotations
@@ -17,12 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.session import SimSession
-from repro.sim.batched import run_batch
 from repro.sim.functional import FunctionalSimulator
 from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
 
 MAX_INSTS = 3_000
 VARIANTS = ("base", "srvp_dead", "realloc")
+INPUTS = ("ref", "train")
 
 
 @pytest.fixture(scope="module")
@@ -32,36 +29,13 @@ def session():
     return SimSession()
 
 
-def _snapshot(sim, result):
-    state = sim.state
+def _reference_digest(program, memory):
+    sim = FunctionalSimulator(program, memory=memory, engine="reference")
+    result = sim.run(max_instructions=MAX_INSTS)
     return {
+        "digest": SimSession._lane_digest(result),
         "instructions": result.instructions,
         "halted": result.halted,
-        "pc": state.pc,
-        "int_regs": tuple(state.int_regs),
-        "fp_regs": tuple(state.fp_regs),
-        "memory": tuple(sorted((k, v) for k, v in sim.memory._words.items() if v)),
-    }
-
-
-def _run_scalar(program, memory, engine):
-    sim = FunctionalSimulator(program, memory=memory, engine=engine)
-    result = sim.run(max_instructions=MAX_INSTS)
-    return _snapshot(sim, result)
-
-
-def _run_batched_lane0(program, ref_memory, other_memory):
-    lanes = run_batch(program, [ref_memory, other_memory], max_instructions=MAX_INSTS)
-    lane = lanes[0]
-    assert lane.error is None
-    state = lane.state
-    return {
-        "instructions": lane.instructions,
-        "halted": lane.halted,
-        "pc": state.pc,
-        "int_regs": tuple(state.int_regs),
-        "fp_regs": tuple(state.fp_regs),
-        "memory": tuple(sorted((k, v) for k, v in lane.memory._words.items() if v)),
     }
 
 
@@ -70,13 +44,8 @@ def _run_batched_lane0(program, ref_memory, other_memory):
 def test_engine_matrix_cell(session, name, variant):
     program = session.program_variant(name, 1.0, MAX_INSTS, variant, None, 0.8)
     workload = make_workload(name)
-
-    oracle = _run_scalar(program, workload.memory("ref"), "reference")
-    assert oracle["instructions"] > 0
-
-    for engine in ("decoded", "jit"):
-        got = _run_scalar(program, workload.memory("ref"), engine)
-        assert got == oracle, f"{name}/{variant}: {engine} diverged from reference"
-
-    batched = _run_batched_lane0(program, workload.memory("ref"), workload.memory("train"))
-    assert batched == oracle, f"{name}/{variant}: batched lane 0 diverged from reference"
+    digests = session.batch_digests(name, 1.0, MAX_INSTS, INPUTS, variant=variant)
+    for input_name in INPUTS:
+        oracle = _reference_digest(program, workload.memory(input_name))
+        assert oracle["instructions"] > 0
+        assert digests[input_name] == oracle, f"{name}/{variant}/{input_name}: digest diverged from reference"

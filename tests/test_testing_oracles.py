@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from repro.compiler import insertion
+from repro.sim.functional import SimulationError
 from repro.testing import (
     ORACLE_FAMILIES,
     ORACLES,
@@ -141,34 +142,20 @@ def test_recovery_invariant_detects_lost_commits(monkeypatch):
         ORACLES["recovery-invariant"](generate_case(0))
 
 
-def test_trace_equivalence_detects_jit_guard_defect(monkeypatch):
-    """Defect: the JIT stops checking the remaining budget before entering a
-    compiled superinstruction (the test-only switch in repro.sim.jit), so a
-    truncated run overshoots its budget mid-block.  The oracle's half-budget
-    jit-vs-decoded comparison must notice."""
-    from repro.sim import jit as jit_tier
+def test_trace_equivalence_detects_perturbed_fault_divergence(monkeypatch):
+    """Defect: on the perturbed memory image the decoded engine reports a
+    fault the reference does not.  The perturbed-memory leg must notice."""
+    real = oracles_mod._engine_run
 
-    monkeypatch.setattr(jit_tier, "_TEST_SKIP_BUDGET_GUARD", True)
-    for seed in range(10):
-        try:
-            ORACLES["trace-equivalence"](generate_case(seed))
-        except OracleViolation as violation:
-            assert violation.oracle == "trace-equivalence"
-            return
-    pytest.fail("seeded jit guard defect was never detected")
+    def misreporting(program, memory, engine, max_instructions):
+        sim, result, error = real(program, memory, engine, max_instructions)
+        if engine == "decoded":
+            error = SimulationError(f"spurious fault ({error!r})")
+        return sim, result, error
 
-
-def test_trace_equivalence_detects_lane_mask_defect(monkeypatch):
-    """Defect: at a divergent branch the batched engine applies the majority
-    outcome to *every* lane instead of masking (the test-only switch in
-    repro.sim.batched).  The oracle's divergence probe — two lanes forced
-    down opposite branch sides — must notice."""
-    from repro.sim import batched as batched_mod
-
-    monkeypatch.setattr(batched_mod, "_TEST_BREAK_LANE_MASK", True)
-    with pytest.raises(OracleViolation) as excinfo:
+    monkeypatch.setattr(oracles_mod, "_engine_run", misreporting)
+    with pytest.raises(OracleViolation, match="perturbed memory"):
         ORACLES["trace-equivalence"](generate_case(0))
-    assert excinfo.value.oracle == "trace-equivalence"
 
 
 def test_absint_soundness_clean_on_counted_loop():
