@@ -23,24 +23,24 @@ Commands
 
                  python -m repro suite --config no_predict lvp_all drvp_all_dead_lv --jobs 4
 
-             With ``--workers N`` the campaign runs under the fault-tolerant
-             supervisor (:mod:`repro.runtime.service`): N leased worker
-             processes, heartbeat-monitored, with crashed/wedged workers'
-             cells stolen back and re-dispatched; ``--store DIR`` adds the
-             shared content-addressed result store so identical cells are
-             never re-simulated across campaigns::
+             Every campaign runs under the fault-tolerant supervisor
+             (:mod:`repro.runtime.service`); ``--jobs N`` gives it N leased
+             worker processes, heartbeat-monitored, with crashed/wedged
+             workers' cells stolen back and re-dispatched; ``--store DIR``
+             adds the shared content-addressed result store so identical
+             cells are never re-simulated across campaigns::
 
-                 python -m repro suite --out-dir runs --workers 4 --store /var/cache/repro
+                 python -m repro suite --out-dir runs --jobs 4 --store /var/cache/repro
 
 ``serve``    Long-running campaign service: watch a spool directory for
              campaign spec JSON files, run each under the supervisor,
              journal + report under ``--out-dir``, resuming any campaign a
              killed service left unfinished::
 
-                 python -m repro serve --spool spool/ --out-dir runs --workers 4 --store store/
+                 python -m repro serve --spool spool/ --out-dir runs --jobs 4 --store store/
 
 ``metrics``  Run configurations, then emit results + execution metrics
-             (session-cache hit rates, sim wall time, pool utilization) as
+             (session-cache hit rates, sim wall time, campaign dispatches) as
              structured JSON::
 
                  python -m repro metrics --workload m88ksim --config no_predict drvp_all
@@ -94,7 +94,7 @@ from typing import List, Optional
 
 from .core.experiment import CONFIG_NAMES, ExperimentRunner
 from .core.results import ResultTable, render_metrics
-from .core.session import ParallelSuiteRunner
+from .runtime.heartbeat import DEFAULT_LEASE_DURATION
 from .uarch.config import aggressive_config, table1_config
 from .uarch.recovery import RecoveryScheme
 from .workloads.suite import WORKLOAD_CLASSES
@@ -182,48 +182,41 @@ def _campaign_store(args: argparse.Namespace):
     return ResultStore(store_dir)
 
 
+def _campaign_spec(args: argparse.Namespace, workloads):
+    from .runtime import CampaignSpec
+
+    return CampaignSpec(
+        workloads=tuple(workloads),
+        configs=tuple(args.config),
+        recoveries=(RecoveryScheme.parse(args.recovery).value,),
+        machine="aggressive" if args.wide else "table1",
+        max_instructions=args.max_insts,
+        threshold=args.threshold,
+        jobs=args.jobs,
+    )
+
+
+def _supervisor_kwargs(args: argparse.Namespace) -> dict:
+    """``--store`` and ``--lease`` as campaign supervisor arguments."""
+    kwargs = {"store": _campaign_store(args)}
+    if args.lease is not None:
+        kwargs["lease_duration"] = args.lease
+    return kwargs
+
+
 def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
-    from .runtime import CampaignSpec, JournalError, resume_campaign, run_campaign
+    from .runtime import JournalError, resume_campaign, run_campaign
 
-    jobs = getattr(args, "jobs", 1)
-    workers = getattr(args, "workers", None)
-    store = _campaign_store(args)
     try:
-        if workers:
-            # Supervised service path: leased workers, work stealing, shared store.
-            from .runtime.service import resume_service_campaign, run_service_campaign
-
-            service_kwargs = {"workers": workers, "store": store}
-            if getattr(args, "lease", None):
-                service_kwargs["lease_duration"] = args.lease
-            if getattr(args, "resume", None):
-                report = resume_service_campaign(args.out_dir, args.resume, **service_kwargs)
-            else:
-                spec = CampaignSpec(
-                    workloads=tuple(workloads),
-                    configs=tuple(args.config),
-                    recoveries=(RecoveryScheme.parse(args.recovery).value,),
-                    machine="aggressive" if args.wide else "table1",
-                    max_instructions=args.max_insts,
-                    threshold=args.threshold,
-                    jobs=workers,
-                )
-                report = run_service_campaign(
-                    spec, args.out_dir, run_id=args.run_id, **service_kwargs
-                )
-        elif getattr(args, "resume", None):
-            report = resume_campaign(args.out_dir, args.resume, jobs=jobs, store=store)
-        else:
-            spec = CampaignSpec(
-                workloads=tuple(workloads),
-                configs=tuple(args.config),
-                recoveries=(RecoveryScheme.parse(args.recovery).value,),
-                machine="aggressive" if args.wide else "table1",
-                max_instructions=args.max_insts,
-                threshold=args.threshold,
-                jobs=jobs,
+        if args.resume:
+            report = resume_campaign(
+                args.out_dir, args.resume, jobs=args.jobs, **_supervisor_kwargs(args)
             )
-            report = run_campaign(spec, args.out_dir, run_id=args.run_id, store=store)
+        else:
+            report = run_campaign(
+                _campaign_spec(args, workloads), args.out_dir, run_id=args.run_id,
+                **_supervisor_kwargs(args),
+            )
     except JournalError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
@@ -271,24 +264,23 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return _run_campaign_cli(args, tuple(WORKLOAD_CLASSES))
     table = ResultTable()
     scheme = RecoveryScheme.parse(args.recovery)
-    machine = aggressive_config() if args.wide else table1_config()
     if args.jobs > 1:
-        runner = ParallelSuiteRunner(
-            workloads=tuple(WORKLOAD_CLASSES),
-            configs=tuple(args.config),
-            recoveries=(scheme,),
-            machine=machine,
-            max_instructions=args.max_insts,
-            threshold=args.threshold,
-            jobs=args.jobs,
-        )
-        report = runner.run()
+        import tempfile
+
+        from .runtime import run_campaign
+
+        # The same supervised campaign as --out-dir, journaled into a
+        # scratch directory that is gone once the table is printed.
+        with tempfile.TemporaryDirectory() as out_dir:
+            report = run_campaign(
+                _campaign_spec(args, WORKLOAD_CLASSES), out_dir, **_supervisor_kwargs(args)
+            )
         for result in report.results:
             table.add(result)
         mode = "processes" if report.used_processes else "serial fallback"
-        print(f"  {len(report.results)}/{len(runner.cells)} cells done ({args.jobs} jobs, {mode})")
-        for cell, error in report.failures.items():
-            print(f"  FAILED {cell.workload}/{cell.config}/{cell.recovery}: {error}")
+        print(f"  {len(report.results)}/{len(report.statuses)} cells done ({args.jobs} jobs, {mode})")
+        for cell_id, error in report.failures.items():
+            print(f"  FAILED {cell_id}: {error}")
     else:
         for name in WORKLOAD_CLASSES:
             runner = _runner(args, name)
@@ -317,10 +309,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     import time as _time
 
-    from .runtime import CampaignSpec, JournalError, list_run_ids
-    from .runtime.service import resume_service_campaign, run_service_campaign
+    from .runtime import CampaignSpec, JournalError, list_run_ids, resume_campaign, run_campaign
 
-    store = _campaign_store(args)
+    supervisor_kwargs = _supervisor_kwargs(args)
     os.makedirs(args.spool, exist_ok=True)
     os.makedirs(args.out_dir, exist_ok=True)
     done_dir = os.path.join(args.spool, "done")
@@ -365,10 +356,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if not pending:
                 continue
             print(f"serve: resuming interrupted campaign {run_id} ({len(pending)} cells left)")
-            report = resume_service_campaign(
-                args.out_dir, run_id, workers=args.workers, store=store,
-                lease_duration=args.lease,
-            )
+            report = resume_campaign(args.out_dir, run_id, jobs=args.jobs, **supervisor_kwargs)
             all_ok = _finish(report) and all_ok
         except (JournalError, ValueError) as exc:
             print(f"serve: cannot resume {run_id}: {exc}", file=sys.stderr)
@@ -387,11 +375,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 try:
                     with open(path, "r", encoding="utf-8") as handle:
                         payload = json.load(handle)
-                    spec = CampaignSpec.from_config(payload)
-                    report = run_service_campaign(
-                        spec, args.out_dir, run_id=stem, workers=args.workers,
-                        store=store, lease_duration=args.lease,
-                    )
+                    spec = CampaignSpec.from_config(payload, jobs=args.jobs)
+                    report = run_campaign(spec, args.out_dir, run_id=stem, **supervisor_kwargs)
                 except (JournalError, KeyError, TypeError, ValueError) as exc:
                     os.replace(path, os.path.join(failed_dir, name))
                     with open(os.path.join(failed_dir, f"{stem}.error"), "w", encoding="utf-8") as handle:
@@ -1092,12 +1077,36 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Storageless Value Prediction Using Prior Register Values (ISCA 1999) — reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def _add_jobs(sub_parser: argparse.ArgumentParser, default: int, help: str) -> None:
+        sub_parser.add_argument(
+            "--jobs", type=_at_least_one, default=default, metavar="N", help=help
+        )
+        sub_parser.add_argument(
+            "--lease", type=_positive_seconds, metavar="SECONDS",
+            help="lease duration before a silent worker's cell is stolen "
+            f"(with --jobs > 1; default {DEFAULT_LEASE_DURATION:g})",
+        )
 
     def _add_campaign(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
@@ -1110,26 +1119,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="finish an interrupted campaign: restore ok cells from the journal, run the rest",
         )
         sub_parser.add_argument(
-            "--workers", type=int, metavar="N",
-            help="run the campaign under the fault-tolerant supervisor with N "
-            "leased worker processes (work stealing, crash recovery)",
-        )
-        sub_parser.add_argument(
             "--store", metavar="DIR",
             help="shared content-addressed result store: identical cells are "
             "restored from DIR instead of re-simulated, across campaigns",
-        )
-        sub_parser.add_argument(
-            "--lease", type=float, metavar="SECONDS",
-            help="lease duration before a silent worker's cell is stolen "
-            "(with --workers; default 30)",
         )
 
     run_parser = sub.add_parser("run", help="run configurations on one workload")
     run_parser.add_argument("--workload", choices=sorted(WORKLOAD_CLASSES))
     run_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
-    run_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for campaign cells (with --out-dir/--resume)"
+    _add_jobs(
+        run_parser, 1,
+        "leased worker processes for campaign cells (with --out-dir/--resume; 1 = in-process)",
     )
     _add_campaign(run_parser)
     _add_common(run_parser)
@@ -1137,8 +1137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite_parser = sub.add_parser("suite", help="run configurations across all workloads")
     suite_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
-    suite_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for (workload x config) fan-out (1 = serial)"
+    _add_jobs(
+        suite_parser, 1, "leased worker processes for (workload x config) fan-out (1 = serial)"
     )
     _add_campaign(suite_parser)
     _add_common(suite_parser)
@@ -1154,12 +1154,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--out-dir", required=True, metavar="DIR", help="journal + report directory for campaigns"
     )
-    serve_parser.add_argument("--workers", type=int, default=2, metavar="N", help="worker pool size")
+    _add_jobs(serve_parser, 2, "worker pool size")
     serve_parser.add_argument(
         "--store", metavar="DIR", help="shared content-addressed result store directory"
-    )
-    serve_parser.add_argument(
-        "--lease", type=float, default=30.0, metavar="SECONDS", help="worker lease duration"
     )
     serve_parser.add_argument(
         "--poll", type=float, default=2.0, metavar="SECONDS", help="spool scan interval"

@@ -1,18 +1,10 @@
 """High-level experiment API: named configurations, the shared simulation
-session, parallel suite execution, metrics, and result tables."""
+session, metrics, and result tables."""
 
 from .experiment import CONFIG_NAMES, ExperimentResult, ExperimentRunner
 from .metrics import MetricsRegistry, get_metrics, reset_metrics
 from .results import ResultTable, metrics_report, render_metrics
-from .session import (
-    ParallelSuiteRunner,
-    SimSession,
-    SuiteCell,
-    SuiteReport,
-    canonical_variant_key,
-    get_session,
-    reset_session,
-)
+from .session import SimSession, canonical_variant_key, get_session, reset_session
 from .sweep import render_sweep, speedup_series, sweep, sweep_machine
 
 __all__ = [
@@ -20,11 +12,8 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "MetricsRegistry",
-    "ParallelSuiteRunner",
     "ResultTable",
     "SimSession",
-    "SuiteCell",
-    "SuiteReport",
     "canonical_variant_key",
     "get_metrics",
     "get_session",

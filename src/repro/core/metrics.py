@@ -6,8 +6,8 @@ Every layer of the execution core reports into one :class:`MetricsRegistry`:
 * the pipeline counts runs, cycles and its wall time,
 * the :class:`~repro.core.session.SimSession` counts cache hits/misses per
   artifact kind (trace / profile / program variant),
-* the :class:`~repro.core.session.ParallelSuiteRunner` counts cells, retries,
-  timeouts and serial fallbacks.
+* the :class:`~repro.runtime.service.CampaignSupervisor` counts dispatches,
+  re-dispatches, lease steals and pool rebuilds (``service.*``).
 
 The registry is deliberately simple — plain dict increments, one
 ``perf_counter`` pair per *run* (never per instruction) — so instrumentation
@@ -88,9 +88,6 @@ class MetricsRegistry:
             rate = self._rate(f"session.{kind}.hits", f"session.{kind}.misses")
             if rate is not None:
                 derived[f"session.{kind}.hit_rate"] = rate
-        cells = self.get("pool.cells")
-        if cells:
-            derived["pool.parallel_fraction"] = self.get("pool.cells_parallel") / cells
         return {
             "counters": dict(sorted(self._counters.items())),
             "timers": timers,
@@ -102,8 +99,8 @@ class MetricsRegistry:
         self._timers.clear()
 
 
-#: Process-wide default registry.  Worker processes spawned by the parallel
-#: suite runner each get their own (fresh) instance.
+#: Process-wide default registry.  Campaign worker processes each get their
+#: own (fresh) instance.
 _GLOBAL = MetricsRegistry()
 
 

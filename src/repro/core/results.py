@@ -9,7 +9,7 @@ Table 2.
 This module is also the structured-export point: :meth:`ResultTable.to_dict`
 serialises every cell, and :func:`metrics_report` / :func:`render_metrics`
 expose the process-wide :mod:`~repro.core.metrics` registry (cache hit
-rates, sim wall time, instructions/sec, pool utilization) as JSON for the
+rates, sim wall time, instructions/sec, campaign dispatches) as JSON for the
 ``--profile`` flag and the ``repro metrics`` command.
 """
 

@@ -36,26 +36,17 @@ Entries are invalidated only by LRU pressure on the trace cache or an
 explicit :meth:`SimSession.reset` — workload programs and inputs are
 deterministic in ``(name, scale)``, so staleness is impossible.
 
-:class:`ParallelSuiteRunner` fans (workload × config × recovery) cells out
-over a ``ProcessPoolExecutor``.  Worker processes keep their own module-level
-session, so consecutive cells for the same workload inside one worker reuse
-its traces.  Each cell has a wall-clock deadline derived from its
-instruction budget; failures are routed through the campaign taxonomy
-(:mod:`repro.runtime.errors`) — transient ones retried with backoff,
-deterministic ones failed fast — and any pool-level failure degrades the
-remaining cells to serial execution instead of aborting the suite.  With a
-run journal attached, every terminal cell state is committed durably, which
-is what ``repro run --resume`` replays.
+Campaign worker processes (:mod:`repro.runtime.service`) each keep their
+own module-level session, so consecutive cells for the same workload inside
+one worker reuse its traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor, process
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.marking import mark_static_rvp
@@ -64,12 +55,8 @@ from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.lists import ProfileLists
 from ..profiling.reuse import ReuseProfile, ReuseProfileBuilder
-from ..runtime.errors import DETERMINISTIC, classify_failure, is_timeout
-from ..runtime.retry import backoff_delays
 from ..sim.functional import FunctionalSimulator
 from ..sim.trace import TraceRecord
-from ..uarch.config import MachineConfig
-from ..uarch.recovery import RecoveryScheme
 from ..uarch.stream import StreamEntry, prepare_stream
 from ..vp.base import ValuePredictor
 from ..workloads.base import Workload
@@ -496,408 +483,3 @@ def get_session() -> SimSession:
 def reset_session() -> None:
     """Clear the process-wide session (tests, memory pressure)."""
     _GLOBAL.reset()
-
-
-# ======================================================================
-# Parallel suite execution
-# ======================================================================
-@dataclass(frozen=True)
-class SuiteCell:
-    """One (workload, config, recovery) unit of suite work."""
-
-    workload: str
-    config: str
-    recovery: str
-
-    @property
-    def cell_id(self) -> str:
-        """The journal identity of this cell (``workload/config/recovery``)."""
-        return f"{self.workload}/{self.config}/{self.recovery}"
-
-
-@dataclass
-class SuiteReport:
-    """Outcome of a :class:`ParallelSuiteRunner` run."""
-
-    results: List = field(default_factory=list)  # List[ExperimentResult]
-    failures: Dict[SuiteCell, str] = field(default_factory=dict)
-    used_processes: bool = False
-    #: Terminal journal status per executed cell: ``ok`` / ``failed`` / ``timeout``.
-    statuses: Dict[SuiteCell, str] = field(default_factory=dict)
-    #: ``transient`` / ``deterministic`` for every cell in ``failures``.
-    failure_kinds: Dict[SuiteCell, str] = field(default_factory=dict)
-    #: Total execution attempts per cell (1 = first try succeeded/failed fast).
-    attempts: Dict[SuiteCell, int] = field(default_factory=dict)
-    #: Cells satisfied by the shared content-addressed result store (L2)
-    #: without any simulation at all.
-    store_hits: int = 0
-
-
-def derive_cell_timeout(max_instructions: int) -> float:
-    """Per-cell wall-clock deadline derived from the instruction budget.
-
-    A generous fixed floor (pool spin-up, profiling pass, variant builds)
-    plus a per-instruction allowance several hundred times the measured
-    steady-state cost, capped at the pre-existing 600 s ceiling.  Scaling the
-    deadline with the budget means a hung 1.5k-instruction smoke cell is
-    detected in ~a minute instead of ten.
-    """
-    return min(600.0, 60.0 + 2e-3 * max(0, max_instructions))
-
-
-def _run_cell(
-    cell: SuiteCell,
-    machine: Optional[MachineConfig],
-    max_instructions: int,
-    threshold: float,
-    scale: float,
-):
-    """Top-level worker (picklable): run one cell in this process's session."""
-    from .experiment import ExperimentRunner
-
-    runner = ExperimentRunner(
-        cell.workload,
-        scale=scale,
-        machine=machine,
-        max_instructions=max_instructions,
-        threshold=threshold,
-    )
-    return runner.run(cell.config, recovery=RecoveryScheme.parse(cell.recovery))
-
-
-class ParallelSuiteRunner:
-    """Fan (workload × config × recovery) cells out over worker processes.
-
-    Worker processes inherit nothing from the parent's session; each keeps
-    its own, so cells for the same workload that land on the same worker
-    share traces.  Failures are classified through the campaign taxonomy
-    (:mod:`repro.runtime.errors`): *transient* failures (worker timeout,
-    poisoned result, OS hiccup) are retried serially in the parent with
-    bounded exponential backoff and deterministic jitter; *deterministic*
-    failures (simulator faults, verifier diagnostics, budget exhaustion)
-    fail fast — exactly one attempt — with the diagnostic preserved.  A
-    broken pool degrades the rest of the run to serial.
-
-    When a :class:`~repro.runtime.journal.RunJournal` is attached, every
-    terminal cell state (``ok`` with the serialized result, ``failed`` /
-    ``timeout`` with the error and its kind) is committed durably as it is
-    reached, and a ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM converted by
-    the campaign layer) cancels queued futures without waiting for running
-    ones and flushes the journal before unwinding — the run is resumable
-    from exactly the cells that never committed.
-    """
-
-    #: Executor factory, ``callable(max_workers=n)`` with ``submit`` and
-    #: ``shutdown``.  Overridable per instance — the deterministic fault
-    #: injector (:mod:`repro.testing.faults`) swaps in an executor that
-    #: forces timeouts, poisoned results and pool failures so the retry and
-    #: serial-fallback paths below are exercised on purpose.
-    executor_factory = ProcessPoolExecutor
-
-    #: Injectable sleep (tests zero it to assert the schedule, not wait it).
-    _sleep = staticmethod(time.sleep)
-
-    def __init__(
-        self,
-        workloads: Sequence[str] = (),
-        configs: Sequence[str] = (),
-        recoveries: Sequence[RecoveryScheme] = (RecoveryScheme.SELECTIVE,),
-        machine: Optional[MachineConfig] = None,
-        max_instructions: int = 40_000,
-        threshold: float = 0.8,
-        scale: float = 1.0,
-        jobs: Optional[int] = None,
-        cell_timeout: Optional[float] = None,
-        retries: int = 2,
-        journal=None,
-        cells: Optional[Sequence[SuiteCell]] = None,
-        store=None,
-        retry_deadline: Optional[float] = None,
-    ) -> None:
-        if cells is not None:
-            # Explicit cell list: the campaign resume path runs exactly the
-            # non-``ok`` cells of a prior journal, in their original order.
-            self.cells = list(cells)
-        else:
-            self.cells = [
-                SuiteCell(workload, config, recovery.value)
-                for workload in workloads
-                for config in configs
-                for recovery in recoveries
-            ]
-        self.machine = machine
-        self.max_instructions = max_instructions
-        self.threshold = threshold
-        self.scale = scale
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.cell_timeout = (
-            derive_cell_timeout(max_instructions) if cell_timeout is None else cell_timeout
-        )
-        self.retries = max(0, retries)
-        self.journal = journal
-        #: Shared content-addressed :class:`~repro.runtime.store.ResultStore`
-        #: (L2): hit cells are committed without simulation, fresh ``ok``
-        #: results are published back for every later campaign.
-        self.store = store
-        #: Total-elapsed backoff budget for one cell's transient retries
-        #: (defaults to the cell's wall-clock deadline): retrying must never
-        #: cost more than the cell itself was allowed to.
-        self.retry_deadline = self.cell_timeout if retry_deadline is None else retry_deadline
-
-    # ------------------------------------------------------------------
-    def run(self) -> SuiteReport:
-        metrics = get_metrics()
-        metrics.inc("pool.cells", len(self.cells))
-        report = SuiteReport()
-        cells = self._restore_from_store(self.cells, report)
-        if self.jobs <= 1 or len(cells) <= 1:
-            self._run_serial(cells, report)
-            return report
-        try:
-            self._run_parallel(cells, report)
-            report.used_processes = True
-        except (process.BrokenProcessPool, OSError, RuntimeError) as exc:
-            # Pool-level failure (sandboxed fork, dead workers, ...): finish
-            # whatever is left serially rather than losing the suite.
-            metrics.inc("pool.serial_fallbacks")
-            done = {(r.workload, r.config, r.recovery) for r in report.results}
-            remaining = [
-                cell
-                for cell in cells
-                if (cell.workload, cell.config, cell.recovery) not in done and cell not in report.failures
-            ]
-            self._run_serial(remaining, report, note=f"pool failure: {exc}")
-        return report
-
-    # ------------------------------------------------------------------
-    # Shared result store (the persistent L2 under each worker's SimSession)
-    # ------------------------------------------------------------------
-    def _effective_machine(self) -> MachineConfig:
-        from ..uarch.config import table1_config
-
-        return self.machine if self.machine is not None else table1_config()
-
-    def store_key(self, cell: SuiteCell) -> str:
-        """Content address of one cell under this runner's configuration."""
-        from ..runtime.store import cell_store_key
-
-        return cell_store_key(
-            cell.cell_id,
-            self._effective_machine(),
-            self.max_instructions,
-            self.threshold,
-            self.scale,
-        )
-
-    def _restore_from_store(self, cells: Sequence[SuiteCell], report: SuiteReport) -> List[SuiteCell]:
-        """Commit every store-hit cell as ``ok``; return the cells left to run.
-
-        A hit is a *restored* result: no ExperimentRunner is constructed, no
-        simulator runs, and the journal records the cell exactly as if it
-        had executed — which is what makes identical cells free across
-        campaigns, users and concurrent supervisors.
-        """
-        if self.store is None:
-            return list(cells)
-        from .experiment import ExperimentResult
-
-        remaining: List[SuiteCell] = []
-        for cell in cells:
-            payload = self.store.get(self.store_key(cell))
-            if payload is None:
-                remaining.append(cell)
-                continue
-            try:
-                result = ExperimentResult.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                # A schema drift reads as a miss, never a crash.
-                remaining.append(cell)
-                continue
-            report.store_hits += 1
-            get_metrics().inc("pool.cells_from_store")
-            self._commit_ok(cell, result, report, attempts=0, started=time.monotonic(), persist=False)
-        return remaining
-
-    # ------------------------------------------------------------------
-    # Terminal-state commits (report + journal in one place)
-    # ------------------------------------------------------------------
-    def _commit_ok(
-        self,
-        cell: SuiteCell,
-        result,
-        report: SuiteReport,
-        attempts: int,
-        started: float,
-        persist: bool = True,
-    ) -> None:
-        report.results.append(result)
-        report.statuses[cell] = "ok"
-        report.attempts[cell] = attempts
-        payload = result.to_dict() if hasattr(result, "to_dict") else None
-        if self.journal is not None:
-            self.journal.record(
-                cell.cell_id, "ok", attempts=attempts,
-                elapsed_s=time.monotonic() - started, result=payload,
-            )
-        # Publish fresh results to the shared L2 (restored ones came from
-        # there; re-putting them would only churn mtimes under prune).
-        if persist and self.store is not None and payload is not None:
-            try:
-                self.store.put(self.store_key(cell), payload, cell_id=cell.cell_id)
-            except OSError:
-                # The store is an accelerator, never a correctness dependency:
-                # a full or read-only store must not fail the cell.
-                pass
-
-    def _commit_failure(
-        self,
-        cell: SuiteCell,
-        message: str,
-        kind: str,
-        report: SuiteReport,
-        attempts: int,
-        started: float,
-        timed_out: bool = False,
-    ) -> None:
-        report.failures[cell] = message
-        status = "timeout" if timed_out else "failed"
-        report.statuses[cell] = status
-        report.failure_kinds[cell] = kind
-        report.attempts[cell] = attempts
-        if self.journal is not None:
-            self.journal.record(
-                cell.cell_id, status, attempts=attempts,
-                elapsed_s=time.monotonic() - started, error=message, error_kind=kind,
-            )
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, cells: Sequence[SuiteCell], report: SuiteReport, note: str = "") -> None:
-        metrics = get_metrics()
-        for cell in cells:
-            started = time.monotonic()
-            try:
-                result = self._run_local(cell)
-            except KeyboardInterrupt:
-                self._flush_journal()
-                raise
-            except Exception as exc:
-                message = f"{note + ': ' if note else ''}{exc!r}"
-                self._commit_failure(
-                    cell, message, classify_failure(exc), report,
-                    attempts=1, started=started, timed_out=is_timeout(exc),
-                )
-            else:
-                metrics.inc("pool.cells_serial")
-                self._commit_ok(cell, result, report, attempts=1, started=started)
-
-    def _run_local(self, cell: SuiteCell):
-        return _run_cell(cell, self.machine, self.max_instructions, self.threshold, self.scale)
-
-    def _flush_journal(self) -> None:
-        if self.journal is not None:
-            self.journal.flush()
-
-    @staticmethod
-    def _shutdown_pool(pool, cancel: bool) -> None:
-        shutdown = getattr(pool, "shutdown", None)
-        if shutdown is None:
-            return
-        if cancel:
-            # Never wait on in-flight cells while unwinding: drop queued
-            # work, leave running workers to die with the process.
-            shutdown(wait=False, cancel_futures=True)
-        else:
-            shutdown(wait=True)
-
-    def _run_parallel(self, cells: Sequence[SuiteCell], report: SuiteReport) -> None:
-        metrics = get_metrics()
-        workers = max(1, min(self.jobs, len(cells)))
-        metrics.inc("pool.workers", workers)
-        pool = self.executor_factory(max_workers=workers)
-        try:
-            futures = {
-                pool.submit(
-                    _run_cell, cell, self.machine, self.max_instructions, self.threshold, self.scale
-                ): cell
-                for cell in cells
-            }
-            with metrics.timer("pool.wall"):
-                for future, cell in futures.items():
-                    started = time.monotonic()
-                    try:
-                        result = future.result(timeout=self.cell_timeout)
-                    except (process.BrokenProcessPool, KeyboardInterrupt):
-                        raise
-                    except Exception as exc:
-                        if is_timeout(exc):
-                            metrics.inc("pool.timeouts")
-                            future.cancel()
-                        self._retry_cell(cell, exc, report, started)
-                    else:
-                        metrics.inc("pool.cells_parallel")
-                        self._commit_ok(cell, result, report, attempts=1, started=started)
-        except BaseException:
-            # Pool collapse, Ctrl-C, SIGTERM: make the journal durable and
-            # abandon the pool without blocking on its running futures, so
-            # the orphaned-pool leak cannot outlive the interrupt.
-            self._shutdown_pool(pool, cancel=True)
-            self._flush_journal()
-            raise
-        else:
-            self._shutdown_pool(pool, cancel=False)
-
-    def _retry_cell(self, cell: SuiteCell, first_error: Exception, report: SuiteReport, started: float) -> None:
-        """Dispatch a failed cell through the failure taxonomy.
-
-        Deterministic failures are final on the first attempt (replaying
-        deterministic code on deterministic inputs replays the failure);
-        transient failures are retried serially in the parent, up to
-        ``self.retries`` times, behind deterministically-jittered backoff
-        whose *total elapsed delay* is capped by ``self.retry_deadline``.
-        A retry that raises a *deterministic* error also stops immediately.
-        """
-        metrics = get_metrics()
-        if classify_failure(first_error) == DETERMINISTIC:
-            metrics.inc("pool.fail_fast")
-            self._commit_failure(
-                cell, f"{first_error!r}", DETERMINISTIC, report,
-                attempts=1, started=started, timed_out=is_timeout(first_error),
-            )
-            return
-        last_error: Exception = first_error
-        attempts = 1
-        schedule = backoff_delays(
-            self.retries,
-            seed=(cell.workload, cell.config, cell.recovery),
-            deadline=self.retry_deadline,
-        )
-        for delay in schedule:
-            metrics.inc("pool.retries")
-            self._sleep(delay)
-            attempts += 1
-            try:
-                result = self._run_local(cell)
-            except KeyboardInterrupt:
-                self._flush_journal()
-                raise
-            except Exception as exc:
-                last_error = exc
-                if classify_failure(exc) == DETERMINISTIC:
-                    break
-            else:
-                self._commit_ok(cell, result, report, attempts=attempts, started=started)
-                return
-        message = (
-            f"first: {first_error!r}; retry: {last_error!r}"
-            if attempts > 1
-            else f"{first_error!r}"  # retries=0: there was no retry to cite
-        )
-        self._commit_failure(
-            cell,
-            message,
-            classify_failure(last_error),
-            report,
-            attempts=attempts,
-            started=started,
-            timed_out=is_timeout(last_error),
-        )

@@ -6,15 +6,18 @@ Layers, bottom-up:
 * :mod:`~repro.runtime.retry` — bounded exponential backoff with
   deterministic jitter.
 * :mod:`~repro.runtime.errors` — the transient/deterministic failure
-  taxonomy threaded through :class:`~repro.core.session.ParallelSuiteRunner`.
+  taxonomy the campaign supervisor routes every cell failure through.
 * :mod:`~repro.runtime.journal` — the append-only JSONL run journal.
 * :mod:`~repro.runtime.heartbeat` — clocks, heartbeat boards and the lease
   protocol the campaign service's work stealing is built on.
 * :mod:`~repro.runtime.store` — the shared content-addressed result store
   (the persistent L2 under each worker's in-process session).
-* :mod:`~repro.runtime.campaign` — specs, run/resume orchestration.
-* :mod:`~repro.runtime.service` — the supervised multi-worker campaign
-  service (leases, work stealing, pool rebuilds, serial degradation).
+* :mod:`~repro.runtime.campaign` — campaign specs, cells, the digest
+  sidecar and reports.
+* :mod:`~repro.runtime.service` — the campaign supervisor, the one cell
+  executor (in-process serial mode, or leased workers with work stealing,
+  pool rebuilds and serial degradation), and ``run_campaign`` /
+  ``resume_campaign``.
 
 ``campaign``, ``store`` and ``service`` are exposed lazily (module-level
 ``__getattr__``): they import :mod:`repro.core` modules, which themselves
@@ -67,9 +70,8 @@ _CAMPAIGN_EXPORTS = (
     "CampaignSpec",
     "CampaignReport",
     "MACHINE_FACTORIES",
+    "SuiteCell",
     "deliver_sigterm_as_interrupt",
-    "run_campaign",
-    "resume_campaign",
 )
 
 #: Names resolved lazily from .store (imports repro.core.metrics).
@@ -80,12 +82,12 @@ _STORE_EXPORTS = (
     "result_digest",
 )
 
-#: Names resolved lazily from .service (imports repro.core.session).
+#: Names resolved lazily from .service (imports repro.core.experiment).
 _SERVICE_EXPORTS = (
     "CampaignSupervisor",
     "ServiceStats",
-    "run_service_campaign",
-    "resume_service_campaign",
+    "run_campaign",
+    "resume_campaign",
 )
 
 __all__ = [

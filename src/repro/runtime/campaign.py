@@ -1,8 +1,12 @@
-"""Crash-safe, resumable experiment campaigns.
+"""Crash-safe, resumable experiment campaigns: the grid and its records.
 
-A *campaign* is one (workload × config × recovery) grid executed through
-:class:`~repro.core.session.ParallelSuiteRunner`, checkpointed cell-by-cell
-into a :class:`~repro.runtime.journal.RunJournal`.  The contract:
+A *campaign* is one (workload × config × recovery) grid executed by
+:class:`~repro.runtime.service.CampaignSupervisor` and checkpointed
+cell-by-cell into a :class:`~repro.runtime.journal.RunJournal`.  This module
+holds the parts that do not depend on how cells execute: the fingerprintable
+:class:`CampaignSpec`, the :class:`SuiteCell` unit of work, the
+functional-digest sidecar, and the :class:`CampaignReport` assembled from the
+journal.  The contract:
 
 * **Crash-safe.**  Every terminal cell state (``ok`` with the serialized
   result, ``failed``/``timeout`` with the diagnostic and its taxonomy kind)
@@ -30,19 +34,33 @@ import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.experiment import ExperimentResult
-from ..core.session import ParallelSuiteRunner, SuiteCell, get_session
+from ..core.session import get_session
 from ..uarch.config import MachineConfig, aggressive_config, table1_config
 from .atomic import atomic_write_json
-from .journal import OK, PENDING, JournalError, RunJournal, new_run_id
+from .journal import OK, PENDING, JournalError, RunJournal
 
 #: Machine configurations a campaign can name (names go into the fingerprint).
 MACHINE_FACTORIES: Dict[str, Callable[[], MachineConfig]] = {
     "table1": table1_config,
     "aggressive": aggressive_config,
 }
+
+
+@dataclass(frozen=True)
+class SuiteCell:
+    """One (workload, config, recovery) unit of campaign work."""
+
+    workload: str
+    config: str
+    recovery: str
+
+    @property
+    def cell_id(self) -> str:
+        """The journal identity of this cell (``workload/config/recovery``)."""
+        return f"{self.workload}/{self.config}/{self.recovery}"
 
 
 @dataclass(frozen=True)
@@ -56,6 +74,7 @@ class CampaignSpec:
     max_instructions: int = 40_000
     threshold: float = 0.8
     scale: float = 1.0
+    #: Worker processes; 1 runs every cell in the supervisor's own process.
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -222,7 +241,7 @@ class CampaignReport:
 def deliver_sigterm_as_interrupt():
     """Route SIGTERM through the KeyboardInterrupt unwind path.
 
-    The runner's interrupt handling (cancel queued futures, flush the
+    The supervisor's interrupt handling (cancel queued futures, flush the
     journal, re-raise) is written once against ``KeyboardInterrupt``; this
     makes a polite ``kill`` take the same exit ramp as Ctrl-C.  Outside the
     main thread (or where signals are unavailable) it is a no-op.
@@ -257,11 +276,9 @@ def build_report(
 ) -> CampaignReport:
     """Assemble a :class:`CampaignReport` from journal state + in-memory results.
 
-    Shared by the in-process campaign path (:func:`run_campaign`) and the
-    supervised service path (:mod:`repro.runtime.service`): the journal's
-    replayed states are authoritative for statuses and diagnostics, while
-    ``restored``/``fresh`` supply the deserialized result objects in grid
-    order.
+    The journal's replayed states are authoritative for statuses and
+    diagnostics, while ``restored``/``fresh`` supply the deserialized result
+    objects in grid order.
     """
     report = CampaignReport(
         run_id=journal.run_id,
@@ -289,113 +306,4 @@ def build_report(
             report.failures[cell_id] = str(entry["error"])
             if entry.get("error_kind"):
                 report.failure_kinds[cell_id] = str(entry["error_kind"])
-    return report
-
-
-def _execute(
-    spec: CampaignSpec,
-    journal: RunJournal,
-    cells_to_run: Sequence[SuiteCell],
-    restored: Dict[str, ExperimentResult],
-    resumed: bool,
-    machine: Optional[MachineConfig],
-    retries: int,
-    cell_timeout: Optional[float],
-    executor_factory,
-    store=None,
-) -> CampaignReport:
-    runner = ParallelSuiteRunner(
-        machine=machine if machine is not None else spec.build_machine(),
-        max_instructions=spec.max_instructions,
-        threshold=spec.threshold,
-        scale=spec.scale,
-        jobs=spec.jobs,
-        retries=retries,
-        cell_timeout=cell_timeout,
-        journal=journal,
-        cells=list(cells_to_run),
-        store=store,
-    )
-    if executor_factory is not None:
-        runner.executor_factory = executor_factory
-    try:
-        with deliver_sigterm_as_interrupt():
-            suite_report = runner.run()
-    except KeyboardInterrupt:
-        # The runner already cancelled queued futures and flushed every
-        # committed record; closing releases the append handle so the next
-        # process can resume from exactly this point.
-        journal.close()
-        raise
-    fresh: Dict[str, ExperimentResult] = {
-        SuiteCell(r.workload, r.config, r.recovery).cell_id: r for r in suite_report.results
-    }
-    report = build_report(
-        spec, journal, restored, fresh, resumed=resumed,
-        executed=len(cells_to_run), used_processes=suite_report.used_processes,
-        store_hits=suite_report.store_hits,
-    )
-    journal.close()
-    return report
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    out_dir: str,
-    run_id: Optional[str] = None,
-    machine: Optional[MachineConfig] = None,
-    retries: int = 2,
-    cell_timeout: Optional[float] = None,
-    executor_factory=None,
-    store=None,
-) -> CampaignReport:
-    """Execute a fresh campaign with a new journal under ``out_dir``."""
-    run_id = run_id if run_id is not None else new_run_id()
-    journal = RunJournal.create(out_dir, run_id, spec.config_dict(), spec.cell_ids())
-    digests = _write_batch_sidecar(out_dir, run_id, spec)
-    report = _execute(
-        spec, journal, spec.cells(), restored={}, resumed=False,
-        machine=machine, retries=retries, cell_timeout=cell_timeout,
-        executor_factory=executor_factory, store=store,
-    )
-    report.batch_digests = digests
-    return report
-
-
-def resume_campaign(
-    out_dir: str,
-    run_id: str,
-    spec: Optional[CampaignSpec] = None,
-    jobs: Optional[int] = None,
-    machine: Optional[MachineConfig] = None,
-    retries: int = 2,
-    cell_timeout: Optional[float] = None,
-    executor_factory=None,
-    store=None,
-) -> CampaignReport:
-    """Finish an interrupted campaign: restore ``ok`` cells, run the rest.
-
-    The journal header is authoritative for the grid.  A caller-supplied
-    ``spec`` is *verified* against the stored fingerprint (and rejected on
-    mismatch) rather than trusted; with no spec, the grid is reconstructed
-    from the header, so ``repro run --resume <id>`` needs nothing but the id.
-    """
-    journal = RunJournal.find(out_dir, run_id)
-    header_spec = CampaignSpec.from_config(journal.config, jobs=jobs if jobs is not None else 1)
-    if spec is not None:
-        journal.verify_config(spec.config_dict())
-        header_spec = header_spec.with_jobs(jobs if jobs is not None else spec.jobs)
-    restored: Dict[str, ExperimentResult] = {}
-    for cell_id, entry in journal.states().items():
-        if entry.get("status") == OK and entry.get("result"):
-            restored[cell_id] = ExperimentResult.from_dict(entry["result"])
-    pending_ids = set(journal.pending_cells())
-    cells_to_run = [cell for cell in header_spec.cells() if cell.cell_id in pending_ids]
-    digests = _verify_batch_sidecar(out_dir, run_id, header_spec)
-    report = _execute(
-        header_spec, journal, cells_to_run, restored=restored, resumed=True,
-        machine=machine, retries=retries, cell_timeout=cell_timeout,
-        executor_factory=executor_factory, store=store,
-    )
-    report.batch_digests = digests
     return report

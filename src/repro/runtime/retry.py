@@ -15,7 +15,7 @@ import random
 import zlib
 from typing import Iterator, Optional
 
-#: Default schedule parameters used by :class:`~repro.core.session.ParallelSuiteRunner`.
+#: Default schedule parameters used by :class:`~repro.runtime.service.CampaignSupervisor`.
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 

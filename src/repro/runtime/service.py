@@ -1,10 +1,11 @@
-"""Fault-tolerant campaign service: a supervisor over a pool of workers.
+"""Campaign execution: one supervisor, in-process or over leased workers.
 
-:func:`~repro.runtime.campaign.run_campaign` executes a grid in-process and
-survives *its own* crash via the journal.  This module adds the layer the
-journal alone cannot provide: surviving **worker** failure mid-campaign.  A
-:class:`CampaignSupervisor` owns the grid and dispatches cells to a pool of
-worker processes under a lease protocol:
+:class:`CampaignSupervisor` is the only cell executor.  It owns a campaign's
+grid and journal and takes every cell to exactly one terminal journal
+state.  With ``spec.jobs == 1`` it runs the cells one after another in its
+own process (serial mode); with ``jobs > 1`` it dispatches them to a pool of
+worker processes under a lease protocol, which adds surviving **worker**
+failure mid-campaign to the journal's crash safety:
 
 * every dispatched cell carries a **lease** (:mod:`repro.runtime.heartbeat`)
   that the worker must keep renewing by heartbeating; a worker that is
@@ -20,18 +21,18 @@ worker processes under a lease protocol:
   rebuild**; past the rebuild budget the supervisor **degrades to serial**
   execution in its own process — a collapsed pool costs throughput, never
   results;
-* failures are routed through the existing taxonomy
+* in both modes failures are routed through the taxonomy
   (:func:`~repro.runtime.errors.classify_failure`): transient ones
   (:class:`~repro.runtime.errors.WorkerCrashed`,
-  :class:`~repro.runtime.errors.LeaseExpired`, timeouts) re-dispatch behind
+  :class:`~repro.runtime.errors.LeaseExpired`, timeouts) are retried behind
   the deterministic backoff schedule (:func:`~repro.runtime.retry.backoff_delays`,
   elapsed-capped); deterministic ones fail fast with the diagnostic
   preserved;
-* every terminal state goes through the same
-  :class:`~repro.runtime.journal.RunJournal` as the in-process path, plus
-  ``note`` event records (dispatches, steals, rebuilds, degradation) so a
-  post-mortem can replay the supervisor's decisions; supervisor SIGKILL is
-  therefore just another resume (:func:`resume_service_campaign`).
+* every terminal state goes through the
+  :class:`~repro.runtime.journal.RunJournal`, plus ``note`` event records
+  (dispatches, steals, rebuilds, degradation) so a post-mortem can replay
+  the supervisor's decisions; supervisor SIGKILL is therefore just another
+  resume (:func:`resume_campaign`).
 
 All time flows through an injectable clock and all waiting through an
 injectable ``sleep``, so the chaos harness (:mod:`repro.testing.faults`)
@@ -42,6 +43,7 @@ wall clock.
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 from collections import OrderedDict
@@ -49,13 +51,14 @@ from concurrent.futures import ProcessPoolExecutor, process
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.experiment import ExperimentResult
+from ..core.experiment import ExperimentResult, ExperimentRunner
 from ..core.metrics import get_metrics
-from ..core.session import SuiteCell, _run_cell, derive_cell_timeout
 from ..uarch.config import MachineConfig
+from ..uarch.recovery import RecoveryScheme
 from .campaign import (
     CampaignReport,
     CampaignSpec,
+    SuiteCell,
     _verify_batch_sidecar,
     _write_batch_sidecar,
     build_report,
@@ -87,6 +90,36 @@ DEFAULT_POLL_INTERVAL = 0.05
 #: Workers heartbeat at a quarter of the lease duration: four consecutive
 #: missed beats before the supervisor presumes death.
 BEAT_FRACTION = 0.25
+
+
+def derive_cell_timeout(max_instructions: int) -> float:
+    """Per-cell wall-clock deadline derived from the instruction budget.
+
+    A generous fixed floor (pool spin-up, profiling pass, variant builds)
+    plus a per-instruction allowance several hundred times the measured
+    steady-state cost, capped at the pre-existing 600 s ceiling.  Scaling the
+    deadline with the budget means a hung 1.5k-instruction smoke cell is
+    detected in ~a minute instead of ten.
+    """
+    return min(600.0, 60.0 + 2e-3 * max(0, max_instructions))
+
+
+def _run_cell(
+    cell: SuiteCell,
+    machine: Optional[MachineConfig],
+    max_instructions: int,
+    threshold: float,
+    scale: float,
+) -> ExperimentResult:
+    """Run one cell in this process's session (picklable, top-level)."""
+    runner = ExperimentRunner(
+        cell.workload,
+        scale=scale,
+        machine=machine,
+        max_instructions=max_instructions,
+        threshold=threshold,
+    )
+    return runner.run(cell.config, recovery=RecoveryScheme.parse(cell.recovery))
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +204,8 @@ class _Dispatch:
     worker_tag: str
     started: float
     attempts: int
+    #: The queue entry this attempt came from: carries the retry context.
+    entry: _Pending
 
 
 @dataclass
@@ -200,7 +235,7 @@ class ServiceStats:
 
 
 class CampaignSupervisor:
-    """Supervise one campaign over a pool of leased, heartbeating workers."""
+    """Run one campaign: in-process at ``spec.jobs == 1``, else over leased workers."""
 
     #: Executor factory, ``callable(max_workers=n)``; the chaos harness
     #: substitutes a scripted executor here.
@@ -214,7 +249,6 @@ class CampaignSupervisor:
         self,
         spec: CampaignSpec,
         out_dir: str,
-        workers: Optional[int] = None,
         store: Optional[ResultStore] = None,
         lease_duration: float = DEFAULT_LEASE_DURATION,
         machine: Optional[MachineConfig] = None,
@@ -229,7 +263,7 @@ class CampaignSupervisor:
     ) -> None:
         self.spec = spec
         self.out_dir = out_dir
-        self.workers = workers if workers is not None else max(1, spec.jobs)
+        self.workers = max(1, spec.jobs)
         self.store = store
         self.machine = machine if machine is not None else spec.build_machine()
         self.retries = max(0, retries)
@@ -256,7 +290,7 @@ class CampaignSupervisor:
     # Entry points
     # ------------------------------------------------------------------
     def run(self, run_id: Optional[str] = None) -> CampaignReport:
-        """Execute a fresh supervised campaign (new journal under ``out_dir``)."""
+        """Execute a fresh campaign (new journal under ``out_dir``)."""
         run_id = run_id if run_id is not None else new_run_id()
         journal = RunJournal.create(
             self.out_dir, run_id, self.spec.config_dict(), self.spec.cell_ids()
@@ -267,7 +301,7 @@ class CampaignSupervisor:
         return report
 
     def resume(self, run_id: str) -> CampaignReport:
-        """Resume a supervised campaign after supervisor death (SIGKILL, crash).
+        """Resume a campaign after supervisor death (SIGKILL, crash, interrupt).
 
         The journal is authoritative: ``ok`` cells are restored from their
         stored payloads, every other cell re-enters the dispatch queue.  The
@@ -310,14 +344,14 @@ class CampaignSupervisor:
         resumed: bool,
     ) -> CampaignReport:
         metrics = get_metrics()
+        board = self._heartbeats
+        # Workers beat into files only when pooled; the directory (or one a
+        # killed predecessor left behind) is removed when supervision ends.
         self._heartbeat_dir = (
             os.path.join(self.out_dir, f"{journal.run_id}.heartbeats")
-            if self._use_heartbeat_files
+            if board is None and self._use_heartbeat_files
             else None
         )
-        board = self._heartbeats
-        if board is None and self._heartbeat_dir is not None:
-            board = FileHeartbeatBoard(self._heartbeat_dir, clock=self.clock)
         journal.note(
             "service_start",
             workers=self.workers,
@@ -355,11 +389,15 @@ class CampaignSupervisor:
                 while pending or inflight:
                     if not serial and pool is None:
                         try:
-                            pool = self.executor_factory(max_workers=self.workers)
+                            pool = self.executor_factory(
+                                max_workers=max(1, min(self.workers, len(pending)))
+                            )
                             used_processes = True
                         except (OSError, RuntimeError) as exc:
                             journal.note("pool_unavailable", error=repr(exc))
                             serial = True
+                        if pool is not None and board is None and self._heartbeat_dir is not None:
+                            board = FileHeartbeatBoard(self._heartbeat_dir, clock=self.clock)
                     if serial:
                         self._drain_serial(journal, pending, fresh)
                         break
@@ -388,6 +426,9 @@ class CampaignSupervisor:
                     self._reap_abandoned(journal)
                     if pending or inflight:
                         self._sleep(self.poll_interval)
+            if pool is not None:
+                pool.shutdown(wait=True)
+                pool = None
         except KeyboardInterrupt:
             journal.note("interrupted", inflight=len(inflight), pending=len(pending))
             journal.flush()
@@ -399,9 +440,9 @@ class CampaignSupervisor:
             if board is not None:
                 for cell_id in list(self._epochs):
                     board.clear(cell_id)
+            if self._heartbeat_dir is not None:
+                shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
 
-        if pool is not None:
-            pool.shutdown(wait=True)
         self.stats.lease = self.leases.stats.to_dict()
         journal.note("service_done", **self.stats.to_dict())
         report = build_report(
@@ -477,10 +518,8 @@ class CampaignSupervisor:
             del pending[cell_id]
             inflight[cell_id] = _Dispatch(
                 cell=entry.cell, future=future, epoch=epoch, worker_tag=tag,
-                started=now, attempts=entry.attempts + 1,
+                started=now, attempts=entry.attempts + 1, entry=entry,
             )
-            # Carry the retry context through the dispatch record.
-            inflight[cell_id].pending = entry  # type: ignore[attr-defined]
             self.stats.dispatched += 1
             get_metrics().inc("service.dispatches")
             journal.note("dispatch", cell=cell_id, worker=tag, epoch=epoch, attempt=entry.attempts + 1)
@@ -544,39 +583,41 @@ class CampaignSupervisor:
                 pass
 
     def _handle_failure(self, journal, pending, dispatch: _Dispatch, exc: Exception) -> None:
-        """Route one failed attempt through the taxonomy: retry or commit."""
+        """Route one failed attempt through the taxonomy: retry or commit.
+
+        Deterministic failures are final (replaying deterministic code on
+        deterministic inputs replays the failure); transient ones re-enter
+        ``pending`` behind the cell's backoff schedule until it runs out.  A
+        cell that fails after a retry cites both its first and last error.
+        """
         cell = dispatch.cell
         kind = classify_failure(exc)
-        prior: _Pending = getattr(dispatch, "pending", None) or _Pending(cell=cell)
-        if kind == DETERMINISTIC:
-            self._commit_failure(journal, dispatch, f"{exc!r}", kind, timed_out=is_timeout(exc))
-            return
-        if prior.schedule is None:
-            prior.schedule = list(
-                backoff_delays(
-                    self.retries,
-                    seed=(cell.workload, cell.config, cell.recovery),
-                    deadline=self.retry_deadline,
+        prior = dispatch.entry
+        if kind != DETERMINISTIC:
+            if prior.schedule is None:
+                prior.schedule = list(
+                    backoff_delays(
+                        self.retries,
+                        seed=(cell.workload, cell.config, cell.recovery),
+                        deadline=self.retry_deadline,
+                    )
                 )
-            )
-            prior.first_error = f"{exc!r}"
-        if dispatch.attempts > len(prior.schedule):
-            message = (
-                f"first: {prior.first_error}; retry: {exc!r}"
-                if prior.first_error and prior.first_error != f"{exc!r}"
-                else f"{exc!r}"
-            )
-            self._commit_failure(journal, dispatch, message, kind, timed_out=is_timeout(exc))
-            return
-        delay = prior.schedule[dispatch.attempts - 1]
-        prior.attempts = dispatch.attempts
-        prior.not_before = self.clock.now() + delay
-        pending[cell.cell_id] = prior
-        get_metrics().inc("service.redispatches")
-        journal.note(
-            "redispatch_scheduled", cell=cell.cell_id, attempt=dispatch.attempts,
-            delay_s=round(delay, 6), error=repr(exc),
+                prior.first_error = f"{exc!r}"
+            if dispatch.attempts <= len(prior.schedule):
+                delay = prior.schedule[dispatch.attempts - 1]
+                prior.attempts = dispatch.attempts
+                prior.not_before = self.clock.now() + delay
+                pending[cell.cell_id] = prior
+                get_metrics().inc("service.redispatches")
+                journal.note(
+                    "redispatch_scheduled", cell=cell.cell_id, attempt=dispatch.attempts,
+                    delay_s=round(delay, 6), error=repr(exc),
+                )
+                return
+        message = (
+            f"first: {prior.first_error}; retry: {exc!r}" if dispatch.attempts > 1 else f"{exc!r}"
         )
+        self._commit_failure(journal, dispatch, message, kind, timed_out=is_timeout(exc))
 
     def _commit_failure(self, journal, dispatch: _Dispatch, message, kind, timed_out=False) -> None:
         status = "timeout" if timed_out else "failed"
@@ -670,13 +711,15 @@ class CampaignSupervisor:
         self._abandoned = still_open
 
     # ------------------------------------------------------------------
-    # Serial degradation
+    # Serial mode
     # ------------------------------------------------------------------
     def _drain_serial(self, journal, pending, fresh) -> None:
-        """Run every remaining cell in the supervisor process (pool collapsed).
+        """Run every remaining cell in the supervisor process.
 
-        Cells requeued by transient failures re-enter ``pending`` and are
-        picked up by the same loop, so serial mode still honours the retry
+        The whole campaign at ``jobs == 1``; the rest of it after the pool
+        could not be built or collapsed past its rebuild budget.  Cells
+        requeued by transient failures re-enter ``pending`` and are picked
+        up by the same loop, so serial mode still honours the retry
         schedule before reaching a terminal state for every cell.
         """
         while pending:
@@ -688,9 +731,8 @@ class CampaignSupervisor:
             started = self.clock.now()
             dispatch = _Dispatch(
                 cell=entry.cell, future=None, epoch=self._epochs.get(cell_id, 0) + 1,
-                worker_tag="serial", started=started, attempts=entry.attempts + 1,
+                worker_tag="serial", started=started, attempts=entry.attempts + 1, entry=entry,
             )
-            dispatch.pending = entry  # type: ignore[attr-defined]
             try:
                 if self.store is not None:
                     payload = self.store.get(self.store_key(entry.cell))
@@ -711,35 +753,35 @@ class CampaignSupervisor:
 
 
 # ----------------------------------------------------------------------
-# Functional entry points (mirror run_campaign / resume_campaign)
+# Functional entry points
 # ----------------------------------------------------------------------
-def run_service_campaign(
+def run_campaign(
     spec: CampaignSpec,
     out_dir: str,
     run_id: Optional[str] = None,
-    workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    **kwargs,
+    **supervisor_kwargs,
 ) -> CampaignReport:
-    """Run one campaign under supervision (leases, stealing, shared store)."""
-    supervisor = CampaignSupervisor(spec, out_dir, workers=workers, store=store, **kwargs)
+    """Execute a fresh campaign with a new journal under ``out_dir``."""
+    supervisor = CampaignSupervisor(spec, out_dir, store=store, **supervisor_kwargs)
     return supervisor.run(run_id=run_id)
 
 
-def resume_service_campaign(
+def resume_campaign(
     out_dir: str,
     run_id: str,
     spec: Optional[CampaignSpec] = None,
-    workers: Optional[int] = None,
+    jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    **kwargs,
+    **supervisor_kwargs,
 ) -> CampaignReport:
-    """Resume a supervised campaign after supervisor death or interrupt.
+    """Finish an interrupted campaign: restore ``ok`` cells, run the rest.
 
-    With no ``spec`` the grid is reconstructed from the journal header, so a
-    restarted service needs nothing but the run id; a caller-supplied spec is
-    verified against the header fingerprint (and rejected on drift) exactly
-    like the in-process resume path.
+    The journal header is authoritative for the grid.  A caller-supplied
+    ``spec`` is *verified* against the stored fingerprint (and rejected on
+    mismatch) rather than trusted; with no spec, the grid is reconstructed
+    from the header, so ``repro run --resume <id>`` needs nothing but the id.
+    ``jobs`` defaults to the spec's, else 1.
     """
     if spec is None:
         journal = RunJournal.find(out_dir, run_id)
@@ -747,5 +789,7 @@ def resume_service_campaign(
             spec = CampaignSpec.from_config(journal.config)
         finally:
             journal.close()
-    supervisor = CampaignSupervisor(spec, out_dir, workers=workers, store=store, **kwargs)
+    if jobs is not None:
+        spec = spec.with_jobs(jobs)
+    supervisor = CampaignSupervisor(spec, out_dir, store=store, **supervisor_kwargs)
     return supervisor.resume(run_id)

@@ -5,7 +5,7 @@
 completed :class:`~repro.core.experiment.ExperimentResult` payloads keyed by
 the SHA-256 of the cell's *complete effective configuration*, shared by every
 campaign, supervisor and user that points at the same ``--store DIR``.  A
-cell whose key is present is **never re-simulated**: the runner commits the
+cell whose key is present is **never re-simulated**: the supervisor commits the
 stored payload as ``ok`` without constructing an ``ExperimentRunner`` at all.
 
 Key discipline

@@ -5,37 +5,31 @@ Four layers, composed by :func:`run_fuzz` (the engine behind ``repro fuzz``):
 - :mod:`~repro.testing.generator` — seeded random RVP programs that pass the
   verifier clean (RVP001–RVP009), parameterised by loop depth, load density,
   register pressure and branch mix.
-- :mod:`~repro.testing.oracles` — the four differential oracle families:
-  trace-equivalence, pass-preservation, predictor-sanity, recovery-invariant.
+- :mod:`~repro.testing.oracles` — the six differential oracle families:
+  trace-equivalence, pass-preservation, predictor-sanity, recovery-invariant,
+  pipeline-equivalence, absint-soundness.
 - :mod:`~repro.testing.shrinker` — greedy block/instruction deletion while an
   oracle still fails.
-- :mod:`~repro.testing.faults` — deterministic fault injection for
-  :class:`~repro.core.session.ParallelSuiteRunner` (timeouts, poisoned cells,
-  pool collapse) and :class:`~repro.core.session.SimSession` cache eviction.
+- :mod:`~repro.testing.faults` — the chaos harness that scripts worker
+  kills, stalls, torn store writes and faults against
+  :class:`~repro.runtime.service.CampaignSupervisor`, and
+  :class:`~repro.core.session.SimSession` cache eviction.
 """
 
 from .faults import (
-    BREAK_POOL,
     CHAOS_CRASH,
     CHAOS_INTERRUPT,
     CHAOS_KILL,
     CHAOS_OK,
+    CHAOS_SIM_FAULT,
     CHAOS_SLOW,
     CHAOS_STALL,
     CHAOS_TORN_STORE,
-    INTERRUPT,
-    POISON,
-    SIM_FAULT,
-    TIMEOUT,
     ChaosExecutor,
     ChaosHarness,
     ChaosPolicy,
-    FaultInjector,
-    FaultPlan,
-    FaultyExecutor,
     PoisonedCellError,
     evict_traces,
-    exercise_suite_recovery,
     verify_trace_refill,
 )
 from .generator import GeneratedCase, GeneratorConfig, generate_case
@@ -53,25 +47,18 @@ from .runner import FuzzFailure, FuzzReport, run_fuzz
 from .shrinker import delete_pcs, shrink_case
 
 __all__ = [
-    "BREAK_POOL",
     "CHAOS_CRASH",
     "CHAOS_INTERRUPT",
     "CHAOS_KILL",
     "CHAOS_OK",
+    "CHAOS_SIM_FAULT",
     "CHAOS_SLOW",
     "CHAOS_STALL",
     "CHAOS_TORN_STORE",
     "ChaosExecutor",
     "ChaosHarness",
     "ChaosPolicy",
-    "INTERRUPT",
-    "POISON",
-    "SIM_FAULT",
-    "TIMEOUT",
     "CaseInvalid",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultyExecutor",
     "FuzzFailure",
     "FuzzReport",
     "GeneratedCase",
@@ -86,7 +73,6 @@ __all__ = [
     "check_trace_equivalence",
     "delete_pcs",
     "evict_traces",
-    "exercise_suite_recovery",
     "generate_case",
     "run_fuzz",
     "shrink_case",

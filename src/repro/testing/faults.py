@@ -2,16 +2,14 @@
 
 Two targets, matching the production fault paths that must keep working:
 
-:class:`ParallelSuiteRunner`
-    The real runner is kept; only the executor boundary is faked.
-    :class:`FaultyExecutor` is a drop-in ``ProcessPoolExecutor`` stand-in
-    that runs each submitted cell inline (same process, real experiment
-    code) but, per a seeded :class:`FaultPlan`, makes chosen futures raise a
-    worker timeout, a poisoned-result error, or a pool-level
-    ``BrokenProcessPool``.  Because the runner's own ``_run_parallel`` /
-    ``_retry_cell`` / ``_run_serial`` logic executes unmodified, a passing
-    injection run *proves* the timeout-retry and serial-fallback paths
-    recover every cell.
+:class:`~repro.runtime.service.CampaignSupervisor`
+    The real supervisor is kept; only its executor boundary, clock and
+    heartbeat board are faked.  A :class:`ChaosPolicy` scripts worker
+    lifecycle events by dispatch slot (kills that break the pool, stalls
+    that force lease expiry, torn store writes, slow cells, deterministic
+    simulator faults, supervisor interrupts) and a :class:`ChaosHarness`
+    replays the script on a manual clock, so every retry, steal, rebuild
+    and serial-degradation path is exercised on purpose.
 
 :class:`~repro.core.session.SimSession`
     :func:`evict_traces` forces LRU evictions on the shared trace cache;
@@ -22,20 +20,12 @@ Two targets, matching the production fault paths that must keep working:
 
 from __future__ import annotations
 
-import random
-from concurrent.futures import TimeoutError as FutureTimeout, process
+from concurrent.futures import process
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.session import ParallelSuiteRunner, SimSession, SuiteReport
+from ..core.session import SimSession
 from ..sim.functional import SimulationError
-
-#: Fault kinds a cell slot can carry.
-TIMEOUT = "timeout"
-POISON = "poison"
-BREAK_POOL = "break-pool"
-SIM_FAULT = "sim-fault"
-INTERRUPT = "interrupt"
 
 
 class PoisonedCellError(RuntimeError):
@@ -47,184 +37,6 @@ class PoisonedCellError(RuntimeError):
     """
 
     transient = True
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Which submission slots fail, and how.  Slots are submission order."""
-
-    timeout_slots: FrozenSet[int] = frozenset()
-    poison_slots: FrozenSet[int] = frozenset()
-    #: slots whose cell raises a *deterministic* simulator fault — the
-    #: taxonomy's fail-fast path (exactly one attempt, no retry)
-    sim_fault_slots: FrozenSet[int] = frozenset()
-    #: slot whose result collapses the whole pool (serial-fallback path)
-    break_pool_slot: Optional[int] = None
-    #: slot whose result raises KeyboardInterrupt mid-campaign (kill path)
-    interrupt_slot: Optional[int] = None
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        slots: int,
-        timeouts: int = 1,
-        poisons: int = 1,
-        sim_faults: int = 0,
-        break_pool: bool = False,
-        interrupt: bool = False,
-    ) -> "FaultPlan":
-        """Deterministically pick disjoint fault slots for a given seed."""
-        rng = random.Random(seed)
-        order = list(range(slots))
-        rng.shuffle(order)
-        cursor = 0
-
-        def take(count: int) -> FrozenSet[int]:
-            nonlocal cursor
-            picked = frozenset(order[cursor : cursor + count])
-            cursor += len(picked)
-            return picked
-
-        timeout_slots = take(min(timeouts, slots))
-        poison_slots = take(min(poisons, max(0, slots - cursor)))
-        sim_fault_slots = take(min(sim_faults, max(0, slots - cursor)))
-        break_slot = order[cursor] if break_pool and cursor < slots else None
-        cursor += break_slot is not None
-        interrupt_slot = order[cursor] if interrupt and cursor < slots else None
-        return cls(
-            timeout_slots=timeout_slots,
-            poison_slots=poison_slots,
-            sim_fault_slots=sim_fault_slots,
-            break_pool_slot=break_slot,
-            interrupt_slot=interrupt_slot,
-        )
-
-    def fault_for(self, slot: int) -> Optional[str]:
-        if slot == self.break_pool_slot:
-            return BREAK_POOL
-        if slot == self.interrupt_slot:
-            return INTERRUPT
-        if slot in self.timeout_slots:
-            return TIMEOUT
-        if slot in self.poison_slots:
-            return POISON
-        if slot in self.sim_fault_slots:
-            return SIM_FAULT
-        return None
-
-
-class _FaultyFuture:
-    """A future that either computes inline or raises its planned fault."""
-
-    def __init__(self, fn, args, fault: Optional[str]) -> None:
-        self._fn = fn
-        self._args = args
-        self.fault = fault
-        self.cancelled = False
-
-    def result(self, timeout: Optional[float] = None):
-        if self.fault == TIMEOUT:
-            raise FutureTimeout("injected worker timeout")
-        if self.fault == POISON:
-            raise PoisonedCellError("injected poisoned cell result")
-        if self.fault == BREAK_POOL:
-            raise process.BrokenProcessPool("injected pool collapse")
-        if self.fault == SIM_FAULT:
-            raise SimulationError("injected deterministic simulator fault")
-        if self.fault == INTERRUPT:
-            raise KeyboardInterrupt("injected mid-campaign interrupt")
-        return self._fn(*self._args)
-
-    def cancel(self) -> bool:
-        self.cancelled = True
-        return True
-
-
-class FaultyExecutor:
-    """Drop-in ``ProcessPoolExecutor`` replacement with scripted failures.
-
-    ``shutdown`` calls are recorded (``(wait, cancel_futures)`` tuples) so
-    tests can assert the runner's interrupt path really cancelled queued
-    futures instead of waiting on them — the orphaned-pool regression.
-    """
-
-    def __init__(self, plan: FaultPlan, max_workers: Optional[int] = None) -> None:
-        self.plan = plan
-        self.max_workers = max_workers
-        self.submitted: List[_FaultyFuture] = []
-        self.shutdown_calls: List[Tuple[bool, bool]] = []
-
-    def __enter__(self) -> "FaultyExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(wait=True)
-        return None
-
-    def submit(self, fn, *args, **kwargs) -> _FaultyFuture:
-        slot = len(self.submitted)
-        future = _FaultyFuture(fn, args, self.plan.fault_for(slot))
-        self.submitted.append(future)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self.shutdown_calls.append((wait, cancel_futures))
-        if cancel_futures:
-            for future in self.submitted:
-                future.cancel()
-
-
-@dataclass
-class FaultInjector:
-    """Installs a :class:`FaultPlan` on runners and records what it did."""
-
-    plan: FaultPlan
-    executors: List[FaultyExecutor] = field(default_factory=list)
-
-    def install(self, runner: ParallelSuiteRunner) -> ParallelSuiteRunner:
-        def factory(max_workers: Optional[int] = None) -> FaultyExecutor:
-            executor = FaultyExecutor(self.plan, max_workers)
-            self.executors.append(executor)
-            return executor
-
-        runner.executor_factory = factory
-        return runner
-
-    def injected_faults(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {TIMEOUT: 0, POISON: 0, BREAK_POOL: 0, SIM_FAULT: 0, INTERRUPT: 0}
-        for executor in self.executors:
-            for future in executor.submitted:
-                if future.fault is not None:
-                    counts[future.fault] += 1
-        return counts
-
-
-def exercise_suite_recovery(
-    plan: FaultPlan,
-    workloads=("li",),
-    configs=("no_predict",),
-    jobs: int = 2,
-    max_instructions: int = 1_500,
-    **runner_kwargs,
-) -> Tuple[SuiteReport, Dict[str, int]]:
-    """Run a faulted suite; the report shows whether every cell recovered.
-
-    The injected faults hit the executor boundary only, so every recovery
-    (retried timeout, retried poison, post-collapse serial fallback) is the
-    production code path doing its job.
-    """
-    runner = ParallelSuiteRunner(
-        workloads=workloads,
-        configs=configs,
-        jobs=jobs,
-        max_instructions=max_instructions,
-        **runner_kwargs,
-    )
-    injector = FaultInjector(plan)
-    injector.install(runner)
-    report = runner.run()
-    return report, injector.injected_faults()
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +51,7 @@ CHAOS_CRASH = "crash"          # single worker death without pool collapse
 CHAOS_STALL = "stall"          # wedged worker: never completes, never beats
 CHAOS_SLOW = "slow"            # completes after N ticks, heartbeating throughout
 CHAOS_TORN_STORE = "torn-store"  # tears its store entry mid-write, then dies
+CHAOS_SIM_FAULT = "sim-fault"  # the cell raises a deterministic simulator fault
 CHAOS_INTERRUPT = "chaos-interrupt"  # supervisor-side interrupt (models its death)
 
 
@@ -246,12 +59,10 @@ CHAOS_INTERRUPT = "chaos-interrupt"  # supervisor-side interrupt (models its dea
 class ChaosPolicy:
     """A deterministic script of service-layer failures, by dispatch slot.
 
-    Extends the :class:`FaultPlan` idea one layer up: where a ``FaultPlan``
-    scripts *future results* inside one ``ParallelSuiteRunner`` pool, a
-    ``ChaosPolicy`` scripts *worker lifecycle* events against the campaign
-    supervisor — kills that break the pool, stalls that force lease expiry,
-    torn store writes, slow cells that must keep their lease via heartbeats.
-    Unscripted slots behave (``ok``).
+    Scripts *worker lifecycle* events against the campaign supervisor —
+    kills that break the pool, stalls that force lease expiry, torn store
+    writes, slow cells that must keep their lease via heartbeats, and
+    simulator faults that must fail fast.  Unscripted slots behave (``ok``).
     """
 
     script: Dict[int, str] = field(default_factory=dict)
@@ -315,6 +126,8 @@ class _ChaosFuture:
             raise WorkerCrashed("chaos: worker process died")
         if self.action == CHAOS_INTERRUPT:
             raise KeyboardInterrupt("chaos: supervisor interrupted")
+        if self.action == CHAOS_SIM_FAULT:
+            raise SimulationError("chaos: deterministic simulator fault")
         if self.action == CHAOS_TORN_STORE:
             self._tear_store_entry()
             from ..runtime.errors import WorkerCrashed

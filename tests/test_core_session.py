@@ -1,20 +1,21 @@
-"""SimSession memoization, canonical cache keys, and the parallel suite runner."""
+"""SimSession memoization, canonical cache keys, and suite campaigns on the
+campaign supervisor (serial at ``jobs=1``, worker processes at ``jobs=2``)."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.core import (
     ExperimentRunner,
-    ParallelSuiteRunner,
     SimSession,
-    SuiteCell,
     canonical_variant_key,
     get_metrics,
     get_session,
 )
-from repro.uarch.config import table1_config
-from repro.uarch.recovery import RecoveryScheme
+from repro.runtime import CampaignSpec, CampaignSupervisor, SuiteCell, run_campaign
+from repro.runtime.service import derive_cell_timeout
 
 MAX_INSTS = 4_000
 
@@ -121,46 +122,52 @@ def test_trace_cache_lru_eviction():
 
 
 # ----------------------------------------------------------------------
-# Parallel suite runner
+# Suite campaigns: serial mode vs worker processes
 # ----------------------------------------------------------------------
-SUITE_KW = dict(
+SUITE_SPEC = CampaignSpec(
     workloads=("m88ksim", "li"),
     configs=("no_predict", "lvp_all"),
-    recoveries=(RecoveryScheme.SELECTIVE,),
-    machine=table1_config(),
     max_instructions=2_000,
 )
 
 
-def _check_report(report, runner):
-    assert not report.failures
-    assert len(report.results) == len(runner.cells) == 4
+def _check_report(report):
+    assert report.complete and not report.failures
+    assert len(report.results) == len(SUITE_SPEC.cells()) == 4
     got = {(r.workload, r.config) for r in report.results}
-    assert got == {(w, c) for w in SUITE_KW["workloads"] for c in SUITE_KW["configs"]}
+    assert got == {(w, c) for w in SUITE_SPEC.workloads for c in SUITE_SPEC.configs}
     for result in report.results:
         assert result.ipc > 0
 
 
-def test_suite_runner_serial():
-    runner = ParallelSuiteRunner(jobs=1, **SUITE_KW)
-    report = runner.run()
-    _check_report(report, runner)
+def _payloads(report):
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in report.results]
+
+
+@pytest.fixture(scope="module")
+def suite_reports(tmp_path_factory):
+    """The same grid at jobs=1 (in-process) and jobs=2 (worker processes)."""
+    out = tmp_path_factory.mktemp("suite")
+    return {
+        jobs: run_campaign(SUITE_SPEC.with_jobs(jobs), str(out), run_id=f"jobs{jobs}")
+        for jobs in (1, 2)
+    }
+
+
+def test_suite_runner_serial(suite_reports):
+    report = suite_reports[1]
+    _check_report(report)
     assert not report.used_processes
 
 
-def test_suite_runner_parallel_smoke():
-    runner = ParallelSuiteRunner(jobs=2, **SUITE_KW)
-    report = runner.run()
-    _check_report(report, runner)
+def test_suite_runner_parallel_smoke(suite_reports):
+    report = suite_reports[2]
+    _check_report(report)
     assert report.used_processes
 
 
-def test_suite_runner_matches_serial_results():
-    serial = ParallelSuiteRunner(jobs=1, **SUITE_KW).run()
-    parallel = ParallelSuiteRunner(jobs=2, **SUITE_KW).run()
-    want = {(r.workload, r.config): r.ipc for r in serial.results}
-    got = {(r.workload, r.config): r.ipc for r in parallel.results}
-    assert got == want
+def test_suite_runner_matches_serial_results(suite_reports):
+    assert _payloads(suite_reports[2]) == _payloads(suite_reports[1])
 
 
 def test_suite_cell_is_hashable():
@@ -217,35 +224,33 @@ def test_batch_digests_key_includes_inputs_and_variant():
 
 
 # ----------------------------------------------------------------------
-# Shared result store under the suite runner (L2 beneath the session L1)
+# Shared result store under a serial campaign (L2 beneath the session L1)
 # ----------------------------------------------------------------------
 def test_suite_runner_restores_from_store_without_resimulating(tmp_path):
     from repro.core.session import reset_session
+    from repro.runtime.campaign import compute_batch_digests
     from repro.runtime.store import ResultStore
 
     store = ResultStore(str(tmp_path / "store"))
-    first = ParallelSuiteRunner(jobs=1, store=store, **SUITE_KW)
-    report = first.run()
-    _check_report(report, first)
+    report = run_campaign(SUITE_SPEC, str(tmp_path), run_id="cold", store=store)
+    _check_report(report)
     assert report.store_hits == 0
     assert len(store) == 4  # every fresh result was published
 
     # Drop the in-process session L1 so only the persistent L2 can explain
-    # a zero-simulation warm run.
+    # a zero-simulation warm run; the run's functional-digest sidecar is
+    # recomputed up front, since it simulates whatever the cells do.
     reset_session()
+    compute_batch_digests(SUITE_SPEC)
     runs_before = get_metrics().get("sim.runs")
-    second = ParallelSuiteRunner(jobs=1, store=store, **SUITE_KW)
-    warm = second.run()
-    _check_report(warm, second)
+    warm = run_campaign(SUITE_SPEC, str(tmp_path), run_id="warm", store=store)
+    _check_report(warm)
     assert warm.store_hits == 4
     assert get_metrics().get("sim.runs") == runs_before  # zero re-simulation
-    want = {(r.workload, r.config): r.ipc for r in report.results}
-    got = {(r.workload, r.config): r.ipc for r in warm.results}
-    assert got == want
+    assert _payloads(warm) == _payloads(report)
 
 
-def test_suite_runner_retry_deadline_defaults_to_cell_timeout():
-    runner = ParallelSuiteRunner(jobs=1, **SUITE_KW)
-    assert runner.retry_deadline == runner.cell_timeout
-    capped = ParallelSuiteRunner(jobs=1, retry_deadline=0.25, **SUITE_KW)
-    assert capped.retry_deadline == 0.25
+def test_suite_runner_retry_deadline_defaults_to_cell_timeout(tmp_path):
+    supervisor = CampaignSupervisor(SUITE_SPEC, str(tmp_path))
+    assert supervisor.retry_deadline == supervisor.cell_timeout
+    assert supervisor.cell_timeout == derive_cell_timeout(SUITE_SPEC.max_instructions)

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.runtime import (
     CampaignSpec,
+    CampaignSupervisor,
     JournalError,
     RunJournal,
     deliver_sigterm_as_interrupt,
@@ -18,7 +19,7 @@ from repro.runtime import (
     resume_campaign,
     run_campaign,
 )
-from repro.testing import FaultPlan, FaultyExecutor
+from repro.testing import CHAOS_INTERRUPT, CHAOS_SIM_FAULT, ChaosHarness, ChaosPolicy
 
 MAX_INSTS = 1_500
 
@@ -30,21 +31,16 @@ SPEC = CampaignSpec(
 )
 
 
-class _ExecutorFactory:
-    """Builds FaultyExecutors for a campaign and remembers them."""
+def _supervisor(tmp_path, policy=None, spec=SPEC):
+    """A jobs=2 supervisor on a scripted chaos harness (in-process futures)."""
+    harness = ChaosHarness(policy or ChaosPolicy())
+    supervisor = CampaignSupervisor(spec, str(tmp_path), **harness.supervisor_kwargs())
+    harness.attach(supervisor)
+    return supervisor, harness
 
-    def __init__(self, plan: FaultPlan = FaultPlan()) -> None:
-        self.plan = plan
-        self.executors = []
 
-    def __call__(self, max_workers=None) -> FaultyExecutor:
-        executor = FaultyExecutor(self.plan, max_workers)
-        self.executors.append(executor)
-        return executor
-
-    @property
-    def submissions(self) -> int:
-        return sum(len(e.submitted) for e in self.executors)
+def _submissions(harness) -> int:
+    return sum(len(executor.submitted) for executor in harness.executors)
 
 
 # ----------------------------------------------------------------------
@@ -91,8 +87,8 @@ def test_spec_cell_ids_are_grid_ordered():
 # Fresh run / trivial resume
 # ----------------------------------------------------------------------
 def test_fresh_campaign_completes_and_journals(tmp_path):
-    factory = _ExecutorFactory()
-    report = run_campaign(SPEC, str(tmp_path), run_id="fresh", executor_factory=factory)
+    supervisor, _ = _supervisor(tmp_path)
+    report = supervisor.run(run_id="fresh")
     assert report.complete
     assert report.run_id == "fresh"
     assert report.counts() == {"ok": 4}
@@ -105,12 +101,12 @@ def test_fresh_campaign_completes_and_journals(tmp_path):
 
 
 def test_resume_of_complete_run_restores_everything(tmp_path):
-    run_campaign(SPEC, str(tmp_path), run_id="done", executor_factory=_ExecutorFactory())
-    factory = _ExecutorFactory()
-    report = resume_campaign(str(tmp_path), "done", jobs=2, executor_factory=factory)
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="done")
+    supervisor, harness = _supervisor(tmp_path)
+    report = supervisor.resume("done")
     assert report.complete and report.resumed
     assert report.restored == 4 and report.executed == 0
-    assert factory.submissions == 0  # nothing re-ran
+    assert _submissions(harness) == 0  # nothing re-ran
     assert len(report.results) == 4
 
 
@@ -118,27 +114,25 @@ def test_resume_of_complete_run_restores_everything(tmp_path):
 # Kill mid-campaign → resume (the tentpole contract)
 # ----------------------------------------------------------------------
 def test_kill_mid_campaign_then_resume_reruns_only_uncommitted_cells(tmp_path):
-    baseline = run_campaign(
-        SPEC, str(tmp_path), run_id="baseline", executor_factory=_ExecutorFactory()
-    )
+    baseline = run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="baseline")
 
-    # The injected KeyboardInterrupt stands in for Ctrl-C/SIGTERM landing
+    # The scripted KeyboardInterrupt stands in for Ctrl-C/SIGTERM landing
     # while cell 2 is in flight: cells 0 and 1 have committed, 2 and 3 not.
-    killer = _ExecutorFactory(FaultPlan(interrupt_slot=2))
+    killer, harness = _supervisor(tmp_path, ChaosPolicy(script={2: CHAOS_INTERRUPT}))
     with pytest.raises(KeyboardInterrupt):
-        run_campaign(SPEC, str(tmp_path), run_id="killed", executor_factory=killer)
+        killer.run(run_id="killed")
     # The unwind cancelled queued futures instead of waiting on them.
-    assert (False, True) in killer.executors[0].shutdown_calls
+    assert (False, True) in harness.executors[0].shutdown_calls
 
     interrupted = RunJournal.find(str(tmp_path), "killed")
     assert interrupted.counts() == {"ok": 2, "pending": 2}
     assert interrupted.pending_cells() == SPEC.cell_ids()[2:]
 
-    resumer = _ExecutorFactory()
-    report = resume_campaign(str(tmp_path), "killed", jobs=2, executor_factory=resumer)
+    resumer, harness = _supervisor(tmp_path)
+    report = resumer.resume("killed")
     assert report.complete and report.resumed
     assert report.restored == 2 and report.executed == 2
-    assert resumer.submissions == 2  # zero re-runs of committed cells
+    assert _submissions(harness) == 2  # zero re-runs of committed cells
     # The resumed campaign is indistinguishable from the uninterrupted one.
     assert [r.stats for r in report.results] == [r.stats for r in baseline.results]
 
@@ -146,22 +140,23 @@ def test_kill_mid_campaign_then_resume_reruns_only_uncommitted_cells(tmp_path):
 def test_resume_reruns_failed_cells(tmp_path):
     # A deterministic simulator fault fails cell 0 fast; the campaign is
     # partial (exit-code-2 territory), and resume re-executes exactly it.
-    faulty = _ExecutorFactory(FaultPlan(sim_fault_slots=frozenset({0})))
-    report = run_campaign(SPEC, str(tmp_path), run_id="partial", executor_factory=faulty)
+    faulty, harness = _supervisor(tmp_path, ChaosPolicy(script={0: CHAOS_SIM_FAULT}))
+    report = faulty.run(run_id="partial")
     assert not report.complete
     assert report.counts() == {"ok": 3, "failed": 1}
     failed_id = SPEC.cell_ids()[0]
     assert "SimulationError" in report.failures[failed_id]
     assert report.failure_kinds[failed_id] == "deterministic"
+    assert _submissions(harness) == 4  # one attempt: a deterministic fault is final
+    assert RunJournal.find(str(tmp_path), "partial").states()[failed_id]["attempts"] == 1
 
-    resumer = _ExecutorFactory()
-    resumed = resume_campaign(str(tmp_path), "partial", jobs=1, executor_factory=resumer)
+    resumed = resume_campaign(str(tmp_path), "partial", jobs=1)
     assert resumed.complete
     assert resumed.restored == 3 and resumed.executed == 1
 
 
 def test_resume_rejects_changed_grid(tmp_path):
-    run_campaign(SPEC, str(tmp_path), run_id="grid", executor_factory=_ExecutorFactory())
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="grid")
     changed = CampaignSpec(
         workloads=("li", "go"), configs=("no_predict", "lvp"),
         max_instructions=MAX_INSTS * 2, jobs=2,
@@ -227,9 +222,7 @@ def test_cli_resume_unknown_run_id_exits_two(tmp_path, capsys):
 def test_fresh_campaign_writes_batch_sidecar(tmp_path):
     from repro.runtime.campaign import batch_sidecar_path
 
-    report = run_campaign(
-        SPEC, str(tmp_path), run_id="fused", executor_factory=_ExecutorFactory()
-    )
+    report = run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="fused")
     assert sorted(report.batch_digests) == ["go", "li"]
     path = batch_sidecar_path(str(tmp_path), "fused")
     with open(path) as handle:
@@ -242,10 +235,10 @@ def test_fresh_campaign_writes_batch_sidecar(tmp_path):
 
 
 def test_resume_verifies_batch_sidecar_without_reruns(tmp_path):
-    run_campaign(SPEC, str(tmp_path), run_id="fused", executor_factory=_ExecutorFactory())
-    factory = _ExecutorFactory()
-    report = resume_campaign(str(tmp_path), "fused", jobs=2, executor_factory=factory)
-    assert report.complete and factory.submissions == 0
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="fused")
+    supervisor, harness = _supervisor(tmp_path)
+    report = supervisor.resume("fused")
+    assert report.complete and _submissions(harness) == 0
     assert sorted(report.batch_digests) == ["go", "li"]
 
 
@@ -254,12 +247,10 @@ def test_resume_backfills_missing_batch_sidecar(tmp_path):
 
     from repro.runtime.campaign import batch_sidecar_path
 
-    run_campaign(SPEC, str(tmp_path), run_id="old", executor_factory=_ExecutorFactory())
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="old")
     path = batch_sidecar_path(str(tmp_path), "old")
     os.remove(path)  # simulate a campaign that predates the sidecar
-    report = resume_campaign(
-        str(tmp_path), "old", jobs=2, executor_factory=_ExecutorFactory()
-    )
+    report = resume_campaign(str(tmp_path), "old", jobs=1)
     assert report.complete
     assert os.path.exists(path)
 
@@ -276,10 +267,10 @@ def _drift_sidecar(out_dir, run_id):
 
 
 def test_resume_refuses_drifted_batch_digest(tmp_path):
-    run_campaign(SPEC, str(tmp_path), run_id="drift", executor_factory=_ExecutorFactory())
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="drift")
     _drift_sidecar(tmp_path, "drift")
     with pytest.raises(JournalError, match="batch digest mismatch.*li"):
-        resume_campaign(str(tmp_path), "drift", jobs=2, executor_factory=_ExecutorFactory())
+        resume_campaign(str(tmp_path), "drift", jobs=2)
 
 
 def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
@@ -295,14 +286,14 @@ def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Service CLI surface (--workers / --store / serve)
+# Service CLI surface (--jobs / --store / --lease / serve)
 # ----------------------------------------------------------------------
 def test_cli_run_with_workers_uses_supervised_service(tmp_path, capsys):
     store_dir = tmp_path / "store"
     argv = [
         "run", "--workload", "li", "--config", "no_predict", "lvp",
         "--max-insts", str(MAX_INSTS), "--out-dir", str(tmp_path / "runs"),
-        "--run-id", "svc", "--workers", "2", "--store", str(store_dir),
+        "--run-id", "svc", "--jobs", "2", "--store", str(store_dir),
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -328,7 +319,7 @@ def test_cli_serve_once_drains_spool(tmp_path, capsys):
 
     argv = [
         "serve", "--spool", str(spool), "--out-dir", str(tmp_path / "runs"),
-        "--workers", "1", "--store", str(tmp_path / "store"), "--once",
+        "--jobs", "1", "--store", str(tmp_path / "store"), "--once",
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -347,3 +338,28 @@ def test_cli_serve_moves_bad_spec_to_failed(tmp_path, capsys):
     assert main(argv) == 2
     assert (spool / "failed" / "broken.json").exists()
     assert (spool / "failed" / "broken.error").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_campaign_leaves_no_heartbeat_directory(tmp_path, capsys, jobs):
+    argv = [
+        "run", "--workload", "li", "--config", "no_predict", "lvp",
+        "--max-insts", "500", "--out-dir", str(tmp_path), "--run-id", "hb", "--jobs", jobs,
+    ]
+    assert main(argv) == 0
+    assert "campaign hb (run): 2/2 cells ok" in capsys.readouterr().out
+    assert not list(tmp_path.glob("*.heartbeats"))
+
+
+@pytest.mark.parametrize("command", ["run", "suite", "serve"])
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3"), ("--lease", "0"), ("--lease", "-1")])
+def test_cli_rejects_nonpositive_jobs_and_lease(tmp_path, capsys, command, flag, value):
+    argv = [command, flag, value, "--out-dir", str(tmp_path / "runs")]
+    if command == "serve":
+        argv += ["--spool", str(tmp_path / "spool")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "internal error" not in err
+    assert not (tmp_path / "runs").exists()  # rejected before anything ran

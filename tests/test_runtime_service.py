@@ -14,13 +14,9 @@ import json
 import pytest
 
 from repro.core.metrics import get_metrics, reset_metrics
-from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.campaign import CampaignSpec
 from repro.runtime.journal import journal_path
-from repro.runtime.service import (
-    CampaignSupervisor,
-    resume_service_campaign,
-    run_service_campaign,
-)
+from repro.runtime.service import CampaignSupervisor, resume_campaign, run_campaign
 from repro.runtime.store import ResultStore
 from repro.testing.faults import (
     CHAOS_INTERRUPT,
@@ -63,7 +59,7 @@ def _payloads(report):
 
 
 def _supervised(tmp_path, harness, name="runs", **kwargs):
-    defaults = dict(workers=2, poll_interval=0.1, lease_duration=30.0, retries=3)
+    defaults = dict(poll_interval=0.1, lease_duration=30.0, retries=3)
     defaults.update(kwargs)
     supervisor = CampaignSupervisor(
         SPEC, str(tmp_path / name), **defaults, **harness.supervisor_kwargs()
@@ -238,15 +234,15 @@ def test_supervisor_interrupt_then_resume_completes(tmp_path, serial_payloads):
     _assert_exactly_once(supervisor2)
 
 
-def test_resume_service_campaign_rebuilds_spec_from_journal(tmp_path, serial_payloads):
+def test_resume_campaign_rebuilds_spec_from_journal(tmp_path, serial_payloads):
     harness = ChaosHarness(ChaosPolicy(script={1: CHAOS_INTERRUPT}))
     supervisor = _supervised(tmp_path, harness)
     with pytest.raises(KeyboardInterrupt):
         supervisor.run(run_id="r1")
 
-    # workers=1 takes the serial path: no pool, no harness needed — this is
-    # exactly what `repro serve` does after a supervisor host restart.
-    report = resume_service_campaign(str(tmp_path / "runs"), "r1", workers=1)
+    # jobs=1 takes the serial path: no pool, no harness needed — this is
+    # exactly what `repro serve --jobs 1` does after a supervisor host restart.
+    report = resume_campaign(str(tmp_path / "runs"), "r1", jobs=1)
     assert report.complete
     assert _payloads(report) == serial_payloads
 
@@ -276,14 +272,14 @@ def test_warm_store_runs_zero_simulations(tmp_path, serial_payloads):
 
 
 def test_store_is_shared_across_entry_points(tmp_path, serial_payloads):
-    """run_campaign fills the store; run_service_campaign drains it (and back)."""
+    """A serial campaign fills the store; a supervised one drains it."""
     store = ResultStore(str(tmp_path / "store"))
     run_campaign(SPEC.with_jobs(1), str(tmp_path / "a"), run_id="a", store=store)
 
     runs_before = get_metrics().get("sim.runs")
-    report = run_service_campaign(
-        SPEC, str(tmp_path / "b"), run_id="b", workers=1, store=store
-    )
+    harness = ChaosHarness(ChaosPolicy())
+    supervisor = _supervised(tmp_path, harness, name="b", store=store)
+    report = supervisor.run(run_id="b")
     assert report.complete
     assert get_metrics().get("sim.runs") == runs_before
     assert _payloads(report) == serial_payloads

@@ -1,227 +1,245 @@
-"""Deterministic fault injection: the runner's retry/timeout/serial-fallback
-paths and the session trace-cache eviction recovery, proven on purpose."""
+"""Deterministic fault injection: the supervisor's retry/fail-fast/interrupt
+paths in serial mode and the session trace-cache eviction recovery, proven
+on purpose.
+
+Serial mode (``jobs == 1``) runs every cell in the supervisor's own process,
+so the faults are injected by wrapping ``repro.runtime.service._run_cell``;
+the supervisor runs on a :class:`ChaosHarness` manual clock, so every backoff
+sleep is recorded exactly instead of waited out.
+"""
 
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
-from repro.core.session import ParallelSuiteRunner, SimSession, SuiteCell
-from repro.runtime import DETERMINISTIC, RunJournal, backoff_delay
+from repro.core.session import SimSession
+from repro.runtime import DETERMINISTIC, RunJournal, backoff_delay, journal_path
+from repro.runtime import service
+from repro.runtime.campaign import CampaignSpec, SuiteCell
+from repro.runtime.service import CampaignSupervisor
+from repro.sim.functional import SimulationError
 from repro.testing import (
-    BREAK_POOL,
-    INTERRUPT,
-    POISON,
-    SIM_FAULT,
-    TIMEOUT,
-    FaultInjector,
-    FaultPlan,
-    FaultyExecutor,
+    CHAOS_INTERRUPT,
+    CHAOS_KILL,
+    ChaosHarness,
+    ChaosPolicy,
     PoisonedCellError,
     evict_traces,
-    exercise_suite_recovery,
     verify_trace_refill,
 )
 
 MAX_INSTS = 1_500
 
+SPEC = CampaignSpec(
+    workloads=("li", "go"), configs=("no_predict", "lvp"), max_instructions=MAX_INSTS, jobs=1
+)
+CELLS = SPEC.cells()
+
+
+def _serial(tmp_path, monkeypatch, fail=None, spec=SPEC, **kwargs):
+    """A supervisor on harness time whose in-process cells pass through ``fail``.
+
+    ``fail(cell, attempt)`` returns an exception to raise for that attempt
+    (1-based, per cell) or ``None`` to run the cell for real.  Returns the
+    supervisor, the per-call log of cell ids and the list of slept delays.
+    """
+    real = service._run_cell
+    calls = []
+
+    def run_cell(cell, *args):
+        calls.append(cell.cell_id)
+        error = fail(cell, calls.count(cell.cell_id)) if fail else None
+        if error is not None:
+            raise error
+        return real(cell, *args)
+
+    monkeypatch.setattr(service, "_run_cell", run_cell)
+    harness = ChaosHarness(ChaosPolicy())
+    supervisor = CampaignSupervisor(spec, str(tmp_path), **kwargs, **harness.supervisor_kwargs())
+    slept = []
+
+    def sleep(seconds):
+        slept.append(seconds)
+        harness.sleep(seconds)
+
+    supervisor._sleep = sleep
+    return supervisor, calls, slept
+
+
+def _records(supervisor, run_id="r"):
+    journal = RunJournal.open(journal_path(supervisor.out_dir, run_id))
+    try:
+        return journal.states()
+    finally:
+        journal.close()
+
+
+def _key(cell):
+    return (cell.workload, cell.config, cell.recovery)
+
 
 # ----------------------------------------------------------------------
-# FaultPlan / FaultyExecutor mechanics
+# Serial mode under injected failures
 # ----------------------------------------------------------------------
-def test_fault_plan_is_deterministic_and_disjoint():
-    a = FaultPlan.from_seed(42, slots=8, timeouts=2, poisons=2, break_pool=True)
-    b = FaultPlan.from_seed(42, slots=8, timeouts=2, poisons=2, break_pool=True)
-    assert a == b
-    assert not (a.timeout_slots & a.poison_slots)
-    assert a.break_pool_slot not in a.timeout_slots | a.poison_slots
-    assert len(a.timeout_slots) == 2 and len(a.poison_slots) == 2
+def test_injected_timeout_is_retried_to_success(tmp_path, monkeypatch):
+    def fail(cell, attempt):
+        return TimeoutError("injected worker timeout") if cell == CELLS[0] and attempt == 1 else None
+
+    supervisor, calls, _ = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    assert report.complete and not report.failures
+    assert len(report.results) == len(CELLS)
+    assert not report.used_processes
+    assert calls.count(CELLS[0].cell_id) == 2
 
 
-def test_fault_plan_never_overcommits_slots():
-    plan = FaultPlan.from_seed(1, slots=2, timeouts=5, poisons=5, break_pool=True)
-    claimed = len(plan.timeout_slots) + len(plan.poison_slots) + (plan.break_pool_slot is not None)
-    assert claimed <= 2
+def test_injected_poisoned_cell_is_retried_to_success(tmp_path, monkeypatch):
+    """A worker returning garbage (unpicklable state) is transient: retried."""
+    poisoned = {CELLS[1].cell_id, CELLS[2].cell_id}
+
+    def fail(cell, attempt):
+        if cell.cell_id in poisoned and attempt == 1:
+            return PoisonedCellError("injected poisoned cell result")
+        return None
+
+    supervisor, calls, _ = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    assert report.complete and not report.failures
+    assert len(report.results) == len(CELLS)
+    assert all(calls.count(cell_id) == 2 for cell_id in poisoned)
 
 
-def test_faulty_executor_raises_planned_faults():
-    plan = FaultPlan(timeout_slots=frozenset({0}), poison_slots=frozenset({1}), break_pool_slot=2)
-    with FaultyExecutor(plan) as pool:
-        futures = [pool.submit(lambda x: x * 2, n) for n in range(4)]
-    with pytest.raises(FutureTimeout):
-        futures[0].result()
-    with pytest.raises(PoisonedCellError):
-        futures[1].result()
-    with pytest.raises(Exception) as excinfo:
-        futures[2].result()
-    assert "BrokenProcessPool" in type(excinfo.value).__name__
-    assert futures[3].result() == 6  # healthy slot computes inline
-
-
-# ----------------------------------------------------------------------
-# Satellite: _retry_cell and _run_serial under injected failures
-# ----------------------------------------------------------------------
-def _runner(**kwargs):
-    defaults = dict(
-        workloads=("li", "go"), configs=("no_predict", "lvp"),
-        jobs=2, max_instructions=MAX_INSTS,
+def test_pool_collapse_falls_back_to_serial(tmp_path):
+    harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_KILL}))
+    supervisor = CampaignSupervisor(
+        SPEC.with_jobs(2), str(tmp_path), max_pool_rebuilds=0, **harness.supervisor_kwargs()
     )
-    defaults.update(kwargs)
-    return ParallelSuiteRunner(**defaults)
+    harness.attach(supervisor)
+    report = supervisor.run(run_id="r")
+    assert harness.injected[CHAOS_KILL] == 1
+    assert report.complete and not report.failures
+    assert len(report.results) == len(CELLS)
+    assert supervisor.stats.degraded_serial  # the pool died; serial finished the job
 
 
-def test_injected_timeout_is_retried_to_success():
-    runner = _runner()
-    injector = FaultInjector(FaultPlan(timeout_slots=frozenset({0})))
-    injector.install(runner)
-    report = runner.run()
-    assert injector.injected_faults()[TIMEOUT] == 1
-    assert not report.failures
-    assert len(report.results) == len(runner.cells)
-    assert report.used_processes
+def test_retry_cell_records_double_failure(tmp_path, monkeypatch):
+    """If the retry also fails, the cell fails citing both errors, and the
+    rest of the campaign still completes."""
 
+    def fail(cell, attempt):
+        if cell != CELLS[0]:
+            return None
+        if attempt == 1:
+            return TimeoutError("injected worker timeout")
+        return pickle.PicklingError(f"cannot pickle result for {cell.workload}")
 
-def test_injected_poisoned_cell_is_retried_to_success():
-    """A worker returning garbage (unpicklable state) hits _retry_cell."""
-    runner = _runner()
-    injector = FaultInjector(FaultPlan(poison_slots=frozenset({1, 2})))
-    injector.install(runner)
-    report = runner.run()
-    assert injector.injected_faults()[POISON] == 2
-    assert not report.failures
-    assert len(report.results) == len(runner.cells)
-
-
-def test_pool_collapse_falls_back_to_serial():
-    runner = _runner()
-    injector = FaultInjector(FaultPlan(break_pool_slot=0))
-    injector.install(runner)
-    report = runner.run()
-    assert injector.injected_faults()[BREAK_POOL] == 1
-    assert not report.failures
-    assert len(report.results) == len(runner.cells)
-    assert not report.used_processes  # the pool died; serial finished the job
-
-
-def test_retry_cell_records_double_failure():
-    """If the serial retry also fails, the cell lands in report.failures
-    with both errors, and the rest of the suite still completes."""
-    runner = _runner()
-
-    def unpicklable_run(cell):
-        raise pickle.PicklingError(f"cannot pickle result for {cell.workload}")
-
-    injector = FaultInjector(FaultPlan(timeout_slots=frozenset({0})))
-    injector.install(runner)
-    runner._run_local = unpicklable_run  # retry path fails too
-    report = runner.run()
-    assert len(report.failures) == 1
-    (message,) = report.failures.values()
+    supervisor, calls, _ = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    assert list(report.failures) == [CELLS[0].cell_id]
+    message = report.failures[CELLS[0].cell_id]
     assert "first:" in message and "retry:" in message
     assert "PicklingError" in message
-    # remaining cells were unaffected
-    assert len(report.results) == len(runner.cells) - 1
+    # PicklingError is deterministic: the failing retry is the last attempt.
+    assert calls.count(CELLS[0].cell_id) == 2
+    assert len(report.results) == len(CELLS) - 1
 
 
-def test_run_serial_collects_pickling_failures():
-    from repro.core.session import SuiteReport
+def test_run_serial_collects_pickling_failures(tmp_path, monkeypatch):
+    def fail(cell, attempt):
+        return pickle.PicklingError("unpicklable workload state")
 
-    runner = _runner()
-
-    def failing(cell):
-        raise pickle.PicklingError("unpicklable workload state")
-
-    runner._run_local = failing
-    report = SuiteReport()
-    runner._run_serial(runner.cells, report, note="stub")
-    assert len(report.failures) == len(runner.cells)
-    assert all("stub:" in msg and "PicklingError" in msg for msg in report.failures.values())
+    supervisor, calls, slept = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    assert sorted(report.failures) == sorted(SPEC.cell_ids())
+    assert all("PicklingError" in msg for msg in report.failures.values())
+    assert set(report.failure_kinds.values()) == {DETERMINISTIC}
     assert not report.results
+    assert len(calls) == len(CELLS) and not slept  # one attempt each, no backoff
 
 
-def test_retried_cell_reports_attempts_and_backoff_schedule():
+def test_retried_cell_reports_attempts_and_backoff_schedule(tmp_path, monkeypatch):
     """A transiently failed cell retries behind exactly the deterministic
     backoff schedule — no more sleeps, no different jitter."""
-    runner = _runner()
-    injector = FaultInjector(FaultPlan(timeout_slots=frozenset({0})))
-    injector.install(runner)
-    slept = []
-    runner._sleep = slept.append
-    report = runner.run()
-    assert not report.failures
-    faulted = runner.cells[0]
-    assert report.attempts[faulted] == 2  # one injected timeout, one retry
-    assert all(report.statuses[cell] == "ok" for cell in runner.cells)
-    key = (faulted.workload, faulted.config, faulted.recovery)
-    assert slept == [backoff_delay(0, seed=key)]
+
+    def fail(cell, attempt):
+        return ConnectionError("worker pipe closed") if cell == CELLS[0] and attempt == 1 else None
+
+    supervisor, _, slept = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    assert report.complete
+    records = _records(supervisor)
+    assert records[CELLS[0].cell_id]["attempts"] == 2  # one injected failure, one retry
+    assert all(records[cell.cell_id]["status"] == "ok" for cell in CELLS)
+    assert slept == [backoff_delay(0, seed=_key(CELLS[0]))]
 
 
-def test_transient_exhaustion_sleeps_full_schedule():
-    runner = _runner(retries=3)
+def test_transient_exhaustion_sleeps_full_schedule(tmp_path, monkeypatch):
+    def fail(cell, attempt):
+        return ConnectionError("worker pipe closed") if cell == CELLS[0] else None
 
-    def always_transient(cell):
-        raise ConnectionError("worker pipe closed")
-
-    injector = FaultInjector(FaultPlan(timeout_slots=frozenset({0})))
-    injector.install(runner)
-    runner._run_local = always_transient
-    slept = []
-    runner._sleep = slept.append
-    report = runner.run()
-    faulted = runner.cells[0]
-    assert report.statuses[faulted] == "failed"  # last error was not a deadline
-    assert report.attempts[faulted] == 4  # initial + 3 retries
-    key = (faulted.workload, faulted.config, faulted.recovery)
-    assert slept == [backoff_delay(a, seed=key) for a in range(3)]
+    supervisor, calls, slept = _serial(tmp_path, monkeypatch, fail, retries=3)
+    report = supervisor.run(run_id="r")
+    record = _records(supervisor)[CELLS[0].cell_id]
+    assert record["status"] == "failed"  # last error was not a deadline
+    assert record["attempts"] == 4  # initial + 3 retries
+    assert calls.count(CELLS[0].cell_id) == 4
+    message = report.failures[CELLS[0].cell_id]
+    assert "first:" in message and "retry:" in message
+    # (not_before - now) on the manual clock: exact up to float rounding.
+    assert slept == pytest.approx([backoff_delay(a, seed=_key(CELLS[0])) for a in range(3)], rel=1e-12)
 
 
-def test_deterministic_sim_fault_fails_fast_exactly_once():
-    """A simulator fault replays identically, so the runner must not retry:
-    one attempt, no backoff sleep, diagnostic and kind preserved."""
-    runner = _runner()
-    injector = FaultInjector(FaultPlan(sim_fault_slots=frozenset({0})))
-    injector.install(runner)
-    retried = []
-    original = runner._run_local
-    runner._run_local = lambda cell: retried.append(cell) or original(cell)
-    slept = []
-    runner._sleep = slept.append
-    report = runner.run()
-    assert injector.injected_faults()[SIM_FAULT] == 1
-    faulted = runner.cells[0]
+def test_deterministic_sim_fault_fails_fast_exactly_once(tmp_path, monkeypatch):
+    """A simulator fault replays identically, so the supervisor must not
+    retry: one attempt, no backoff sleep, diagnostic and kind preserved."""
+
+    def fail(cell, attempt):
+        return SimulationError("injected deterministic simulator fault") if cell == CELLS[0] else None
+
+    supervisor, calls, slept = _serial(tmp_path, monkeypatch, fail)
+    report = supervisor.run(run_id="r")
+    faulted = CELLS[0].cell_id
     assert report.statuses[faulted] == "failed"
-    assert report.attempts[faulted] == 1
+    assert _records(supervisor)[faulted]["attempts"] == 1
     assert report.failure_kinds[faulted] == DETERMINISTIC
     assert "SimulationError" in report.failures[faulted]
-    assert not retried and not slept  # exactly one attempt, ever
+    assert calls.count(faulted) == 1 and not slept  # exactly one attempt, ever
     # the healthy cells were unaffected
-    assert len(report.results) == len(runner.cells) - 1
+    assert len(report.results) == len(CELLS) - 1
+
+
+def test_serial_interrupt_leaves_earlier_cells_ok_and_rest_pending(tmp_path, monkeypatch):
+    """Ctrl-C in serial mode: committed cells stay durable, the rest resume."""
+
+    def fail(cell, attempt):
+        return KeyboardInterrupt() if cell == CELLS[1] else None
+
+    supervisor, _, _ = _serial(tmp_path, monkeypatch, fail)
+    with pytest.raises(KeyboardInterrupt):
+        supervisor.run(run_id="r")
+    replayed = RunJournal.find(str(tmp_path), "r")
+    assert replayed.status_of(CELLS[0].cell_id) == "ok"
+    assert replayed.pending_cells() == SPEC.cell_ids()[1:]
 
 
 def test_interrupt_cancels_pool_and_flushes_journal(tmp_path):
     """Ctrl-C mid-campaign must abandon the pool without waiting (the
     orphaned-pool regression) and leave every committed cell durable."""
-    runner = _runner()
-    journal = RunJournal.create(
-        str(tmp_path), "interrupted", {"grid": "test"},
-        [cell.cell_id for cell in runner.cells],
-    )
-    runner.journal = journal
-    injector = FaultInjector(FaultPlan(interrupt_slot=1))
-    injector.install(runner)
+    harness = ChaosHarness(ChaosPolicy(script={2: CHAOS_INTERRUPT}))
+    supervisor = CampaignSupervisor(SPEC.with_jobs(2), str(tmp_path), **harness.supervisor_kwargs())
+    harness.attach(supervisor)
     with pytest.raises(KeyboardInterrupt):
-        runner.run()
-    executor = injector.executors[0]
+        supervisor.run(run_id="r")
+    executor = harness.executors[0]
     # Queued futures were cancelled, not waited on.
-    assert executor.shutdown_calls[0] == (False, True)
+    assert executor.shutdown_calls == [(False, True)]
     assert all(f.cancelled for f in executor.submitted)
-    journal.close()
-    # Slot 0 committed before the interrupt; its record survived on disk.
-    replayed = RunJournal.open(journal.path)
-    assert replayed.status_of(runner.cells[0].cell_id) == "ok"
-    assert replayed.pending_cells() == [cell.cell_id for cell in runner.cells[1:]]
+    # Slots 0 and 1 committed before the interrupt; their records survived.
+    replayed = RunJournal.find(str(tmp_path), "r")
+    assert [replayed.status_of(cell.cell_id) for cell in CELLS[:2]] == ["ok", "ok"]
+    assert replayed.pending_cells() == SPEC.cell_ids()[2:]
 
 
 def test_poisoned_cell_error_is_transient_by_class_attribute():
@@ -231,33 +249,8 @@ def test_poisoned_cell_error_is_transient_by_class_attribute():
     assert classify_failure(PoisonedCellError("garbage")) == TRANSIENT
 
 
-def test_fault_plan_picks_disjoint_new_fault_kinds():
-    plan = FaultPlan.from_seed(
-        7, slots=8, timeouts=1, poisons=1, sim_faults=2, break_pool=True, interrupt=True
-    )
-    claimed = [
-        *plan.timeout_slots, *plan.poison_slots, *plan.sim_fault_slots,
-        plan.break_pool_slot, plan.interrupt_slot,
-    ]
-    assert None not in claimed
-    assert len(claimed) == len(set(claimed)) == 6
-    assert plan.fault_for(plan.interrupt_slot) == INTERRUPT
-    assert all(plan.fault_for(slot) == SIM_FAULT for slot in plan.sim_fault_slots)
-
-
 def test_suite_cell_id_format():
     assert SuiteCell("li", "lvp", "selective").cell_id == "li/lvp/selective"
-
-
-def test_exercise_suite_recovery_end_to_end():
-    plan = FaultPlan.from_seed(3, slots=4, timeouts=1, poisons=1)
-    report, faults = exercise_suite_recovery(
-        plan, workloads=("li", "go"), configs=("no_predict", "lvp"), jobs=2,
-        max_instructions=MAX_INSTS,
-    )
-    assert faults[TIMEOUT] == 1 and faults[POISON] == 1
-    assert not report.failures
-    assert len(report.results) == 4
 
 
 # ----------------------------------------------------------------------
