@@ -14,7 +14,8 @@ many register reuses as a *legal* register allocation allows:
   its register with any other definition in its innermost loop ("we create an
   interference edge with every instruction in the innermost loop containing
   the instruction").  If its current register is shared, it is moved to a
-  register free of all those definitions; instructions not in a loop are
+  register free of all those definitions — including the volatiles a
+  ``jsr`` in the loop clobbers by convention; instructions not in a loop are
   abandoned.
 
 When registers run out, reuses are removed in the paper's priority order:
@@ -38,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.effects import implicit_defs
 from ..isa.instructions import Instruction
 from ..isa.program import Procedure, Program
 from ..isa.registers import ALLOCATABLE_FP, ALLOCATABLE_INT, Reg
@@ -63,6 +65,9 @@ class _LvrCandidate:
     def_web: int
     loop_depth: int
     loop_def_webs: Set[int]
+    #: registers any other loop instruction defines, implicit call
+    #: clobbers included (the definition RVP008 checks against)
+    loop_def_regs: Set[Reg]
     critical: int
 
 
@@ -187,7 +192,7 @@ def _reallocate_procedure(
         if cand.def_web in dead_moved:
             continue  # already placed by a dead-register merge
         exclusion = cand.loop_def_webs | neighbours(cand.def_web)
-        taken = {assignment[n] for n in exclusion}
+        taken = {assignment[n] for n in exclusion} | cand.loop_def_regs
         current = assignment[cand.def_web]
         if current not in taken:
             chosen: Optional[Reg] = current
@@ -314,10 +319,12 @@ def _collect_lvr_candidates(
             report.lvr_not_in_loop += 1  # abandoned: not in a loop
             continue
         loop_webs: Set[int] = set()
+        loop_regs: Set[Reg] = set()
         shared = False
         for other_pc in loop.body:
             if other_pc == pc:
                 continue
+            loop_regs |= implicit_defs(program[other_pc])
             other_web = analysis.web_of_def(other_pc)
             if other_web is None or other_web.kind != def_web.kind:
                 continue
@@ -334,6 +341,7 @@ def _collect_lvr_candidates(
                 def_web=def_web.index,
                 loop_depth=loop.depth,
                 loop_def_webs=loop_webs,
+                loop_def_regs=loop_regs,
                 critical=critical.get(pc, 0),
             )
         )

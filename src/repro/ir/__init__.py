@@ -1,4 +1,4 @@
-"""SSA compiler mid-end: programmatic IR, passes, and lowering.
+"""SSA compiler mid-end: programmatic IR, allocation, and lowering.
 
 The package splits into layers:
 
@@ -9,15 +9,18 @@ The package splits into layers:
   Chaitin–Briggs machinery) and spilling;
 * :mod:`repro.ir.lower` — SSA destruction and emission back to the flat ISA;
 * :mod:`repro.ir.builder` — the programmatic front end;
-* :mod:`repro.ir.passes` / :mod:`repro.ir.pipeline` — the RVP passes
-  rebuilt on SSA, plus flat-entry wrappers (raise -> pass -> lower);
 * :mod:`repro.ir.equiv` — trace-equivalence checking for round trips.
+
+Its users are abstract interpretation (:mod:`repro.analysis.absint`), the
+IR-authored workloads, ``repro ir`` and the IR fuzz front end.  The RVP
+passes themselves (marking, insertion, stride shadows, Section 7.3
+reallocation) run on the flat program in :mod:`repro.compiler`.
 """
 
 from .builder import IRBuilder
 from .equiv import EquivalenceReport, check_equivalence, roundtrip
 from .liveness import ENTRY_TICK, ValueLiveness, value_liveness
-from .lower import FunctionConstraints, LoweringResult, lower_module, sequence_copies
+from .lower import LoweringResult, lower_module, sequence_copies
 from .nodes import (
     FP,
     INT,
@@ -31,20 +34,6 @@ from .nodes import (
     VReg,
     verify_ssa,
 )
-from .passes import (
-    StridePlan,
-    insert_after_instr,
-    mark_rvp_loads,
-    origin_index,
-    plan_reallocation,
-    plan_stride_shadows,
-)
-from .pipeline import (
-    apply_stride_pass_ssa,
-    insert_after_ssa,
-    mark_static_rvp_ssa,
-    reallocate_ssa,
-)
 from .regalloc import SPILL_BASE, SPILL_END, AllocationResult, SpillSlots, allocate
 from .ssa import arch_vreg, raise_program, to_ssa
 
@@ -56,7 +45,6 @@ __all__ = [
     "ENTRY_TICK",
     "ValueLiveness",
     "value_liveness",
-    "FunctionConstraints",
     "LoweringResult",
     "lower_module",
     "sequence_copies",
@@ -71,16 +59,6 @@ __all__ = [
     "Value",
     "VReg",
     "verify_ssa",
-    "StridePlan",
-    "insert_after_instr",
-    "mark_rvp_loads",
-    "origin_index",
-    "plan_reallocation",
-    "plan_stride_shadows",
-    "apply_stride_pass_ssa",
-    "insert_after_ssa",
-    "mark_static_rvp_ssa",
-    "reallocate_ssa",
     "SPILL_BASE",
     "SPILL_END",
     "AllocationResult",

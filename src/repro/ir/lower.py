@@ -15,18 +15,17 @@ The pipeline per function is
 4. emission in layout order to flat :class:`~repro.isa.Instruction`s, with
    provenance: every emitted pc gets a :class:`~repro.isa.program.SourceLoc`
    (IR block, loop depth, originating flat pc) in ``Program.source_map``,
-   and ``LoweringResult.pc_origin`` / ``origin_map`` relate old and new pcs
-   for the trace-equivalence oracle and the pass wrappers.
+   and ``LoweringResult.pc_origin`` maps each new pc to its old one for the
+   trace-equivalence oracle.
 
-The module is *not* mutated: phis stay in place, copies and split blocks
-exist only in the emission plan, so a module can be lowered repeatedly
-(e.g. once per reallocation constraint set).
+Phis stay in place and copies and split blocks exist only in the emission
+plan, so a module can be lowered repeatedly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.opcodes import OpKind, opcode
@@ -40,15 +39,6 @@ Copy = Tuple[Reg, Reg, str]
 
 
 @dataclass
-class FunctionConstraints:
-    """Allocator inputs a pass attaches to one function (see regalloc)."""
-
-    merges: Sequence[Tuple[int, int]] = ()
-    conflict_edges: Sequence[Tuple[int, int]] = ()
-    exclusive_vids: Sequence[int] = ()
-
-
-@dataclass
 class LoweringResult:
     program: Program
     module: IRModule
@@ -56,8 +46,6 @@ class LoweringResult:
     slots: SpillSlots
     #: emitted pc -> origin flat pc (None for copies/spills/builder code).
     pc_origin: Dict[int, Optional[int]] = field(default_factory=dict)
-    #: origin flat pc -> emitted pc (only instructions that carried one).
-    origin_map: Dict[int, int] = field(default_factory=dict)
 
 
 def _reg_of(value: Value, where: str) -> Reg:
@@ -219,28 +207,13 @@ def _emit_instr(instr, retarget: Dict[Tuple[str, str], str], label: str, where: 
     )
 
 
-def lower_module(
-    module: IRModule,
-    *,
-    constraints: Optional[Dict[str, FunctionConstraints]] = None,
-    slots: Optional[SpillSlots] = None,
-    spill: bool = True,
-) -> LoweringResult:
+def lower_module(module: IRModule, *, slots: Optional[SpillSlots] = None) -> LoweringResult:
     """Allocate registers for every function and emit a flat program."""
-    constraints = constraints or {}
     slots = slots or SpillSlots()
     allocations: Dict[str, AllocationResult] = {}
     for func in module.functions:
         verify_ssa(func)
-        cons = constraints.get(func.name, FunctionConstraints())
-        result = allocate(
-            func,
-            slots,
-            merges=cons.merges,
-            conflict_edges=cons.conflict_edges,
-            exclusive_vids=cons.exclusive_vids,
-            spill=spill,
-        )
+        result = allocate(func, slots)
         if not result.ok:
             raise IRError(result.failure)
         allocations[func.name] = result
@@ -250,16 +223,12 @@ def lower_module(
     procedures: List[Procedure] = []
     source_map: Dict[int, SourceLoc] = {}
     pc_origin: Dict[int, Optional[int]] = {}
-    origin_map: Dict[int, int] = {}
 
-    def put(inst: Instruction, loc: SourceLoc) -> int:
+    def put(inst: Instruction, loc: SourceLoc) -> None:
         pc = len(instructions)
         instructions.append(inst)
         source_map[pc] = loc
         pc_origin[pc] = loc.origin_pc
-        if loc.origin_pc is not None:
-            origin_map[loc.origin_pc] = pc
-        return pc
 
     for func in module.functions:
         start = len(instructions)
@@ -276,19 +245,17 @@ def lower_module(
             if body and body[-1].is_terminator:
                 trailing = body.pop()
             for instr in body:
-                pc = put(
+                put(
                     _emit_instr(instr, retarget, emit.label, f"{func.name}/{emit.label}"),
                     SourceLoc(block=emit.label, loop_depth=emit.depth, origin_pc=instr.origin_pc),
                 )
-                instr.emitted_pc = pc
             for inst in emit.end_copies:
                 put(inst, loc)
             if trailing is not None:
-                pc = put(
+                put(
                     _emit_instr(trailing, retarget, emit.label, f"{func.name}/{emit.label}"),
                     SourceLoc(block=emit.label, loop_depth=emit.depth, origin_pc=trailing.origin_pc),
                 )
-                trailing.emitted_pc = pc
             if emit.final_jump is not None:
                 put(Instruction(op=opcode("br"), target=emit.final_jump), loc)
         if func.name not in labels:
@@ -310,5 +277,4 @@ def lower_module(
         allocations=allocations,
         slots=slots,
         pc_origin=pc_origin,
-        origin_map=origin_map,
     )

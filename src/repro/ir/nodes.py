@@ -107,7 +107,7 @@ class IRInstr:
 
     ``target`` is a block label for branches/jumps and a *function* name for
     ``jsr``.  ``origin_pc`` is the flat pc this instruction was raised from
-    (``None`` for builder-authored or pass-inserted instructions).
+    (``None`` for builder-authored instructions and spill code).
     ``implicit_defs``/``implicit_uses`` are filled during SSA renaming with
     the calling-convention values a call/exit defines and consumes.
     """
@@ -122,7 +122,6 @@ class IRInstr:
         "origin_pc",
         "implicit_defs",
         "implicit_uses",
-        "emitted_pc",
     )
 
     def __init__(
@@ -144,8 +143,6 @@ class IRInstr:
         self.origin_pc = origin_pc
         self.implicit_defs: Tuple[Value, ...] = ()
         self.implicit_uses: Tuple[Value, ...] = ()
-        #: pc this instruction landed at in the lowered program.
-        self.emitted_pc: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Structural queries (operand-domain agnostic)

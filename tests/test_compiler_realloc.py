@@ -14,11 +14,11 @@ from conftest import random_memory, random_program
 ALL_NAMES = tuple(WORKLOAD_CLASSES)
 
 
-def profile_workload(name, budget=40_000):
+def profile_workload(name, budget=40_000, threshold=0.8):
     workload = make_workload(name)
     result = run_program(*workload.build("train"), max_instructions=budget, collect_trace=True)
     profile = ReuseProfile.from_trace(result.trace)
-    return workload, profile.profile_lists(0.8), critical_path_profile(result.trace)
+    return workload, profile.profile_lists(threshold), critical_path_profile(result.trace)
 
 
 def _non_stack_memory(result):
@@ -158,6 +158,44 @@ def test_lvr_outside_loop_abandoned():
     lists.last_value.add(0)
     _, report = reallocate(program, lists)
     assert report.lvr_applied == 0 and report.lvr_not_in_loop == 1
+
+
+def test_lvr_avoids_registers_a_loop_call_clobbers():
+    # The load's register is never named by another loop instruction, but
+    # the ``jsr`` in the loop clobbers every volatile register by convention.
+    program = assemble(
+        """
+    .proc main
+    main:
+        li r9, #12
+    loop:
+        ld r0, 0x100(r31)
+        st r0, 0x200(r31)
+        jsr r26, f
+        sub r9, r9, #1
+        bne r9, loop
+        halt
+    .proc f
+    f:
+        ret r26
+        """
+    )
+    lists = ProfileLists(threshold=0.8)
+    lists.last_value.add(1)
+    # Callee-saved registers are live through the whole procedure and the
+    # call clobbers the rest, so no exclusive register exists: the reuse is
+    # pruned rather than left in the clobbered r0.
+    _, report = reallocate(program, lists, verify=True)
+    assert report.lvr_applied == 0 and report.pruned_for_coloring == 1
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_realloc_verifies_at_high_threshold(name):
+    # Threshold 0.9 puts a loop-resident load whose loop also calls a
+    # procedure on li's last-value list; its register must dodge the call's
+    # clobbers or RVP008 rejects the rewrite.
+    workload, lists, crit = profile_workload(name, threshold=0.9)
+    reallocate(workload.program, lists, crit, verify=True)
 
 
 @settings(max_examples=15, deadline=None)

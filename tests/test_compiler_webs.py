@@ -157,33 +157,32 @@ def test_join_webs_in_multi_procedure_program():
 
 
 def test_multi_procedure_join_webs_match_ssa_phi_webs():
-    """The SSA mid-end's phi-congruence classes must agree with the flat
-    join-path webs on a two-procedure program sharing register names: both
-    r2 defs feed the join phi, so they land in one phi web per function —
-    and the two functions' webs are built independently."""
+    """The SSA raiser must agree with the flat join-path webs on a
+    two-procedure program sharing register names: in each function one join
+    phi merges exactly that function's two r2 defs, which the flat pass puts
+    in one web."""
     from repro.ir import raise_program
-    from repro.ir.nodes import Value
-    from repro.ir.passes import phi_webs
 
     program = assemble(MULTI_PROC_JOIN)
     module = raise_program(program)
     for proc in program.procedures:
         func = module.function(proc.name)
-        webs = phi_webs(func)
         r2_defs = {
             pc
             for pc in range(proc.start, proc.end)
             if program[pc].writes is not None and program[pc].writes.name == "r2"
         }
         assert len(r2_defs) == 2
-        vids = [
+        analysis = build_webs(program, proc, compute_liveness(program, proc))
+        assert len({analysis.web_of_def(pc).index for pc in r2_defs}) == 1
+        def_vids = {
             instr.dst.vid
             for block in func.blocks
             for instr in block.instrs
-            if instr.origin_pc in r2_defs and isinstance(instr.dst, Value)
-        ]
-        assert len(vids) == 2
-        assert webs.web_of[vids[0]] == webs.web_of[vids[1]]
+            if instr.origin_pc in r2_defs
+        }
+        phi_args = [{v.vid for v in phi.args.values()} for block in func.blocks for phi in block.phis]
+        assert phi_args.count(def_vids) == 1
 
 
 def test_live_pcs_cover_definition_points():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.isa import assemble
 from repro.ir import IRError, Value, raise_program, verify_ssa
-from repro.ir.passes import phi_webs
 
 
 def raised(text):
@@ -90,10 +89,13 @@ def test_loop_carried_variable_gets_header_phi():
     verify_ssa(func)
     loop_phis = [phi for label, phi in phis_of(func) if label == "loop"]
     assert len(loop_phis) == 1
-    # The two phi args (init, back edge) plus the phi dst form one web.
-    webs = phi_webs(func)
-    vids = {loop_phis[0].dst.vid} | {v.vid for v in loop_phis[0].args.values() if isinstance(v, Value)}
-    assert len({webs.web_of[vid] for vid in vids}) == 1
+    phi = loop_phis[0]
+    by_origin = {instr.origin_pc: instr for block in func.blocks for instr in block.instrs}
+    init, dec = by_origin[0], by_origin[1]
+    # The phi merges the initial value (li, pc 0) with the back-edge value
+    # (sub, pc 1), and the sub reads the phi's destination.
+    assert sorted(v.vid for v in phi.args.values()) == sorted([init.dst.vid, dec.dst.vid])
+    assert dec.src1 is phi.dst
 
 
 def test_loop_depth_metadata():
