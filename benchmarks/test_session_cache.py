@@ -61,7 +61,8 @@ def test_sweep_runs_one_funcsim_per_workload_variant(benchmark):
     runs0 = metrics.get("sim.runs")
     trace_miss0 = metrics.get("session.trace.misses")
     profile_miss0 = metrics.get("session.profile.misses")
-    trace_hit0 = metrics.get("session.trace.hits")
+    stream_miss0 = metrics.get("session.stream.misses")
+    stream_hit0 = metrics.get("session.stream.hits")
 
     t0 = time.perf_counter()
     rows = run_once(benchmark, _run_sweep)
@@ -72,9 +73,11 @@ def test_sweep_runs_one_funcsim_per_workload_variant(benchmark):
     assert metrics.get("sim.runs") - runs0 == 2 * len(SWEEP_WORKLOADS)
     assert metrics.get("session.trace.misses") - trace_miss0 == len(SWEEP_WORKLOADS)
     assert metrics.get("session.profile.misses") - profile_miss0 == len(SWEEP_WORKLOADS)
-    # Every other (point, workload, config) cell hit the trace cache.
+    # One pipeline stream per trace: every other (point, workload, config)
+    # cell hit the stream cache, which sits above the trace cache.
     expected_hits = len(SWEEP_POINTS) * len(SWEEP_WORKLOADS) * len(SWEEP_CONFIGS) - len(SWEEP_WORKLOADS)
-    assert metrics.get("session.trace.hits") - trace_hit0 == expected_hits
+    assert metrics.get("session.stream.misses") - stream_miss0 == len(SWEEP_WORKLOADS)
+    assert metrics.get("session.stream.hits") - stream_hit0 == expected_hits
 
     # Warm re-run: identical results, zero simulation, measurably faster.
     runs_warm = metrics.get("sim.runs")

@@ -160,7 +160,7 @@ def _bench_pipeline(name: str, max_insts: int, repeats: int) -> Dict[str, float]
         lambda: simulate(trace, NoPredictor(), config, RecoveryScheme.SELECTIVE, engine="reference"),
         repeats,
     )
-    stream = prepare_stream(trace, NoPredictor())
+    stream = prepare_stream(trace)
     fast_stats = simulate(
         None, NoPredictor(), config, RecoveryScheme.SELECTIVE, engine="fast", stream=stream
     )
@@ -247,7 +247,7 @@ def _profile_engines(name: str, max_insts: int, top: int) -> Dict[str, List[Dict
         max_instructions=max_insts, collect_trace=True
     ).trace
     config = table1_config()
-    stream = prepare_stream(trace, NoPredictor())
+    stream = prepare_stream(trace)
     return {
         "funcsim_reference": _profile_hotspots(funcsim("reference"), top),
         "funcsim_decoded": _profile_hotspots(funcsim("decoded"), top),

@@ -237,7 +237,6 @@ class ExperimentRunner:
             self.workload.name,
             self.scale,
             self.max_instructions,
-            predictor,
             variant,
             threshold,
             default_threshold=self.threshold,
@@ -250,21 +249,11 @@ class ExperimentRunner:
         recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
         threshold: Optional[float] = None,
     ) -> ExperimentResult:
-        variant, predictor = self._build(config, threshold)
         # The session canonicalizes (variant, threshold) — base variants drop
         # the threshold, others resolve None to this runner's default — so no
         # per-call-site key arithmetic is needed (or allowed) here.  All
-        # pipeline construction routes through the session's stream cache: a
-        # predictor × recovery × threshold grid prepares each trace once per
-        # predictor fingerprint, not once per cell.
-        stream = self.session.pipeline_stream(
-            self.workload.name,
-            self.scale,
-            self.max_instructions,
-            predictor,
-            variant,
-            threshold,
-            default_threshold=self.threshold,
-        )
+        # pipeline construction routes through the session's stream cache:
+        # every predictor × recovery cell of one trace shares its stream.
+        stream, predictor = self.pipeline_stream(config, threshold)
         stats = simulate(None, predictor, self.machine, recovery, stream=stream)
         return ExperimentResult(self.workload.name, config, recovery.value, stats)

@@ -19,7 +19,10 @@ machine sweep paid the functional-sim cost three times per workload.
   ``realloc``, its :class:`ReallocReport`,
 * **ref traces** — program variant × input → an immutable record tuple,
   kept in a small LRU (traces dominate resident memory; capacity via
-  ``REPRO_SESSION_TRACE_CAP``, default 32).
+  ``REPRO_SESSION_TRACE_CAP``, default 32),
+* **pipeline streams** — the ref-trace key → the trace's
+  predictor-independent :func:`~repro.uarch.stream.prepare_stream` result,
+  shared by every predictor, recovery scheme and machine that runs on it.
 
 Cache-keying rules
 ------------------
@@ -58,7 +61,6 @@ from ..profiling.reuse import ReuseProfile, ReuseProfileBuilder
 from ..sim.functional import FunctionalSimulator
 from ..sim.trace import TraceRecord
 from ..uarch.stream import StreamEntry, prepare_stream
-from ..vp.base import ValuePredictor
 from ..workloads.base import Workload
 from ..workloads.suite import make_workload
 from .metrics import get_metrics
@@ -319,21 +321,18 @@ class SimSession:
         name: str,
         scale: float,
         max_instructions: int,
-        predictor: ValuePredictor,
         variant: str = "base",
         threshold: Optional[float] = None,
         default_threshold: float = 0.8,
         input_name: str = "ref",
     ) -> List[StreamEntry]:
-        """The prepared pipeline stream of one trace under one predictor.
+        """The prepared pipeline stream of one trace.
 
-        A stream is a pure function of (trace, predictor ``source()``
-        routing), so it is cached under (canonical trace key, predictor
-        ``static_fingerprint()``): a predictor × recovery × threshold
-        campaign grid prepares each trace once per *fingerprint*, not once
-        per cell — e.g. every ``DynamicRVP`` threshold point shares one
-        stream.  A ``None`` fingerprint (``source()`` with side effects)
-        bypasses the cache and rebuilds per call.
+        A stream is a pure function of its trace — no predictor state rides
+        on it (each run builds its own
+        :class:`~repro.uarch.stream.PredictionOverlay`) — so it is cached
+        under the canonical trace key alone: every predictor × recovery ×
+        machine cell of one trace shares one stream.
 
         Cached streams share the trace LRU's byte budget
         (``REPRO_SESSION_TRACE_BYTES``): stream bytes count toward the same
@@ -342,14 +341,7 @@ class SimSession:
         """
         metrics = get_metrics()
         variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
-        fingerprint = predictor.static_fingerprint()
-        if fingerprint is None:
-            metrics.inc("session.stream.uncacheable")
-            trace = self.ref_trace(
-                name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
-            )
-            return prepare_stream(trace, predictor)
-        key = (name, scale, max_instructions, variant, eff_threshold, input_name, fingerprint)
+        key = (name, scale, max_instructions, variant, eff_threshold, input_name)
         stream = self._streams.get(key)
         if stream is not None:
             self._streams.move_to_end(key)
@@ -359,7 +351,7 @@ class SimSession:
         trace = self.ref_trace(
             name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
         )
-        stream = prepare_stream(trace, predictor)
+        stream = prepare_stream(trace)
         self._streams[key] = stream
         self._stream_resident_bytes += self._stream_cost(stream)
         # Same always-keep-the-newest rule as the trace LRU; the ceiling is

@@ -56,25 +56,6 @@ class ProfileLists:
     live: Dict[int, DeadHint] = field(default_factory=dict)
     last_value: Set[int] = field(default_factory=set)
 
-    def fingerprint(self) -> tuple:
-        """Hashable content key over everything :meth:`hint_for` /
-        :meth:`hint_reg` read, for predictor ``static_fingerprint`` (stream
-        caching).  Content-based rather than identity-based so two identically
-        rebuilt lists (same profile, same threshold) share cached streams."""
-
-        def _hints(hints: Dict[int, DeadHint]) -> tuple:
-            return tuple(
-                (pc, hint.reg.kind, hint.reg.index, hint.producer_pc)
-                for pc, hint in sorted(hints.items())
-            )
-
-        return (
-            tuple(sorted(self.same)),
-            _hints(self.dead),
-            _hints(self.live),
-            tuple(sorted(self.last_value)),
-        )
-
     def hint_for(
         self,
         pc: int,

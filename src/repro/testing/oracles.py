@@ -25,9 +25,12 @@ Six oracle families, each a callable ``oracle(case)`` registered in
 
 ``predictor-sanity``
     Confidence state never escapes its encoding (resetting counters stay in
-    ``[0, COUNTER_MAX]`` for RVP, LVP and the Gabbay predictor), and static
-    RVP and dynamic RVP agree exactly on per-pc correctly-predicted counts
-    when trained on the same underlying value stream.
+    ``[0, COUNTER_MAX]`` for RVP, LVP and the Gabbay predictor); the pipeline's
+    :class:`~repro.uarch.stream.PredictionOverlay` yields exactly the per-pc
+    (updates, correct) counts of an independent walk of the trace, for plain
+    and dead/live/last-value-hinted RVP alike; and static RVP and dynamic RVP
+    agree exactly on per-pc correctly-predicted counts when trained on the
+    same underlying value stream.
 
 ``recovery-invariant``
     All three recovery schemes commit the complete trace; reissue replays at
@@ -82,6 +85,7 @@ from ..sim.trace import TraceRecord
 from ..uarch.config import table1_config
 from ..uarch.recovery import RecoveryScheme
 from ..uarch.pipeline import simulate
+from ..uarch.stream import PredictionOverlay, prepare_stream
 from ..vp.base import NoPredictor, SourceKind, ValuePredictor
 from ..vp.confidence import COUNTER_MAX
 from ..vp.gabbay import GabbayRegisterPredictor
@@ -491,10 +495,11 @@ def check_pass_preservation(case: GeneratedCase) -> None:
 def _train_predictor(trace: Iterable[TraceRecord], predictor: ValuePredictor) -> Dict[int, Tuple[int, int]]:
     """Drive a predictor through a committed trace the way the pipeline does.
 
-    Mirrors :func:`repro.uarch.stream.prepare_stream`'s correctness logic
-    (same-register, correlated-register and previous-instance sources) and
-    calls ``predictor.update`` for every candidate, whether or not a
-    prediction would have been issued.  Returns ``pc -> (updates, correct)``.
+    An independent spec of :class:`repro.uarch.stream.PredictionOverlay`'s
+    correctness logic (same-register, correlated-register and
+    previous-instance sources): calls ``predictor.update`` for every
+    candidate, whether or not a prediction would have been issued.  Returns
+    ``pc -> (updates, correct)``.
     """
     reg_values = [0] * 64
     last_result_of_pc: Dict[int, int] = {}
@@ -520,6 +525,18 @@ def _train_predictor(trace: Iterable[TraceRecord], predictor: ValuePredictor) ->
     return counts
 
 
+def _overlay_counts(trace: Sequence[TraceRecord], predictor: ValuePredictor) -> Dict[int, Tuple[int, int]]:
+    """``pc -> (updates, correct)`` as the pipeline's overlay sees them."""
+    stream = prepare_stream(trace)
+    overlay = PredictionOverlay(stream, predictor)
+    counts: Dict[int, Tuple[int, int]] = {}
+    for entry in stream:
+        if overlay.kind[entry.seq] is not None:
+            updates, hits = counts.get(entry.pc, (0, 0))
+            counts[entry.pc] = (updates + 1, hits + (1 if overlay.facts(entry)[1] else 0))
+    return counts
+
+
 def _counter_cells(predictor: ValuePredictor) -> List[int]:
     if isinstance(predictor, DynamicRVP):
         return list(predictor.counters._counters)
@@ -532,16 +549,26 @@ def check_predictor_sanity(case: GeneratedCase) -> None:
     name = "predictor-sanity"
     base = _base_run(case)
     trace = base.trace
+    profile = ReuseProfile.from_trace(trace)
+    hints = profile.profile_lists(PROFILE_THRESHOLD, loads_only=False, min_count=PROFILE_MIN_COUNT)
 
     predictors = [
         DynamicRVP(entries=64, threshold=4),
         DynamicRVP(entries=16, threshold=4, tagged=True),
+        DynamicRVP(entries=64, threshold=4, lists=hints, use_dead=True, use_live=True, use_lv=True),
         LastValuePredictor(entries=64, loads_only=True),
         LastValuePredictor(entries=16, loads_only=False),
         GabbayRegisterPredictor(threshold=4),
     ]
     for predictor in predictors:
+        overlay_counts = _overlay_counts(trace, predictor)
         counts = _train_predictor(trace, predictor)
+        _require(
+            overlay_counts == counts,
+            name,
+            f"{predictor.name}: overlay per-pc (updates, correct) differ from the trace walk at pcs "
+            f"{sorted(pc for pc in set(counts) | set(overlay_counts) if counts.get(pc) != overlay_counts.get(pc))}",
+        )
         cells = _counter_cells(predictor)
         _require(
             all(0 <= cell <= COUNTER_MAX for cell in cells),
@@ -558,7 +585,6 @@ def check_predictor_sanity(case: GeneratedCase) -> None:
     # Static vs dynamic RVP: identical per-pc correct counts on the same
     # value stream.  The marked program executes identically, so a marked
     # load's same-register outcome must be bit-identical either way.
-    profile = ReuseProfile.from_trace(trace)
     lists = profile.profile_lists(PROFILE_THRESHOLD, loads_only=True, min_count=PROFILE_MIN_COUNT)
     if lists.same:
         try:

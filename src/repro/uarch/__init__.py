@@ -7,7 +7,7 @@ from .fast import FastDynInst, FastPipelineSimulator
 from .pipeline import PIPELINE_ENGINES, DynInst, PipelineSimulator, simulate
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import StreamEntry, prepare_stream
+from .stream import PredictionOverlay, StreamEntry, prepare_stream
 
 __all__ = [
     "BranchPredictor",
@@ -25,6 +25,7 @@ __all__ = [
     "simulate",
     "RecoveryScheme",
     "SimStats",
+    "PredictionOverlay",
     "StreamEntry",
     "prepare_stream",
 ]

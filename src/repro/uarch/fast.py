@@ -42,21 +42,20 @@ ROB scan (including the "both FU banks exhausted" early break).
 **Pre-decoded stream facts + pooled DynInsts.**  The hot loop reads the flat
 per-pc booleans :func:`~repro.uarch.stream.prepare_stream` bakes onto
 :class:`~repro.uarch.stream.StreamEntry` (``is_load``/``is_halt``/
-``cond_branch``/...) instead of chasing ``record.inst.op`` attribute chains,
-and fetch recycles committed/squashed :class:`FastDynInst` objects from a
-free pool instead of allocating per dynamic instruction.  Two pool-hygiene
-invariants: (1) a DynInst's ``gen`` is **monotonically increasing across
-reuse** (acquire restores ``gen + 1`` over the reset); completion events are
-bare instruction references validated by ``state == _ISSUED and done_at ==
-cycle``, which a stale event from a previous incarnation can only pass in
-the one case where it is harmless — the recycled instruction legitimately
-completes at that exact cycle, making the duplicate idempotent (the second
-event sees ``_DONE`` and skips); (2) an instruction that never touched speculative
-state (renamed on the fast path below, committed normally) is returned to
-the pool with every other field already at its post-reset default, so
-acquire only rewrites the handful of fields the plain lifecycle dirties —
-the ``dirty`` flag marks the exceptions (full rename, squash victims) that
-need a complete reset.
+``cond_branch``/...) and the per-seq candidate kinds of the run's
+:class:`~repro.uarch.stream.PredictionOverlay` instead of chasing
+``record.inst.op`` attribute chains, and fetch recycles committed/squashed
+:class:`FastDynInst` objects from a free pool instead of allocating per
+dynamic instruction.  Two pool-hygiene invariants: (1) a DynInst's ``gen``
+is **monotonically increasing across reuse** (acquire restores ``gen + 1``
+over the reset), so a completion event — ``(inst, gen)``, validated by
+``inst.gen == gen and state == _ISSUED`` exactly as in the reference — can
+never be claimed by a later incarnation or a later issue of the same one;
+(2) an instruction that never touched speculative state (renamed on the
+fast path below, committed normally) is returned to the pool with every
+other field already at its post-reset default, so acquire only rewrites the
+handful of fields the plain lifecycle dirties — the ``dirty`` flag marks the
+exceptions (full rename, squash victims) that need a complete reset.
 
 **Speculation-free rename fast path.**  While no prediction is unresolved,
 no in-flight instruction carries speculative state (every ``spec_on`` entry
@@ -101,20 +100,17 @@ class FastDynInst(DynInst):
 
     ``waiters`` holds the _WAIT consumers parked on this (non-DONE) producer;
     ``in_cand`` mirrors membership in the simulator's sorted candidate list;
-    ``done_at`` is the cycle of this incarnation's pending completion event
-    (the event-validity cookie — see the module docstring); ``dirty`` records
-    that this incarnation touched state outside the plain
+    ``dirty`` records that this incarnation touched state outside the plain
     fetch/dispatch/issue/commit lifecycle (full rename or squash) and must be
     fully reset before reuse.  All are cleared by :meth:`reset`.
     """
 
-    __slots__ = ("waiters", "in_cand", "done_at", "dirty")
+    __slots__ = ("waiters", "in_cand", "dirty")
 
     def reset(self, fetch_cycle: int) -> None:
         super().reset(fetch_cycle)
         self.waiters: List["FastDynInst"] = []
         self.in_cand = False
-        self.done_at = -1
         self.dirty = False
 
 
@@ -189,6 +185,7 @@ class FastPipelineSimulator(PipelineSimulator):
         btb_lookup = branch._btb_lookup
         btb_update = branch._btb_update
         predictor = self.predictor
+        kinds = self.overlay.kind
         update_load = self._update_load
         observe_store = self._observe_store
         trained = self._trained
@@ -252,22 +249,21 @@ class FastPipelineSimulator(PipelineSimulator):
             # ---------------- complete + prediction resolution ----------
             events = completions.pop(cycle, None)
             if events:
-                for inst in events:
-                    if inst.state != _ISSUED or inst.done_at != cycle:
+                for inst, gen in events:
+                    if inst.gen != gen or inst.state != _ISSUED:
                         continue  # stale event (instruction reset or squashed)
                     inst.state = _DONE
                     inst.complete_cycle = cycle
                     entry = inst.entry
                     seq = entry.seq
                     # Train the predictor at writeback (once per instance).
-                    if entry.cand_source is not None:
+                    if kinds[seq] is not None and seq not in trained:
+                        trained.add(seq)
                         record = entry.record
-                        if record.result is not None and seq not in trained:
-                            trained.add(seq)
-                            if entry.is_load and update_load is not None:
-                                update_load(entry.pc, record.addr, record.result)
-                            else:
-                                predictor.update(entry.pc, inst.train, record.result)
+                        if entry.is_load and update_load is not None:
+                            update_load(entry.pc, record.addr, record.result)
+                        else:
+                            predictor.update(entry.pc, inst.train, record.result)
                     if seq == self.fetch_stalled_on:
                         self.fetch_stalled_on = None
                         if self.fetch_resume < cycle + 1:
@@ -374,13 +370,12 @@ class FastPipelineSimulator(PipelineSimulator):
                     inst.state = _ISSUED
                     inst.in_cand = False
                     done = cycle + (latency if latency > 1 else 1)
-                    inst.done_at = done
                     bucket = completions.get(done)
                     if bucket is None:
-                        completions[done] = [inst]
+                        completions[done] = [(inst, inst.gen)]
                         heappush(heap, done)
                     else:
-                        bucket.append(inst)
+                        bucket.append((inst, inst.gen))
                     # IQ release policy (Section 7.1.1), identical to the
                     # reference.
                     if refetch:
@@ -427,7 +422,8 @@ class FastPipelineSimulator(PipelineSimulator):
                     # re-enters this inst into the candidates, where all
                     # operands are re-verified.
                     blocker = None
-                    if not unresolved and entry.cand_source is None:
+                    seq = entry.seq
+                    if not unresolved and kinds[seq] is None:
                         deps = entry.dep_seqs
                         inst.deps = deps
                         for dep in deps:
@@ -450,7 +446,6 @@ class FastPipelineSimulator(PipelineSimulator):
                                 break
                     iq_used[iq] += 1
                     inst.iq_released = False
-                    seq = entry.seq
                     window[seq] = inst
                     rob.append(inst)
                     rob_len += 1
@@ -742,11 +737,6 @@ class FastPipelineSimulator(PipelineSimulator):
                 if not inst.iq_released:
                     self._release_iq(inst)
                 inst.gen += 1
-                # Invalidate pending completion events (the fast tier's
-                # event-validity cookie, standing in for the reference's
-                # gen check — an event in this very cycle's batch may not
-                # have been processed yet).
-                inst.done_at = -1
                 del window[inst.seq]
                 unresolved.pop(inst.seq, None)
                 inst.dirty = True

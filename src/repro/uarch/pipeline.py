@@ -39,7 +39,7 @@ from .cache import MemoryHierarchy
 from .config import MachineConfig
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import StreamEntry, prepare_stream
+from .stream import PredictionOverlay, StreamEntry, prepare_stream
 
 _WAIT, _ISSUED, _DONE = 0, 1, 2
 
@@ -128,8 +128,9 @@ class PipelineSimulator:
 
     ``stream`` optionally supplies a pre-built :func:`prepare_stream` result
     (e.g. the :class:`~repro.core.session.SimSession` stream cache) so
-    campaign cells that share a (trace, predictor-fingerprint) pair prepare
-    the stream once; when given, ``trace`` is ignored.
+    campaign cells that share a trace prepare its stream once; when given,
+    ``trace`` is ignored.  The predictor's view of the stream — its
+    :class:`~repro.uarch.stream.PredictionOverlay` — is built here, per run.
     """
 
     #: resolved engine name of instances of this class
@@ -163,7 +164,11 @@ class PipelineSimulator:
         self.config = config
         self.predictor = predictor
         self.recovery = recovery
-        self.stream = stream if stream is not None else prepare_stream(trace, predictor)
+        self.stream = stream if stream is not None else prepare_stream(trace)
+        self.overlay = PredictionOverlay(self.stream, predictor)
+        #: STORED predictions come from the predictor's own table (no
+        #: register read, no value dependence)
+        self._table_backed = getattr(predictor, "table_backed", False)
         self.branch = BranchPredictor(config)
         self.memory = MemoryHierarchy(config.l1i, config.l1d, config.l2)
         self.stats = SimStats()
@@ -260,7 +265,7 @@ class PipelineSimulator:
             # Train the predictor at writeback (once per dynamic instance).
             record = entry.record
             if inst.seq not in self._trained:
-                if entry.cand_source is not None and record.result is not None:
+                if self.overlay.kind[inst.seq] is not None:
                     self._trained.add(inst.seq)
                     if record.is_load and hasattr(self.predictor, "update_load"):
                         self.predictor.update_load(entry.pc, record.addr, record.result)
@@ -519,24 +524,22 @@ class PipelineSimulator:
 
         # ---- value prediction decision ----
         used_port = False
-        source = entry.cand_source
-        if source is not None and entry.record.result is not None:
-            inst.train = entry.pred_correct
+        kind = self.overlay.kind[entry.seq]
+        if kind is not None:
+            value_dep, inst.train = self.overlay.facts(entry)
             predictable = self.predictor.confident(entry.pc)
-            value_dep = entry.value_dep
             stored_ok = True
-            if source.kind is SourceKind.STORED:
-                if getattr(self.predictor, "table_backed", False):
+            if kind is SourceKind.STORED:
+                if self._table_backed:
                     stored = self.predictor.stored_value(entry.pc)
                     stored_ok = stored is not None
                     inst.train = stored_ok and stored == entry.record.result
                     value_dep = None
                 else:
-                    stored_ok = entry.prev_instance is not None
-                    value_dep = entry.prev_instance
+                    stored_ok = value_dep is not None
             # Buffer-based predictors read no register for the prediction;
             # register-based prediction of a non-load needs an extra port.
-            needs_port = not entry.record.is_load and not getattr(self.predictor, "table_backed", False)
+            needs_port = not entry.record.is_load and not self._table_backed
             if predictable and stored_ok and (not needs_port or port_available):
                 inst.predicted = True
                 inst.resolved = False
@@ -680,8 +683,10 @@ def simulate(
     ``trace`` may be any iterable of committed records (cached tuple or live
     generator); it is consumed once during stream preparation.  When a
     pre-built ``stream`` is supplied (the SimSession stream cache), ``trace``
-    is unused and may be None.  ``engine`` selects the timing tier
-    (``fast``/``reference``; default from ``REPRO_PIPELINE_ENGINE``).
+    is unused and may be None; the stream carries no predictor state, so one
+    stream serves any number of ``(predictor, config, recovery)`` runs.
+    ``engine`` selects the timing tier (``fast``/``reference``; default from
+    ``REPRO_PIPELINE_ENGINE``).
     """
     return PipelineSimulator(
         trace, predictor, config, recovery, engine=engine, stream=stream

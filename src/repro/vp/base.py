@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 from ..isa.instructions import Instruction
 from ..isa.registers import Reg
@@ -58,16 +58,6 @@ class ValuePredictor(abc.ABC):
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         """Prediction source for this instruction, or None if not a candidate."""
 
-    def static_fingerprint(self) -> Optional[Hashable]:
-        """Hashable key identifying everything :meth:`source` (and
-        ``table_backed``) depend on, so a prepared pipeline stream — a pure
-        function of (trace, those two) — can be cached and shared across
-        predictor instances.  Two predictors with equal fingerprints MUST
-        yield identical ``source()`` results for every instruction of every
-        trace.  ``None`` (the default) means "not cacheable": the stream is
-        rebuilt per run (e.g. when ``source()`` mutates predictor state)."""
-        return None
-
     @abc.abstractmethod
     def confident(self, pc: int) -> bool:
         """Whether to actually speculate on this instance."""
@@ -93,9 +83,6 @@ class NoPredictor(ValuePredictor):
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         return None
-
-    def static_fingerprint(self):
-        return ("no_predict",)
 
     def confident(self, pc: int) -> bool:
         return False

@@ -76,9 +76,6 @@ class ContextPredictor(ValuePredictor):
             return None
         return PredictionSource(SourceKind.STORED)
 
-    def static_fingerprint(self):
-        return ("table_stored", self.loads_only)
-
     def confident(self, pc: int) -> bool:
         context = self._context(pc)
         return context is not None and self._vpt[context][1] >= self.threshold

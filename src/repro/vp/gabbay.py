@@ -23,9 +23,10 @@ from .confidence import COUNTER_MAX, DEFAULT_THRESHOLD
 class GabbayRegisterPredictor(ValuePredictor):
     """Per-architectural-register confidence; prediction reads the register.
 
-    ``static_fingerprint`` stays at the base ``None``: ``source()`` fills the
-    pc→register routing table as a side effect, so a cached stream prepared by
-    another instance would leave this one unable to route its counters."""
+    ``source()`` fills the pc→register routing table as a side effect.  Each
+    run builds its own :class:`~repro.uarch.stream.PredictionOverlay`, which
+    calls ``source()`` once per static pc of the trace, so a fresh instance
+    is routed before its first ``confident()``/``update()``."""
 
     __slots__ = ("threshold", "loads_only", "name", "_counters", "_reg_of_pc")
 

@@ -47,11 +47,6 @@ class LastValuePredictor(ValuePredictor):
         self._values: List[int] = [0] * entries
         self._counters: List[int] = [0] * entries
 
-    def static_fingerprint(self):
-        # source() depends only on loads_only; every table-backed STORED
-        # predictor with the same candidate filter shares a stream.
-        return ("table_stored", self.loads_only)
-
     def _hit(self, pc: int) -> bool:
         idx = pc & self._mask
         return not self.tagged or self._tags[idx] == pc

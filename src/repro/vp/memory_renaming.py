@@ -68,10 +68,6 @@ class MemoryRenamingPredictor(ValuePredictor):
             return None
         return PredictionSource(SourceKind.STORED)
 
-    def static_fingerprint(self):
-        # Candidates are loads-with-destinations, exactly loads_only STORED.
-        return ("table_stored", True)
-
     def _hit(self, pc: int) -> bool:
         return self._tags[pc & self._mask] == pc
 

@@ -85,11 +85,6 @@ class DynamicRVP(ValuePredictor):
                 return PredictionSource(SourceKind.STORED)
         return PredictionSource(SourceKind.DST)
 
-    def static_fingerprint(self):
-        # entries/threshold/tagged shape only confidence, not source().
-        lists_fp = self.lists.fingerprint() if self.lists is not None else None
-        return ("rvp", self.loads_only, self.use_dead, self.use_live, self.use_lv, lists_fp)
-
     def confident(self, pc: int) -> bool:
         if self.tagged and self._tags.get(self.counters.index(pc)) != pc:
             return False

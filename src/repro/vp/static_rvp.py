@@ -54,12 +54,6 @@ class StaticRVP(ValuePredictor):
                 return PredictionSource(SourceKind.STORED)
         return PredictionSource(SourceKind.DST)
 
-    def static_fingerprint(self):
-        # The rvp_marked gate is a property of the (marked) program, which the
-        # trace key already identifies; only the hint routing varies here.
-        lists_fp = self.lists.fingerprint() if self.lists is not None else None
-        return ("srvp", self.use_dead, self.use_live, self.use_lv, lists_fp)
-
     def confident(self, pc: int) -> bool:
         return True  # marked loads are always predicted
 

@@ -54,9 +54,6 @@ class StridePredictor(ValuePredictor):
             return None
         return PredictionSource(SourceKind.STORED)
 
-    def static_fingerprint(self):
-        return ("table_stored", self.loads_only)
-
     def _hit(self, pc: int) -> bool:
         return self._tags[pc & self._mask] == pc
 

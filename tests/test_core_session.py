@@ -101,6 +101,38 @@ def test_second_runner_runs_zero_additional_sims():
     assert metrics.get("sim.runs") == runs_after_first  # same train+ref, zero new sims
 
 
+#: The Table-1 configurations that run the base program (no marked or
+#: reallocated variant).
+BASE_TABLE1_CONFIGS = (
+    "no_predict", "lvp", "drvp", "drvp_dead", "drvp_dead_lv", "lvp_all", "grp_all",
+    "drvp_all", "drvp_all_dead", "drvp_all_dead_lv", "stride_all", "context_all", "memren",
+)
+
+
+def test_one_stream_per_trace_across_predictors():
+    """Streams carry no predictor state: every base-variant predictor of a
+    workload shares the one stream of its ref trace."""
+    session = SimSession()
+    metrics = get_metrics()
+    misses, hits = metrics.get("session.stream.misses"), metrics.get("session.stream.hits")
+    runner = ExperimentRunner("go", max_instructions=MAX_INSTS, session=session)
+    for config in BASE_TABLE1_CONFIGS:
+        runner.run(config)
+    assert metrics.get("session.stream.misses") - misses == 1
+    assert metrics.get("session.stream.hits") - hits == len(BASE_TABLE1_CONFIGS) - 1
+    assert session.cache_stats()["streams"] == 1
+
+
+def test_gabbay_repeat_runs_are_identical():
+    """Gabbay's routing table is filled per run by the overlay, so a second
+    run on the cached stream reproduces the first exactly."""
+    runner = ExperimentRunner("go", max_instructions=MAX_INSTS, session=SimSession())
+    first = runner.run("grp_all").stats.counters()
+    second = runner.run("grp_all").stats.counters()
+    assert first == second
+    assert first["predictions"] > 0
+
+
 def test_runner_uses_global_session_by_default():
     runner = ExperimentRunner("li", max_instructions=MAX_INSTS)
     assert runner.session is get_session()

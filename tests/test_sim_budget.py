@@ -1,4 +1,4 @@
-"""Instruction-budget guards: strict-budget simulators and the stream cap.
+"""Instruction-budget guards: strict-budget simulators.
 
 A runaway program (or an over-budget trace source) must become a
 *deterministic, classifiable* fault — the campaign taxonomy's fail-fast
@@ -10,8 +10,6 @@ import pytest
 
 from repro.runtime.errors import DETERMINISTIC, classify_failure
 from repro.sim.functional import BudgetExceeded, FunctionalSimulator, SimulationError
-from repro.uarch.stream import prepare_stream
-from repro.vp.base import NoPredictor
 from repro.workloads.suite import make_workload
 
 #: Small enough that every workload's ref run overruns it.
@@ -63,13 +61,3 @@ def test_budget_exceeded_is_a_deterministic_simulator_fault():
     exc = BudgetExceeded("over budget")
     assert isinstance(exc, SimulationError)
     assert classify_failure(exc) == DETERMINISTIC
-
-
-def test_prepare_stream_entry_cap():
-    program, memory = make_workload("li").build("ref")
-    sim = FunctionalSimulator(program, memory=memory)
-    trace = sim.run(max_instructions=200, collect_trace=True).trace
-    assert prepare_stream(trace, NoPredictor()) is not None  # uncapped: fine
-    assert len(prepare_stream(trace, NoPredictor(), max_entries=len(trace))) == len(trace)
-    with pytest.raises(BudgetExceeded, match="stream budget exhausted"):
-        prepare_stream(trace, NoPredictor(), max_entries=len(trace) - 1)

@@ -25,7 +25,7 @@ from repro.profiling import (
 from repro.sim import FunctionalSimulator, stream_program
 from repro.uarch import RecoveryScheme, table1_config
 from repro.uarch.pipeline import simulate
-from repro.uarch.stream import prepare_stream
+from repro.uarch.stream import PredictionOverlay, prepare_stream
 from repro.vp.base import NoPredictor
 from repro.vp.rvp import DynamicRVP
 from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
@@ -157,12 +157,15 @@ def test_pipeline_accepts_generator_trace():
     assert got.cycles == want.cycles
     assert got.committed == want.committed
 
-    # prepare_stream over a generator with a stateful predictor too.
+    # prepare_stream over a generator, read through a predictor's overlay.
     _, stream2 = stream_program(workload.program, memory=workload.memory("ref"), max_instructions=BUDGET)
-    entries = prepare_stream(stream2, DynamicRVP(loads_only=False))
-    eager_entries = prepare_stream(eager_trace, DynamicRVP(loads_only=False))
+    entries = prepare_stream(stream2)
+    eager_entries = prepare_stream(eager_trace)
     assert len(entries) == len(eager_entries)
-    assert [e.pred_correct for e in entries] == [e.pred_correct for e in eager_entries]
+    overlay = PredictionOverlay(entries, DynamicRVP(loads_only=False))
+    eager_overlay = PredictionOverlay(eager_entries, DynamicRVP(loads_only=False))
+    assert overlay.kind == eager_overlay.kind
+    assert [overlay.facts(e) for e in entries] == [eager_overlay.facts(e) for e in eager_entries]
 
 
 def test_observers_fire_during_streaming():

@@ -128,6 +128,26 @@ def test_predictor_sanity_detects_static_dynamic_divergence(monkeypatch):
     pytest.fail("no seed exercised the static-vs-dynamic comparison")
 
 
+def test_predictor_sanity_detects_overlay_register_defect(monkeypatch):
+    """Defect: the overlay's register mirror calls every hinted-register
+    prediction correct."""
+    from repro.uarch import stream as stream_mod
+
+    real = stream_mod._register_mirror
+
+    def optimistic(stream, reg_source):
+        return {seq: (dep, True) for seq, (dep, _) in real(stream, reg_source).items()}
+
+    monkeypatch.setattr(stream_mod, "_register_mirror", optimistic)
+    for seed in range(30):
+        try:
+            ORACLES["predictor-sanity"](generate_case(seed))
+        except OracleViolation as violation:
+            assert "overlay" in violation.message
+            return
+    pytest.fail("no seed exercised a mispredicting register hint")
+
+
 def test_recovery_invariant_detects_lost_commits(monkeypatch):
     """Defect: the pipeline drops a committed instruction."""
     real = oracles_mod._simulate

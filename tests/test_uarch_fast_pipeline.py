@@ -67,6 +67,31 @@ def test_fast_matches_reference_matrix(workload):
             )
 
 
+#: Cells where a selectively reset instruction reissues and completes in
+#: the cycle of its own stale event: it must complete at its new event's
+#: place in the bucket, after older instructions queued in between, not at
+#: the stale event's.  (program, scale, budget, config), all under
+#: selective reissue.
+SAME_CYCLE_REISSUE_CELLS = (
+    ("li", 1.0, 3_000, "stride_all"),
+    ("li", 1.0, 1_000, "stride"),
+    ("li", 1.0, 1_000, "stride_all"),
+    ("hydro2d", 4, 80_000, "lvp_all"),
+)
+
+
+@pytest.mark.parametrize("program,scale,budget,config", SAME_CYCLE_REISSUE_CELLS)
+def test_same_cycle_reissue_completes_in_reference_order(program, scale, budget, config):
+    runner = ExperimentRunner(program, scale=scale, max_instructions=budget, session=SESSION)
+    counters = {}
+    for engine in ("reference", "fast"):
+        stream, predictor = runner.pipeline_stream(config)
+        counters[engine] = simulate(
+            None, predictor, runner.machine, RecoveryScheme.SELECTIVE, engine=engine, stream=stream
+        ).counters()
+    assert counters["fast"] == counters["reference"]
+
+
 # ----------------------------------------------------------------------
 # Event heap: ordering, lazy cleaning, stale-event validity
 # ----------------------------------------------------------------------
@@ -109,8 +134,7 @@ def test_next_active_cycle_cleans_stale_heap_keys(tiny_loop_program, tiny_loop_m
     sim = _fast_sim(trace)
     inst = FastDynInst(sim.stream[0])
     inst.state = _ISSUED
-    inst.done_at = 12
-    sim.completions[12] = [inst]
+    sim.completions[12] = [(inst, inst.gen)]
     for key in (5, 7, 12):  # 5 and 7 are stale: not in completions
         heapq.heappush(sim._comp_heap, key)
     sim.fetch_cursor = len(sim.stream)  # disable the fetch wake source
@@ -133,18 +157,18 @@ def test_next_active_cycle_deadlock_horizon(tiny_loop_program, tiny_loop_memory)
 
 
 def test_squash_invalidates_pending_events(squashy_trace):
-    # done_at is the event-validity cookie: squashed incarnations must not
-    # satisfy `done_at == cycle` for any still-queued event.
+    # Events carry the gen they were queued under: squashed incarnations
+    # must not match it for any still-queued event.
     sim = _fast_sim(squashy_trace, LastValuePredictor(), RecoveryScheme.REFETCH)
     stats = sim.run()
     assert stats.value_squashes > 0, "case must actually exercise squashes"
     live = {id(inst) for inst in sim.window.values()}
-    for key, batch in sim.completions.items():
-        for inst in batch:
-            if inst.state == _ISSUED and inst.done_at == key:
+    for batch in sim.completions.values():
+        for inst, gen in batch:
+            if inst.state == _ISSUED and inst.gen == gen:
                 # The only events that would still fire belong to live
                 # windowed incarnations; every squashed/reused incarnation
-                # fails the cookie check and is skipped as stale.
+                # fails the gen check and is skipped as stale.
                 assert id(inst) in live
 
 
@@ -158,15 +182,14 @@ def test_reset_restores_wakeup_defaults(tiny_loop_program, tiny_loop_memory):
     other = FastDynInst(sim.stream[1])
     inst.waiters.append(other)
     inst.in_cand = True
-    inst.done_at = 42
     inst.dirty = True
     inst.gen = 7
     inst.reset(fetch_cycle=9)
     assert inst.waiters == [] and inst.in_cand is False
-    assert inst.done_at == -1 and inst.dirty is False
+    assert inst.dirty is False
     assert inst.earliest_issue == 9
     # reset() zeroes gen; the acquire path re-applies the pre-reset gen + 1
-    # so event cookies stay monotonic across reuse.
+    # so event gens stay monotonic across reuse.
     assert inst.gen == 0
 
 
