@@ -14,18 +14,22 @@ much, where the crossovers fall — not absolute IPC values (see DESIGN.md).
 from __future__ import annotations
 
 import os
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 import pytest
 
-from repro.core import ExperimentRunner
+from repro.core import ExperimentResult, ExperimentRunner, ResultTable
 from repro.uarch.config import MachineConfig, aggressive_config, table1_config
-from repro.workloads.suite import WORKLOAD_CLASSES
+from repro.workloads.suite import PAPER_WORKLOADS, WORKLOAD_CLASSES
 
 #: Simulated committed-instruction budget per run.
 MAX_INSTS = int(os.environ.get("REPRO_MAX_INSTS", "25000"))
 
-ALL_BENCHMARKS = tuple(WORKLOAD_CLASSES)
+#: The registered workloads outside the paper's nine (PAPER_WORKLOADS):
+#: printed as extra rows but never part of a paper claim, since the paper's
+#: averages and rankings are over its nine.
+EXTRA_BENCHMARKS = tuple(name for name in WORKLOAD_CLASSES if name not in PAPER_WORKLOADS)
+EXTRA_TITLE = f"Extra rows, outside the paper's suite and its averages: {', '.join(EXTRA_BENCHMARKS)}"
 
 
 class RunnerCache:
@@ -60,6 +64,18 @@ def runners() -> RunnerCache:
 @pytest.fixture(scope="session")
 def wide_machine() -> MachineConfig:
     return aggressive_config()
+
+
+def collect_tables(row: Callable[[str], Iterable[ExperimentResult]]) -> Tuple[ResultTable, ResultTable]:
+    """``(paper, extra)`` tables; ``row(name)`` yields one workload's results."""
+    tables = []
+    for names in (PAPER_WORKLOADS, EXTRA_BENCHMARKS):
+        table = ResultTable()
+        for name in names:
+            for result in row(name):
+                table.add(result)
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def run_once(benchmark, fn):

@@ -13,25 +13,20 @@ this machine.
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
-
-from repro.core import ResultTable
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
 CONFIGS = ("no_predict", "lvp_all", "stride_all", "context_all", "memren", "drvp_all_dead_lv")
 
 
 def test_extended_baselines(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_speedup("Extended baselines (speedup over no-prediction)"))
     print(table.render_coverage("coverage/accuracy"))
+    print(extra.render_speedup(EXTRA_TITLE, include_average=False))
 
     rvp = table.mean_speedup("drvp_all_dead_lv")
     stride = table.mean_speedup("stride_all")

@@ -12,28 +12,25 @@ monotonically non-decreasing in available reuse.
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
-from repro.core import ResultTable
+from repro.workloads import PAPER_WORKLOADS
 
 CONFIGS = ("no_predict", "lvp", "srvp_same", "srvp_dead", "srvp_live", "srvp_live_lv")
 
 
 def test_fig3_static_rvp(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_ipc("Figure 3: static RVP (IPC, selective reissue)"))
     print(table.render_speedup("Figure 3 as speedups"))
+    print(extra.render_ipc(EXTRA_TITLE))
 
-    gains_same = [table.speedup(n, "srvp_same") for n in ALL_BENCHMARKS]
-    gains_dead = [table.speedup(n, "srvp_dead") for n in ALL_BENCHMARKS]
+    gains_same = [table.speedup(n, "srvp_same") for n in PAPER_WORKLOADS]
+    gains_dead = [table.speedup(n, "srvp_dead") for n in PAPER_WORKLOADS]
 
     # Some programs gain >= 3% with no compiler support at all.
     assert sum(1 for g in gains_same if g >= 1.03) >= 2, gains_same
@@ -44,5 +41,5 @@ def test_fig3_static_rvp(benchmark, runners):
     assert table.speedup("mgrid", "srvp_dead") > table.speedup("mgrid", "srvp_same")
     # live/live_lv never reduce available reuse below the dead level (small
     # tolerance: they can perturb confidence warmup).
-    for name in ALL_BENCHMARKS:
+    for name in PAPER_WORKLOADS:
         assert table.speedup(name, "srvp_live_lv") >= table.speedup(name, "srvp_dead") - 0.03, name

@@ -12,28 +12,27 @@ beating selective reissue"; selective reissue is the best overall.
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
-from repro.core import ResultTable
 from repro.uarch import RecoveryScheme
+from repro.workloads import PAPER_WORKLOADS
 
 SCHEMES = (RecoveryScheme.REFETCH, RecoveryScheme.REISSUE, RecoveryScheme.SELECTIVE)
 
 
 def test_fig4_recovery(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name, threshold=0.9)
-            table.add(runner.run("no_predict"))
-            for scheme in SCHEMES:
-                result = runner.run("srvp_dead", recovery=scheme, threshold=0.9)
-                result.config = f"srvp_{scheme.value}"
-                table.add(result)
-        return table
+    def row(name):
+        runner = runners.get(name, threshold=0.9)
+        results = [runner.run("no_predict")]
+        for scheme in SCHEMES:
+            result = runner.run("srvp_dead", recovery=scheme, threshold=0.9)
+            result.config = f"srvp_{scheme.value}"
+            results.append(result)
+        return results
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_ipc("Figure 4: recovery mechanisms (IPC, srvp_dead @ 90%)"))
+    print(extra.render_ipc(EXTRA_TITLE))
 
     refetch = table.mean_speedup("srvp_refetch")
     reissue = table.mean_speedup("srvp_reissue")
@@ -46,6 +45,6 @@ def test_fig4_recovery(benchmark, runners):
     assert selective >= refetch - 0.015 and selective >= reissue - 0.015
     # Refetch outperforms reissue on several programs (the paper's surprise).
     refetch_wins = sum(
-        1 for n in ALL_BENCHMARKS if table.speedup(n, "srvp_refetch") > table.speedup(n, "srvp_reissue")
+        1 for n in PAPER_WORKLOADS if table.speedup(n, "srvp_refetch") > table.speedup(n, "srvp_reissue")
     )
     assert refetch_wins >= 3, f"refetch beat reissue on only {refetch_wins} programs"

@@ -10,24 +10,19 @@ an 8% average gain over no prediction."
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
-
-from repro.core import ResultTable
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
 CONFIGS = ("no_predict", "lvp", "drvp", "drvp_dead", "drvp_dead_lv")
 
 
 def test_fig5_dynamic_loads(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_speedup("Figure 5: dynamic RVP for loads (speedup over no-prediction)"))
+    print(extra.render_speedup(EXTRA_TITLE, include_average=False))
 
     lvp = table.mean_speedup("lvp")
     drvp = table.mean_speedup("drvp")

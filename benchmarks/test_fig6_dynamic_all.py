@@ -13,24 +13,19 @@ writes a register shares the same counter").
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
-
-from repro.core import ResultTable
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
 CONFIGS = ("no_predict", "lvp_all", "grp_all", "drvp_all", "drvp_all_dead", "drvp_all_dead_lv")
 
 
 def test_fig6_dynamic_all(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_speedup("Figure 6: dynamic RVP for all instructions (speedup)"))
+    print(extra.render_speedup(EXTRA_TITLE, include_average=False))
 
     lvp = table.mean_speedup("lvp_all")
     grp = table.mean_speedup("grp_all")

@@ -14,24 +14,19 @@ architecture."
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
-
-from repro.core import ExperimentRunner, ResultTable
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
 CONFIGS = ("no_predict", "lvp_all", "drvp_all", "drvp_all_dead_lv")
 
 
 def test_fig8_aggressive_processor(benchmark, runners, wide_machine):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name, machine=wide_machine)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name, machine=wide_machine)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_speedup("Figure 8: 16-wide machine (speedup over no-prediction)"))
+    print(extra.render_speedup(EXTRA_TITLE, include_average=False))
 
     lvp = table.mean_speedup("lvp_all")
     drvp = table.mean_speedup("drvp_all")

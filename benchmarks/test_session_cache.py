@@ -19,10 +19,12 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+import pytest
 from conftest import run_once
 
 from repro.core import get_metrics, sweep_machine
 from repro.core.experiment import ExperimentRunner
+from repro.core.session import reset_session
 from repro.uarch.config import table1_config
 
 #: Distinct budget so these tests never share session keys with the other
@@ -32,6 +34,14 @@ GUARD_INSTS = 7_777
 SWEEP_POINTS = (16, 32, 48)
 SWEEP_WORKLOADS = ("m88ksim", "li")
 SWEEP_CONFIGS = ("no_predict", "drvp_all")  # both use the 'base' program variant
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_session():
+    """Start from an empty session: earlier benchmark modules leave enough
+    traces resident that the LRU would evict this module's streams, and the
+    exact deltas below assume nothing is evicted."""
+    reset_session()
 
 
 def _run_sweep():

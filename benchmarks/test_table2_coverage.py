@@ -12,26 +12,23 @@ register-sharing-heavy codes; m88ksim and turb3d have the highest coverage.
 
 from __future__ import annotations
 
-from conftest import ALL_BENCHMARKS, run_once
+from conftest import EXTRA_TITLE, collect_tables, run_once
 
-from repro.core import ResultTable
+from repro.workloads import PAPER_WORKLOADS
 
 CONFIGS = ("drvp_all_dead", "drvp_all_dead_lv", "lvp_all", "grp_all")
 
 
 def test_table2_coverage(benchmark, runners):
-    def collect():
-        table = ResultTable()
-        for name in ALL_BENCHMARKS:
-            runner = runners.get(name)
-            for config in CONFIGS:
-                table.add(runner.run(config))
-        return table
+    def row(name):
+        runner = runners.get(name)
+        return [runner.run(config) for config in CONFIGS]
 
-    table = run_once(benchmark, collect)
+    table, extra = run_once(benchmark, lambda: collect_tables(row))
     print("\n" + table.render_coverage("Table 2: % insts predicted / accuracy"))
+    print(extra.render_coverage(EXTRA_TITLE))
 
-    for name in ALL_BENCHMARKS:
+    for name in PAPER_WORKLOADS:
         for config in CONFIGS:
             accuracy = table.accuracy(name, config)
             coverage = table.coverage(name, config)
@@ -41,10 +38,10 @@ def test_table2_coverage(benchmark, runners):
                 # predictions actually fire.
                 assert accuracy > 0.80, (name, config, accuracy)
     # dead_lv coverage >= dead coverage (it adds candidates).
-    for name in ALL_BENCHMARKS:
+    for name in PAPER_WORKLOADS:
         assert table.coverage(name, "drvp_all_dead_lv") >= table.coverage(name, "drvp_all_dead") - 0.02, name
     # m88ksim and turb3d are the coverage leaders for RVP.
-    rvp_cov = {n: table.coverage(n, "drvp_all_dead") for n in ALL_BENCHMARKS}
+    rvp_cov = {n: table.coverage(n, "drvp_all_dead") for n in PAPER_WORKLOADS}
     top3 = sorted(rvp_cov, key=rvp_cov.get, reverse=True)[:4]
     assert "m88ksim" in top3 or "turb3d" in top3, rvp_cov
     # go has the lowest RVP coverage of the suite (within noise).

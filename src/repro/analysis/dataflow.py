@@ -121,8 +121,8 @@ def solve_nodes(
     ``boundary_nodes`` receive the ``boundary`` facts on every meet (the
     entry node forward, the exit nodes backward); a boundary node with
     incoming edges — e.g. a loop back-edge into the entry — unions them in.
-    Both the flat-ISA :func:`solve` and the SSA mid-end's value liveness
-    (:mod:`repro.ir`) are clients of this core.
+    Both the flat-ISA :func:`solve` and SSA construction's block liveness
+    (:mod:`repro.ir.ssa`) are clients of this core.
     """
     if direction == FORWARD:
         edges = {n: list(successors(n)) for n in order}

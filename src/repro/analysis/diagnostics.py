@@ -7,14 +7,13 @@ the :func:`rule` decorator; :func:`registered_rules` is the catalog the
 verifier iterates and the CLI prints.
 
 This module deliberately imports nothing from :mod:`repro.compiler` so that
-compiler modules (e.g. the colourer, which surfaces spills as diagnostics)
-can depend on it without import cycles.
+compiler modules can depend on it without import cycles.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -39,9 +38,6 @@ class Diagnostic:
     pc: Optional[int]
     procedure: str
     message: str
-    #: Source provenance ("block <label>, loop depth <d>") when the program
-    #: carries a source map from the IR lowerer; ``None`` for flat programs.
-    context: Optional[str] = field(default=None, compare=False)
 
     @property
     def is_error(self) -> bool:
@@ -49,8 +45,7 @@ class Diagnostic:
 
     def render(self) -> str:
         where = f"pc {self.pc}" if self.pc is not None else "-"
-        suffix = f" ({self.context})" if self.context else ""
-        return f"{self.severity.value.upper():7s} {self.rule} [{self.procedure}:{where}] {self.message}{suffix}"
+        return f"{self.severity.value.upper():7s} {self.rule} [{self.procedure}:{where}] {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -59,7 +54,6 @@ class Diagnostic:
             "pc": self.pc,
             "procedure": self.procedure,
             "message": self.message,
-            "context": self.context,
         }
 
 

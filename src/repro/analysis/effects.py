@@ -15,8 +15,8 @@ exit, and each procedure call uses all argument registers*.  Concretely:
 
 Both the compiler back end (:mod:`repro.compiler.liveness`, webs,
 reallocation) and the analysis layer (:mod:`repro.analysis.facts`, the
-verifier) import from here; the SSA mid-end (:mod:`repro.ir`) applies the
-same effects when pinning boundary-crossing values to architectural
+verifier) import from here; SSA construction (:mod:`repro.ir.ssa`) applies
+the same effects when pinning boundary-crossing values to architectural
 registers.
 """
 

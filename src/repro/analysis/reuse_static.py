@@ -303,49 +303,3 @@ def compare_with_profile(
         "weighted_static_fractions": weighted,
         "profiled_fig1_fractions": profile.fig1.fractions(),
     }
-
-
-def reuse_by_loop_depth(
-    program: Program,
-    estimate: StaticReuseEstimate,
-    lists=None,  # ProfileLists
-) -> Optional[Dict[str, Dict[str, int]]]:
-    """Attribute reuse to loop nests via the program's IR source map.
-
-    Programs lowered from :mod:`repro.ir` carry a ``source_map`` recording
-    each instruction's IR basic block and loop-nest depth; bucket the static
-    classifications (and, when profile lists are given, the profiled reuse
-    list memberships) by that depth.  Returns ``None`` for flat programs
-    with no source map — loop depth is an IR-level notion.
-    """
-    if program.source_map is None:
-        return None
-
-    def depth_of(pc: int) -> int:
-        loc = program.source_map.get(pc)
-        return loc.loop_depth if loc is not None else 0
-
-    buckets: Dict[int, Dict[str, int]] = {}
-
-    def bucket(depth: int) -> Dict[str, int]:
-        return buckets.setdefault(
-            depth,
-            {
-                "loads": 0,
-                **{cls.value: 0 for cls in ReuseClass},
-                "profiled_same": 0,
-                "profiled_dead": 0,
-                "profiled_last_value": 0,
-            },
-        )
-
-    for pc, verdict in estimate.loads.items():
-        entry = bucket(depth_of(pc))
-        entry["loads"] += 1
-        entry[verdict.reuse.value] += 1
-    if lists is not None:
-        for attr in ("same", "dead", "last_value"):
-            for pc in getattr(lists, attr):
-                if pc in estimate.loads:
-                    bucket(depth_of(pc))[f"profiled_{attr}"] += 1
-    return {str(depth): buckets[depth] for depth in sorted(buckets)}

@@ -204,11 +204,10 @@ def symbolic_reuse_by_depth(
 ) -> Dict[str, Dict[str, object]]:
     """Bucket reuse classes by absint loop depth, with trip-weighted reuse.
 
-    Unlike :func:`~repro.analysis.reuse_static.reuse_by_loop_depth` this
-    needs no lowered source map — depth comes from the raised SSA CFG, so
-    it works for every program absint can analyze.  For loads in loops with
-    a proven trip count ``t`` the expected dynamic reuse fraction of an
-    invariant load is ``(t-1)/t`` (every iteration after the first); the
+    Depth comes from the raised SSA CFG, so this works for every program
+    absint can analyze.  For loads in loops with a proven trip count ``t``
+    the expected dynamic reuse fraction of an invariant load is
+    ``(t-1)/t`` (every iteration after the first); the
     per-depth ``trip_weighted_reuse`` averages that over the provable
     SAME/DEAD/LAST_VALUE loads of the depth, ``None`` when no trip is
     proven at that depth.

@@ -21,21 +21,19 @@ RVP005   error     calling-convention violations (call/branch targets)
 RVP006   error     illegal ``rvp_*`` marking destination
 RVP007   error     allocation validity vs the interference graph
 RVP008   error     loop-exclusive (LVR) register shared within its loop
-RVP009   error     spill: a colouring node found no free register
 RVP010   warning   rvp-marked invariant load provably clobbered in-loop
 RVP011   warning   dead stride mark: the proven shadow-add stride is 0
 RVP012   warning   code unreachable under interval-pruned branches
 RVP013   warning   load result provably dropped (zero dest / SSA-dead)
 =======  ========  ====================================================
 
-RVP007–RVP009 are *context* rules: they need artifacts only a compiler pass
-holds (the pre-rewrite interference graph and assignment, the applied LVR
-set, a colouring result), so they check nothing unless that context is
-supplied — the interference graph of :mod:`repro.compiler.webs` is built on
-per-register live ranges, deliberately conservative, and re-deriving it from
-the rewritten program alone would flag legal programs.  The reallocator and
-colourer pass their context in; ``verify_program`` on a bare program runs
-RVP001–RVP006.
+RVP007 and RVP008 are *context* rules: they need artifacts only a compiler
+pass holds (the pre-rewrite interference graph and assignment, the applied
+LVR set), so they check nothing unless that context is supplied — the
+interference graph of :mod:`repro.compiler.webs` is built on per-register
+live ranges, deliberately conservative, and re-deriving it from the
+rewritten program alone would flag legal programs.  The reallocator passes
+its context in; ``verify_program`` on a bare program runs RVP001–RVP006.
 
 RVP010–RVP013 are *heavy* rules backed by the abstract-interpretation layer
 (:mod:`repro.analysis.absint`): they raise the program to SSA and run the
@@ -122,8 +120,6 @@ class VerifyContext:
     lvr_pcs: Set[int] = field(default_factory=set)
     #: per-procedure (webs, interference, assignment) from a realloc pass.
     allocations: Sequence[AllocationCheck] = ()
-    #: spill diagnostics surfaced by the colourer (RVP009).
-    spills: Sequence[Diagnostic] = ()
     #: lazy ProgramAbsint cache for the heavy rules (None until first use).
     _absint: Optional[object] = field(default=None, repr=False, compare=False)
     _absint_failed: bool = field(default=False, repr=False, compare=False)
@@ -420,17 +416,6 @@ def _check_loop_exclusive(ctx: VerifyContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# RVP009 — spills surfaced by the colourer
-# ----------------------------------------------------------------------
-@rule("RVP009", Severity.ERROR, "spill: a colouring node found no free register")
-def _check_spills(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    # The colourer emits these itself (see compiler.coloring.color_graph);
-    # the rule folds them into the normal diagnostic stream.
-    for diag in ctx.spills:
-        yield diag
-
-
-# ----------------------------------------------------------------------
 # RVP010 — rvp-marked "invariant" load provably clobbered in its loop
 # ----------------------------------------------------------------------
 @rule(
@@ -610,12 +595,7 @@ def _check_dropped_loads(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 def _diag(ctx: VerifyContext, rule_id: str, severity: Severity, pc: Optional[int], message: str) -> Diagnostic:
     proc = ctx.proc_name(pc) if pc is not None and 0 <= pc < len(ctx.program) else "-"
-    context = None
-    if pc is not None and ctx.program.source_map is not None:
-        loc = ctx.program.source_map.get(pc)
-        if loc is not None:
-            context = f"block {loc.block}, loop depth {loc.loop_depth}"
-    return Diagnostic(rule=rule_id, severity=severity, pc=pc, procedure=proc, message=message, context=context)
+    return Diagnostic(rule=rule_id, severity=severity, pc=pc, procedure=proc, message=message)
 
 
 def verify_program(
@@ -624,7 +604,6 @@ def verify_program(
     lvr_pcs: Optional[Iterable[int]] = None,
     config: Optional[LintConfig] = None,
     allocations: Sequence[AllocationCheck] = (),
-    spills: Sequence[Diagnostic] = (),
 ) -> List[Diagnostic]:
     """Run every enabled rule; returns diagnostics sorted worst-first."""
     config = config or LintConfig()
@@ -634,7 +613,6 @@ def verify_program(
         lists=lists,
         lvr_pcs=set(lvr_pcs or ()),
         allocations=allocations,
-        spills=spills,
     )
     diagnostics: List[Diagnostic] = []
     for info in registered_rules():
@@ -661,7 +639,6 @@ def check_program(
     lvr_pcs: Optional[Iterable[int]] = None,
     config: Optional[LintConfig] = None,
     allocations: Sequence[AllocationCheck] = (),
-    spills: Sequence[Diagnostic] = (),
     baseline: Optional[Program] = None,
     pc_map: Optional[Dict[int, int]] = None,
 ) -> List[Diagnostic]:
@@ -679,8 +656,7 @@ def check_program(
     """
     config = config or LintConfig(include_heavy=False)
     diagnostics = verify_program(
-        program, lists=lists, lvr_pcs=lvr_pcs, config=config,
-        allocations=allocations, spills=spills,
+        program, lists=lists, lvr_pcs=lvr_pcs, config=config, allocations=allocations,
     )
     if not has_errors(diagnostics):
         return diagnostics

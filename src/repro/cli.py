@@ -488,7 +488,7 @@ def _sorted_classes(estimate) -> dict:
 
 
 def _reuse_report(session, name: str, args: argparse.Namespace):
-    from .analysis.reuse_static import StaticReuseEstimator, compare_with_profile, reuse_by_loop_depth
+    from .analysis.reuse_static import StaticReuseEstimator, compare_with_profile
     from .ir.nodes import IRError
 
     program = session.workload(name).program
@@ -497,9 +497,6 @@ def _reuse_report(session, name: str, args: argparse.Namespace):
     estimate = StaticReuseEstimator(program).estimate()
     report = compare_with_profile(estimate, profile, lists)
     report["static_classes"] = _sorted_classes(estimate)
-    by_depth = reuse_by_loop_depth(program, estimate, lists)
-    if by_depth is not None:  # IR-lowered programs carry a source map
-        report["by_loop_depth"] = by_depth
 
     # Symbolic (absint-backed) side-by-side, when the program raises to SSA.
     try:
@@ -612,13 +609,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                     f"weighted same {weighted['same']:.1%} (profiled {fig1['same']:.1%}), "
                     f"dead {weighted['dead']:.1%} (profiled {fig1['dead']:.1%})"
                 )
-                for depth, bucket in entry.get("by_loop_depth", {}).items():
-                    print(
-                        f"  loop depth {depth}: {bucket['loads']} load(s) — "
-                        f"static same {bucket['same']}, dead {bucket['dead']}, lv {bucket['last_value']}; "
-                        f"profiled same {bucket['profiled_same']}, dead {bucket['profiled_dead']}, "
-                        f"lv {bucket['profiled_last_value']}"
-                    )
                 symbolic = entry.get("symbolic")
                 if symbolic is not None:
                     counts = symbolic["static_counts"]
@@ -806,8 +796,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_ir(args: argparse.Namespace) -> int:
-    from .analysis.verifier import verify_program
-    from .ir import IRError, lower_module, raise_program, roundtrip
+    from .ir import IRError, raise_program
     from .testing import GeneratorConfig, generate_case
     from .workloads.suite import make_workload
 
@@ -820,16 +809,13 @@ def _cmd_ir(args: argparse.Namespace) -> int:
         print("ir: nothing to do (name workloads, or use --all / --generated N)", file=sys.stderr)
         return 2
 
-    targets = []  # (label, program, memory factory)
-    for name in names:
-        workload = make_workload(name)
-        targets.append((name, workload.program, lambda w=workload: w.memory("ref")))
+    targets = [(name, make_workload(name).program) for name in names]
     for i in range(args.generated):
         case = generate_case(args.seed + i, GeneratorConfig())
-        targets.append((f"gen[{case.seed}]", case.program, case.memory))
+        targets.append((f"gen[{case.seed}]", case.program))
 
     failures = 0
-    for label, program, memory_factory in targets:
+    for label, program in targets:
         try:
             module = raise_program(program)
         except IRError as exc:
@@ -838,39 +824,10 @@ def _cmd_ir(args: argparse.Namespace) -> int:
             continue
         if args.dump_ssa:
             print(module.render())
-        if args.verify:
-            lowering, report = roundtrip(program, memory_factory)
-            if report.ok:
-                identical = len(lowering.program) == len(program) and all(
-                    a.render() == b.render() for a, b in zip(program, lowering.program)
-                )
-                shape = "identical" if identical else f"equivalent ({len(lowering.program)} pcs)"
-                lint = [d for d in verify_program(lowering.program) if d.is_error]
-                if lint:
-                    print(f"{label}: LINT FAILED on lowered program — {len(lint)} error(s)")
-                    for diag in lint[:5]:
-                        print(f"  {diag.render()}")
-                    failures += 1
-                    continue
-                print(
-                    f"{label}: round trip ok — {report.original_committed} committed, {shape}, lint clean"
-                )
-            else:
-                print(f"{label}: ROUND TRIP FAILED — {report.mismatch}")
-                failures += 1
-                continue
-        else:
-            lowering = lower_module(module)
-            if not args.dump_ssa and not args.dump_asm:
-                funcs = module.functions
-                phis = sum(len(b.phis) for f in funcs for b in f.blocks)
-                print(
-                    f"{label}: {len(funcs)} function(s), "
-                    f"{sum(len(f.blocks) for f in funcs)} blocks, {phis} phis, "
-                    f"{len(program)} -> {len(lowering.program)} pcs"
-                )
-        if args.dump_asm:
-            print(lowering.program.render())
+            continue
+        funcs = module.functions
+        phis = sum(len(b.phis) for f in funcs for b in f.blocks)
+        print(f"{label}: {len(funcs)} function(s), {sum(len(f.blocks) for f in funcs)} blocks, {phis} phis")
     if failures:
         print(f"ir: {failures} of {len(targets)} target(s) failed", file=sys.stderr)
     return 1 if failures else 0
@@ -888,7 +845,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         load_density=args.load_density,
         register_pressure=args.register_pressure,
         branch_mix=args.branch_mix,
-        frontend=args.frontend,
     ).validated()
 
     def progress(done: int, total: int) -> None:
@@ -1252,24 +1208,15 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--load-density", type=float, default=0.25, help="generator: fraction of loads")
     fuzz_parser.add_argument("--register-pressure", type=int, default=8, help="generator: working registers")
     fuzz_parser.add_argument("--branch-mix", type=float, default=0.4, help="generator: branchy-segment fraction")
-    fuzz_parser.add_argument(
-        "--frontend", choices=("flat", "ir"), default="flat",
-        help="generator frontend: flat register-level builder, or IR temporaries through the SSA mid-end",
-    )
     fuzz_parser.set_defaults(fn=_cmd_fuzz)
 
-    ir_parser = sub.add_parser("ir", help="raise, inspect and round-trip programs through the SSA mid-end")
+    ir_parser = sub.add_parser("ir", help="raise programs to SSA and summarise or print them")
     ir_parser.add_argument(
         "workload", nargs="*", metavar="WORKLOAD",
         help="workloads to process (default: none; use --all for every workload)",
     )
     ir_parser.add_argument("--all", action="store_true", help="process every registered workload")
     ir_parser.add_argument("--dump-ssa", action="store_true", help="print the raised SSA module")
-    ir_parser.add_argument("--dump-asm", action="store_true", help="print the lowered flat program")
-    ir_parser.add_argument(
-        "--verify", action="store_true",
-        help="round-trip each program (raise -> lower) and check trace equivalence",
-    )
     ir_parser.add_argument(
         "--generated", type=int, default=0, metavar="N",
         help="also process N generator programs (seeds SEED..SEED+N-1)",

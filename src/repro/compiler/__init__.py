@@ -1,6 +1,5 @@
-"""Compiler back end: liveness, webs, interference, colouring, reallocation, marking."""
+"""Compiler back end: liveness, webs, interference, reallocation, marking, insertion."""
 
-from .coloring import ColorNode, ColoringResult, color_graph
 from .insertion import insert_after
 from .interference import build_interference, interferes
 from .liveness import LivenessInfo, compute_liveness, defs_and_uses
@@ -10,9 +9,6 @@ from .stride_pass import StridePassReport, apply_stride_pass
 from .webs import Web, WebAnalysis, build_webs
 
 __all__ = [
-    "ColorNode",
-    "ColoringResult",
-    "color_graph",
     "insert_after",
     "StridePassReport",
     "apply_stride_pass",

@@ -16,7 +16,6 @@ no architectural consumers) and conservative for anything else.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instructions import Instruction
@@ -70,18 +69,7 @@ def insert_after(
 
     labels = {label: shifted(pc) for label, pc in program.labels.items()}
     procedures = [Procedure(p.name, shifted(p.start), shifted(p.end)) for p in program.procedures]
-    source_map = None
-    if program.source_map is not None:
-        # Carried instructions keep their provenance; inserted ones inherit
-        # the location of the instruction they follow.
-        source_map = {pc_map[pc]: loc for pc, loc in program.source_map.items()}
-        for old_pc in insertions:
-            loc = program.source_map.get(old_pc)
-            if loc is None:
-                continue
-            for new_pc in range(pc_map[old_pc] + 1, shifted(old_pc + 1)):
-                source_map[new_pc] = replace(loc, origin_pc=None)
-    new_program = Program(new_insts, labels, name or f"{program.name}+ins", procedures, source_map=source_map)
+    new_program = Program(new_insts, labels, name or f"{program.name}+ins", procedures)
 
     from ..analysis.verifier import check_program, verification_enabled
 

@@ -28,9 +28,9 @@ paper's pruning would have discarded.
 
 Unlike a from-scratch Chaitin pass, the repair touches only candidate webs:
 untouched code keeps its original registers, so reuse that already exists in
-the input program is never collateral damage.  (The full Chaitin-Briggs
-colourer in :mod:`repro.compiler.coloring` backstops the repair: the final
-assignment is verified against the augmented interference graph.)
+the input program is never collateral damage.  The final assignment is
+verified against the augmented interference graph (RVP007) and the applied
+LVR set (RVP008).
 """
 
 from __future__ import annotations

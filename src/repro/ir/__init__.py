@@ -1,29 +1,19 @@
-"""SSA compiler mid-end: programmatic IR, allocation, and lowering.
+"""SSA view of flat programs: raising and SSA construction.
 
-The package splits into layers:
+The package has two layers:
 
 * :mod:`repro.ir.nodes` — the data model (values, phis, blocks, functions);
-* :mod:`repro.ir.ssa` — raising flat programs and SSA construction;
-* :mod:`repro.ir.liveness` — tick-grain value liveness;
-* :mod:`repro.ir.regalloc` — coalescing, colouring (reusing the flat
-  Chaitin–Briggs machinery) and spilling;
-* :mod:`repro.ir.lower` — SSA destruction and emission back to the flat ISA;
-* :mod:`repro.ir.builder` — the programmatic front end;
-* :mod:`repro.ir.equiv` — trace-equivalence checking for round trips.
+* :mod:`repro.ir.ssa` — raising flat programs and SSA construction.
 
-Its users are abstract interpretation (:mod:`repro.analysis.absint`), the
-IR-authored workloads, ``repro ir`` and the IR fuzz front end.  The RVP
-passes themselves (marking, insertion, stride shadows, Section 7.3
-reallocation) run on the flat program in :mod:`repro.compiler`.
+Its users are abstract interpretation (:mod:`repro.analysis.absint`, and
+through it the verifier's RVP010–RVP013 and the symbolic reuse
+estimator), ``repro ir --dump-ssa`` and the SSA tests.  The RVP passes
+themselves (marking, insertion, stride shadows, Section 7.3 reallocation)
+run on the flat program in :mod:`repro.compiler`; nothing lowers IR back
+to the flat ISA.
 """
 
-from .builder import IRBuilder
-from .equiv import EquivalenceReport, check_equivalence, roundtrip
-from .liveness import ENTRY_TICK, ValueLiveness, value_liveness
-from .lower import LoweringResult, lower_module, sequence_copies
 from .nodes import (
-    FP,
-    INT,
     Block,
     IRError,
     IRFunction,
@@ -34,22 +24,9 @@ from .nodes import (
     VReg,
     verify_ssa,
 )
-from .regalloc import SPILL_BASE, SPILL_END, AllocationResult, SpillSlots, allocate
 from .ssa import arch_vreg, raise_program, to_ssa
 
 __all__ = [
-    "IRBuilder",
-    "EquivalenceReport",
-    "check_equivalence",
-    "roundtrip",
-    "ENTRY_TICK",
-    "ValueLiveness",
-    "value_liveness",
-    "LoweringResult",
-    "lower_module",
-    "sequence_copies",
-    "FP",
-    "INT",
     "Block",
     "IRError",
     "IRFunction",
@@ -59,11 +36,6 @@ __all__ = [
     "Value",
     "VReg",
     "verify_ssa",
-    "SPILL_BASE",
-    "SPILL_END",
-    "AllocationResult",
-    "SpillSlots",
-    "allocate",
     "arch_vreg",
     "raise_program",
     "to_ssa",

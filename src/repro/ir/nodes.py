@@ -1,21 +1,17 @@
 """The SSA IR data model: virtual registers, values, phis, blocks, functions.
 
-The mid-end represents a procedure as an :class:`IRFunction` — an ordered
-list of :class:`Block` objects whose instructions mirror the flat ISA's
-operand conventions one-for-one (same opcode table, same ``dst/src1/src2/imm``
-shapes), so raising and lowering are structural transliterations rather than
-instruction selection.
+The IR represents a procedure as an :class:`IRFunction` — an ordered list
+of :class:`Block` objects whose instructions mirror the flat ISA's operand
+conventions one-for-one (same opcode table, same ``dst/src1/src2/imm``
+shapes), so raising is a structural transliteration.
 
 Two operand domains exist over the same instruction shape:
 
-* **pre-SSA** — operands are :class:`VReg` storage locations (architectural
-  registers for code raised from a :class:`~repro.isa.program.Program`,
-  named temporaries for builder-authored code).  This is what the front end
-  (:mod:`repro.ir.builder`) and the raiser produce.
+* **pre-SSA** — operands are :class:`VReg` storage locations (the
+  architectural registers of the raised
+  :class:`~repro.isa.program.Program`).  This is what the raiser produces.
 * **SSA** — after :func:`repro.ir.ssa.to_ssa`, operands are :class:`Value`
   objects: one definition each, merged at join points by :class:`Phi` nodes.
-  Webs are free in this form — a web is just a value (plus the phi-connected
-  values the allocator chooses to coalesce).
 
 Control flow follows the flat ISA's layout semantics: a block falls through
 to the next block in ``IRFunction.blocks`` unless its last instruction is an
@@ -23,44 +19,33 @@ unconditional transfer; conditional branches have an explicit ``target``
 label plus the fallthrough edge.  ``jsr`` targets name *functions* (callees
 are separate IRFunctions), not blocks.
 
-Values carry two register affinities the allocator honours:
-
-* ``vreg.reg`` — a soft *preference* (the architectural register the value
-  descends from); unconstrained colouring reproduces the input program.
-* ``pin`` — a hard requirement imposed by the calling convention (values
-  arriving at entry, call arguments/clobbers, exit live-outs), the SSA
-  analogue of the flat allocator's *fixed webs*.
+A value's ``pin`` is the register the calling convention requires it to
+occupy (values arriving at entry, call arguments/clobbers, exit live-outs),
+the SSA analogue of the flat web builder's *fixed webs*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
 from ..isa.opcodes import OpKind, Opcode, opcode
 from ..isa.registers import Reg
 
-INT = "int"
-FP = "fp"
-
 
 class IRError(Exception):
-    """Malformed IR: validation, SSA construction or lowering failure."""
+    """Malformed IR: validation or SSA construction failure."""
 
 
 @dataclass(frozen=True)
 class VReg:
-    """A pre-SSA storage location (architectural register or named temp).
-
-    ``reg`` is the architectural register this location descends from —
-    set for raised code, ``None`` for builder temporaries until allocation.
-    """
+    """A pre-SSA storage location: one architectural register."""
 
     name: str
-    kind: str  # INT or FP
-    reg: Optional[Reg] = None
+    kind: str  # repro.isa.registers.INT or FP
+    reg: Reg
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"%{self.name}"
@@ -69,7 +54,7 @@ class VReg:
 class Value:
     """One SSA value: a single definition, any number of uses."""
 
-    __slots__ = ("vid", "kind", "vreg", "pin", "assigned_reg", "no_spill")
+    __slots__ = ("vid", "kind", "vreg", "pin")
 
     def __init__(self, vid: int, kind: str, vreg: Optional[VReg] = None, pin: Optional[Reg] = None) -> None:
         self.vid = vid
@@ -77,16 +62,6 @@ class Value:
         self.vreg = vreg
         #: Hard calling-convention register requirement (fixed-web analogue).
         self.pin = pin
-        #: Filled in by the register allocator during lowering.
-        self.assigned_reg: Optional[Reg] = None
-        #: Spill-generated temporaries must stay in registers (their live
-        #: ranges are one instruction long); spilling one again means the
-        #: allocator diverged.
-        self.no_spill = False
-
-    @property
-    def preferred(self) -> Optional[Reg]:
-        return self.vreg.reg if self.vreg is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         base = self.vreg.name if self.vreg is not None else self.kind
@@ -106,8 +81,7 @@ class IRInstr:
     """One IR instruction, shaped exactly like a flat :class:`Instruction`.
 
     ``target`` is a block label for branches/jumps and a *function* name for
-    ``jsr``.  ``origin_pc`` is the flat pc this instruction was raised from
-    (``None`` for builder-authored instructions and spill code).
+    ``jsr``.  ``origin_pc`` is the flat pc this instruction was raised from.
     ``implicit_defs``/``implicit_uses`` are filled during SSA renaming with
     the calling-convention values a call/exit defines and consumes.
     """
@@ -400,30 +374,6 @@ class IRFunction:
             if label in body and d > depth:
                 depth = d
         return depth
-
-    # ------------------------------------------------------------------
-    # Traversal
-    # ------------------------------------------------------------------
-    def values(self) -> Iterator[Value]:
-        """Every SSA value defined in this function, in definition order."""
-        seen: Set[int] = set()
-        for value in self.entry_values:
-            if value.vid not in seen:
-                seen.add(value.vid)
-                yield value
-        for block in self.blocks:
-            for phi in block.phis:
-                if phi.dst.vid not in seen:
-                    seen.add(phi.dst.vid)
-                    yield phi.dst
-            for instr in block.instrs:
-                if isinstance(instr.defined, Value) and instr.defined.vid not in seen:
-                    seen.add(instr.defined.vid)
-                    yield instr.defined
-                for value in instr.implicit_defs:
-                    if value.vid not in seen:
-                        seen.add(value.vid)
-                        yield value
 
     def render(self) -> str:
         lines = [f"func {self.name}:"]

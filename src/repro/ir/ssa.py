@@ -54,8 +54,8 @@ def _block_label(program: Program, proc: Procedure, start: int) -> str:
     return f"{proc.name}__b{start}"
 
 
-def raise_program(program: Program, *, ssa: bool = True) -> IRModule:
-    """Transliterate ``program`` into an IR module (SSA by default)."""
+def raise_program(program: Program) -> IRModule:
+    """Transliterate ``program`` into an SSA IR module."""
     module = IRModule(name=program.name)
     callee_of: Dict[int, str] = {p.start: p.name for p in program.procedures}
     for proc in program.procedures:
@@ -94,9 +94,8 @@ def raise_program(program: Program, *, ssa: bool = True) -> IRModule:
                         origin_pc=pc,
                     )
                 )
-    if ssa:
-        for func in module.functions:
-            to_ssa(func)
+    for func in module.functions:
+        to_ssa(func)
     return module
 
 

@@ -4,7 +4,7 @@ from .assembler import AssemblerError, assemble
 from .builder import ProgramBuilder
 from .instructions import Instruction
 from .opcodes import LOAD_BASE_LATENCY, MASK64, OPCODES, FuClass, Opcode, OpKind, opcode, to_signed, to_unsigned
-from .program import BasicBlock, Loop, Procedure, Program, SourceLoc
+from .program import BasicBlock, Loop, Procedure, Program
 from .registers import (
     ALLOCATABLE_FP,
     ALLOCATABLE_INT,
@@ -43,7 +43,6 @@ __all__ = [
     "Loop",
     "Procedure",
     "Program",
-    "SourceLoc",
     "ALLOCATABLE_FP",
     "ALLOCATABLE_INT",
     "ARG_REGS",

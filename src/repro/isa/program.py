@@ -55,28 +55,6 @@ class BasicBlock:
 
 
 @dataclass(frozen=True)
-class SourceLoc:
-    """Provenance of one lowered instruction, when a program came from IR.
-
-    ``block`` is the IR basic-block label the instruction descends from,
-    ``loop_depth`` that block's loop-nest depth in the IR (0 = not in any
-    loop), and ``origin_pc`` the flat pc of the source instruction when the
-    IR was itself raised from a :class:`Program` (``None`` for IR-authored
-    code and compiler-introduced copies/spills).
-    """
-
-    block: str
-    loop_depth: int = 0
-    origin_pc: Optional[int] = None
-
-    def render(self) -> str:
-        where = f"block {self.block}"
-        if self.loop_depth:
-            where += f", loop depth {self.loop_depth}"
-        return where
-
-
-@dataclass(frozen=True)
 class Loop:
     """A natural loop: header block pc, member pcs, and nesting depth (1 = outermost)."""
 
@@ -102,14 +80,9 @@ class Program:
         labels: Dict[str, int],
         name: str = "program",
         procedures: Optional[Sequence[Procedure]] = None,
-        source_map: Optional[Dict[int, SourceLoc]] = None,
     ) -> None:
         self.name = name
         self.labels: Dict[str, int] = dict(labels)
-        #: pc -> IR provenance, populated by the :mod:`repro.ir` lowering
-        #: pipeline and carried through 1:1 rewrites; ``None`` for programs
-        #: that never went through the IR.
-        self.source_map: Optional[Dict[int, SourceLoc]] = dict(source_map) if source_map else None
         resolved: List[Instruction] = []
         for index, inst in enumerate(instructions):
             target_pc = None
@@ -194,7 +167,7 @@ class Program:
         compiler passes ever do).
         """
         new_insts = [fn(inst) for inst in self.instructions]
-        return Program(new_insts, self.labels, name or self.name, self.procedures, source_map=self.source_map)
+        return Program(new_insts, self.labels, name or self.name, self.procedures)
 
     # ------------------------------------------------------------------
     # Rendering

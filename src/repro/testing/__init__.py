@@ -3,7 +3,7 @@
 Four layers, composed by :func:`run_fuzz` (the engine behind ``repro fuzz``):
 
 - :mod:`~repro.testing.generator` — seeded random RVP programs that pass the
-  verifier clean (RVP001–RVP009), parameterised by loop depth, load density,
+  verifier clean (RVP001–RVP008), parameterised by loop depth, load density,
   register pressure and branch mix.
 - :mod:`~repro.testing.oracles` — the six differential oracle families:
   trace-equivalence, pass-preservation, predictor-sanity, recovery-invariant,

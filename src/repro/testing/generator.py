@@ -1,6 +1,6 @@
 """Seeded random-program generator for the differential fuzzing harness.
 
-Programs come out *verifier-clean* (no RVP001–RVP009 errors or warnings) and
+Programs come out *verifier-clean* (no RVP001–RVP008 errors or warnings) and
 *provably terminating*, so every oracle can run them without hand-written
 termination proofs:
 
@@ -65,15 +65,8 @@ class GeneratorConfig:
     branch_mix: float = 0.4
     #: loop trip counts drawn from [1, max_trips]
     max_trips: int = 4
-    #: program construction path: "flat" emits architectural registers
-    #: through :class:`~repro.isa.builder.ProgramBuilder`; "ir" authors the
-    #: same shape family against :class:`~repro.ir.builder.IRBuilder`
-    #: temporaries and runs the full SSA mid-end (allocation, lowering)
-    frontend: str = "flat"
 
     def validated(self) -> "GeneratorConfig":
-        if self.frontend not in ("flat", "ir"):
-            raise ValueError(f"unknown generator frontend {self.frontend!r}; choose 'flat' or 'ir'")
         cfg = replace(
             self,
             segments=max(1, self.segments),
@@ -112,10 +105,6 @@ def generate_case(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Gen
     """Deterministically generate one verifier-clean, terminating case."""
     cfg = config.validated()
     rng = random.Random(seed)
-    if cfg.frontend == "ir":
-        program = _generate_ir_program(seed, cfg, rng)
-        words = tuple((addr, rng.randrange(0, 1 << 20)) for addr in ADDRESS_POOL)
-        return GeneratedCase(seed=seed, config=cfg, program=program, memory_words=words)
     int_regs: List[Reg] = [R[i] for i in range(1, cfg.register_pressure + 1)]
     fp_regs: List[Reg] = [F[i] for i in range(1, max(2, cfg.register_pressure - 2) + 1)]
 
@@ -184,88 +173,3 @@ def generate_case(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Gen
 
     words = tuple((addr, rng.randrange(0, 1 << 20)) for addr in ADDRESS_POOL)
     return GeneratedCase(seed=seed, config=cfg, program=b.build(), memory_words=words)
-
-
-def _generate_ir_program(seed: int, cfg: GeneratorConfig, rng: random.Random) -> Program:
-    """The IR-front-end twin of the flat generator body.
-
-    Same shape family (counted loops, guarded skips, straight-line runs over
-    a fixed working set), but operands are IR temporaries instead of
-    architectural registers: the emitted program is whatever the SSA
-    mid-end's allocator and lowerer produce, so fuzzing with this frontend
-    exercises coalescing, phi elimination and (under pressure) spilling on
-    every case.  Loop counters are ordinary temporaries here — exclusivity
-    falls out of interference, no reservation needed.
-    """
-    from ..ir import IRBuilder
-
-    b = IRBuilder(f"fuzz_{seed}")
-    f = b.function("main")
-    f.block("main")
-    int_vars = [f.var(f"v{i}") for i in range(cfg.register_pressure)]
-    fp_vars = [f.var(f"w{i}", "fp") for i in range(max(2, cfg.register_pressure - 2))]
-    for var in int_vars:
-        f.li(var, rng.randrange(0, 1 << 16))
-    for var in fp_vars:
-        f.fli(var, rng.randrange(0, 1 << 12))
-
-    labels = iter(range(1 << 20))
-
-    def fresh(stem: str) -> str:
-        return f"{stem}_{next(labels)}"
-
-    def emit_op() -> None:
-        roll = rng.random()
-        if roll < cfg.load_density:
-            addr = rng.choice(ADDRESS_POOL)
-            if rng.random() < 0.3:
-                f.fld(rng.choice(fp_vars), R[31], addr)
-            else:
-                f.ld(rng.choice(int_vars), R[31], addr)
-        elif roll < cfg.load_density + cfg.store_density:
-            addr = rng.choice(ADDRESS_POOL)
-            if rng.random() < 0.3:
-                f.fst(rng.choice(fp_vars), R[31], addr)
-            else:
-                f.st(rng.choice(int_vars), R[31], addr)
-        elif rng.random() < 0.25:
-            op = rng.choice(_FP_OPS)
-            f.emit(op, dst=rng.choice(fp_vars), src1=rng.choice(fp_vars), src2=rng.choice(fp_vars))
-        else:
-            op = rng.choice(_INT_OPS)
-            dst, a = rng.choice(int_vars), rng.choice(int_vars)
-            if rng.random() < 0.5:
-                f.emit(op, dst=dst, src1=a, src2=rng.choice(int_vars))
-            else:
-                f.emit(op, dst=dst, src1=a, imm=rng.randrange(0, 64))
-
-    def emit_run(limit: int) -> None:
-        for _ in range(rng.randrange(1, limit + 1)):
-            emit_op()
-
-    def emit_segment(depth: int) -> None:
-        if depth < cfg.loop_depth and rng.random() < 0.6:
-            counter = f.var(fresh(f"c{depth}"))
-            head = fresh(f"loop_d{depth}")
-            f.li(counter, rng.randrange(1, cfg.max_trips + 1))
-            f.block(head)
-            emit_run(cfg.ops_per_segment)
-            if depth + 1 < cfg.loop_depth and rng.random() < 0.5:
-                emit_segment(depth + 1)
-            f.sub(counter, counter, 1)
-            f.bne(counter, head)
-            f.block(fresh("after"))
-            return
-        if rng.random() < cfg.branch_mix:
-            skip = fresh("skip")
-            f.emit(rng.choice(_BRANCH_OPS), src1=rng.choice(int_vars), target=skip)
-            f.block(fresh("then"))
-            emit_run(max(1, cfg.ops_per_segment // 2))
-            f.block(skip)
-            return
-        emit_run(cfg.ops_per_segment)
-
-    for _ in range(rng.randrange(1, cfg.segments + 1)):
-        emit_segment(0)
-    f.halt()
-    return b.program()

@@ -428,9 +428,8 @@ def check_pass_preservation(case: GeneratedCase) -> None:
 
     # -- raw insertion: benign self-moves after deterministic ALU sites --
     # Each site self-moves its own destination register: that register is
-    # defined at the insertion point by construction, so the check is
-    # independent of the allocator's register numbering (IR-lowered
-    # programs need not define r0 first).
+    # defined at the insertion point by construction, so the check holds
+    # whatever registers the program defines first.
     alu_sites = [
         inst.pc
         for inst in program

@@ -4,7 +4,6 @@ from repro.analysis.reuse_static import (
     ReuseClass,
     StaticReuseEstimator,
     compare_with_profile,
-    reuse_by_loop_depth,
 )
 from repro.isa import R, assemble
 
@@ -240,25 +239,6 @@ def test_sibling_chain_across_nested_loops():
     assert clobbered.source_pc == 5
     # ... and the sibling itself is SAME within the inner loop.
     assert only_load(estimate, 5).reuse is ReuseClass.SAME
-
-
-def test_reuse_by_loop_depth_flat_program_is_none():
-    program, estimate = classify(NESTED_SIBLINGS)
-    assert program.source_map is None
-    assert reuse_by_loop_depth(program, estimate) is None
-
-
-def test_reuse_by_loop_depth_ir_lowered_buckets_every_load():
-    from repro.workloads import make_workload
-
-    program = make_workload("dotprod").program
-    assert program.source_map is not None
-    estimate = StaticReuseEstimator(program).estimate()
-    by_depth = reuse_by_loop_depth(program, estimate)
-    assert by_depth is not None and by_depth
-    assert sum(bucket["loads"] for bucket in by_depth.values()) == len(estimate.loads)
-    for bucket in by_depth.values():
-        assert {"loads", "same", "dead", "last_value"} <= set(bucket)
 
 
 def test_compare_with_profile_shape():

@@ -212,6 +212,22 @@ def test_depth_buckets_with_trip_weighted_reuse():
     assert out["0"]["trip_weighted_reuse"] is None
 
 
+def test_depth_buckets_cover_every_workload_load():
+    from repro.workloads import WORKLOAD_CLASSES, make_workload
+
+    for name in WORKLOAD_CLASSES:
+        program = make_workload(name).program
+        estimator = SymbolicReuseEstimator(program)
+        estimate = estimator.estimate()
+        loads = {inst.pc for inst in program if inst.op.is_load}
+        assert set(estimate.loads) == loads, name
+        out = symbolic_reuse_by_depth(estimator.absint, estimate)
+        assert sum(bucket["loads"] for bucket in out.values()) == len(loads), name
+        if name in ("dotprod", "stencil"):
+            # header loads outside any loop; the rest in the inner loop
+            assert set(out) == {"0", "2"}, name
+
+
 # ----------------------------------------------------------------------
 # Acceptance spot-check: symbolic never behind the heuristic on workloads
 # ----------------------------------------------------------------------

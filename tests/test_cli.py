@@ -165,7 +165,7 @@ def test_lint_json_output(capsys):
 def test_lint_rules_catalog(capsys):
     code, out = run_cli(capsys, "lint", "--rules")
     assert code == 0
-    for rule_id in ("RVP001", "RVP005", "RVP009"):
+    for rule_id in ("RVP001", "RVP005", "RVP013"):
         assert rule_id in out
 
 
@@ -326,3 +326,14 @@ def test_fuzz_command_rejects_unknown_oracle():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["fuzz", "--oracle", "nonsense"])
+
+
+def test_ir_command_raises_every_workload(capsys):
+    code, out = run_cli(capsys, "ir", "--all", "--generated", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11 + 2
+    assert "dotprod: 1 function(s), 5 blocks, 6 phis" in lines
+    code, out = run_cli(capsys, "ir", "stencil", "--dump-ssa")
+    assert code == 0
+    assert out.startswith("func main:") and "phi " in out

@@ -12,7 +12,7 @@ SEEDS = range(40)
 
 
 def test_generated_programs_are_verifier_clean():
-    """Every generated program passes RVP001..RVP009 with zero diagnostics.
+    """Every generated program passes RVP001..RVP008 with zero diagnostics.
 
     Heavy absint rules are excluded: generated control flow legitimately
     contains interval-dead arms (RVP012-style findings are advisory there).

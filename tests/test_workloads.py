@@ -5,7 +5,7 @@ import pytest
 
 from repro.profiling import ReuseProfile
 from repro.sim import run_program
-from repro.workloads import C_SPEC, F_SPEC, IR_AUTHORED, WORKLOAD_CLASSES, all_workloads, make_workload
+from repro.workloads import C_SPEC, F_SPEC, PAPER_WORKLOADS, WORKLOAD_CLASSES, all_workloads, make_workload
 
 ALL_NAMES = tuple(WORKLOAD_CLASSES)
 BUDGET = 120_000
@@ -21,23 +21,14 @@ def runs():
 
 
 def test_registry_matches_paper_suite():
-    assert set(ALL_NAMES) == set(C_SPEC) | set(F_SPEC) | set(IR_AUTHORED)
-    assert len(C_SPEC) + len(F_SPEC) == 9  # the paper's figure suite
-    assert len(ALL_NAMES) == 9 + len(IR_AUTHORED)
+    assert PAPER_WORKLOADS == C_SPEC + F_SPEC
+    assert len(PAPER_WORKLOADS) == 9  # the paper's figure suite
+    assert ALL_NAMES[:9] == PAPER_WORKLOADS
+    assert set(ALL_NAMES) == set(PAPER_WORKLOADS) | {"dotprod", "stencil"}
     for name in C_SPEC:
         assert make_workload(name).category == "C"
     for name in F_SPEC:
         assert make_workload(name).category == "F"
-
-
-def test_ir_authored_workloads_come_from_the_mid_end():
-    """The IR workloads must lower through repro.ir and still round-trip."""
-    from repro.ir import roundtrip
-
-    for name in IR_AUTHORED:
-        workload = make_workload(name)
-        lowering, report = roundtrip(workload.program, lambda: workload.memory("ref"))
-        report.raise_if_failed()
 
 
 def test_unknown_workload_rejected():
