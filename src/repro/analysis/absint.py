@@ -10,9 +10,8 @@ each a pluggable domain over the same engine:
   ``alu_fn`` evaluates the result, so constant folding can never disagree
   with the simulator; range arithmetic falls back to ⊤ whenever 64-bit
   wraparound is possible.  Branch conditions over proved ranges prune
-  infeasible CFG edges (classic SCCP), and block reachability under the
-  surviving edges is recomputed with the shared dataflow fixpoint core
-  (:func:`repro.analysis.dataflow.solve_nodes`).
+  infeasible CFG edges (classic SCCP), so only blocks reachable over the
+  surviving edges are analysed.
 
 * **induction recognition** (:class:`InductionFact`) — loop-header phis
   whose back-edge arguments are ``phi + c`` chains of recurrences.  For the
@@ -51,7 +50,6 @@ from ..ir.nodes import Block, IRError, IRFunction, IRInstr, Phi, Value, operand_
 from ..ir.ssa import raise_program
 from ..isa.opcodes import MASK64, OpKind, to_signed, to_unsigned
 from ..isa.program import Program
-from .dataflow import FORWARD, UNION, solve_nodes
 
 #: Phi joins before the moving bounds are widened to ±∞.
 WIDEN_AFTER = 3
@@ -98,10 +96,6 @@ class Interval:
     @property
     def is_const(self) -> bool:
         return self.lo is not None and self.lo == self.hi
-
-    @property
-    def is_top(self) -> bool:
-        return self.lo is None and self.hi is None
 
     def contains(self, value: int) -> bool:
         if self.lo is not None and value < self.lo:
@@ -746,33 +740,6 @@ class FunctionAbsint:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def reachable_under_facts(self) -> Set[str]:
-        """Reachability under feasible edges, via the shared fixpoint core.
-
-        Recomputes what the engine discovered incrementally — one more
-        client of :func:`solve_nodes`, and a cross-check that the pruned
-        edge set and the worklist agree.
-        """
-        order = [b.label for b in self.func.blocks]
-        edges = {label: [] for label in order}
-        for pred, succ in self.executable_edges:
-            edges[pred].append(succ)
-        empty = {label: set() for label in order}
-        solution = solve_nodes(
-            order,
-            lambda label: edges[label],
-            dict(empty),
-            dict(empty),
-            direction=FORWARD,
-            meet=UNION,
-            boundary={"reached"},
-            boundary_nodes={self.func.entry.label},
-        )
-        return {label for label in order if solution.input[label]}
-
-    def interval_of(self, value: Value) -> Interval:
-        return self.intervals.get(value.vid, Interval.top())
-
     def expr_of(self, value: Value) -> AffineExpr:
         iv = self.intervals.get(value.vid)
         if iv is not None and iv.is_const:
@@ -784,9 +751,6 @@ class FunctionAbsint:
         if not instr.op.is_mem:
             return None
         return self._operand_expr(instr.src1).shift(instr.imm or 0)
-
-    def is_induction_sym(self, vid: int) -> bool:
-        return vid in self.induction
 
     def invariant_in(self, expr: AffineExpr, body: Iterable[str]) -> bool:
         """True when no symbol of ``expr`` is (re)defined inside ``body``."""
@@ -883,8 +847,6 @@ class ProgramAbsint:
         self.functions: Dict[str, FunctionAbsint] = {}
         #: flat pc -> (function analysis, SSA instruction, block label).
         self._by_pc: Dict[int, Tuple[FunctionAbsint, IRInstr, str]] = {}
-        #: SSA (function name, header label) -> flat header pc.
-        self._flat_header: Dict[Tuple[str, str], int] = {}
         for func in self.module.functions:
             analysis = FunctionAbsint(func)
             self.functions[func.name] = analysis
@@ -892,12 +854,6 @@ class ProgramAbsint:
                 for instr in block.instrs:
                     if instr.origin_pc is not None:
                         self._by_pc[instr.origin_pc] = (analysis, instr, block.label)
-            for loop in analysis.loops:
-                header = func.block(loop.header)
-                for instr in header.instrs:
-                    if instr.origin_pc is not None:
-                        self._flat_header[(func.name, loop.header)] = instr.origin_pc
-                        break
 
     # ------------------------------------------------------------------
     def lookup(self, pc: int) -> Optional[Tuple[FunctionAbsint, IRInstr, str]]:
@@ -961,9 +917,6 @@ class ProgramAbsint:
             if entry is not None:
                 labels.add(entry[2])
         return labels
-
-    def flat_header_pc(self, func_name: str, header_label: str) -> Optional[int]:
-        return self._flat_header.get((func_name, header_label))
 
     def induction_facts(self) -> List[Tuple[str, InductionFact]]:
         out = []

@@ -99,10 +99,6 @@ def registered_rules() -> Tuple[RuleInfo, ...]:
     return tuple(_REGISTRY.values())
 
 
-def rule_info(rule_id: str) -> RuleInfo:
-    return _REGISTRY[rule_id]
-
-
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
 

@@ -179,9 +179,6 @@ class StaticReuseEstimator:
         self._loop_defs[loop] = defs
         return defs
 
-    def _loop_has_store(self, loop: Loop) -> bool:
-        return any(self.program[pc].is_store for pc in loop.body)
-
     def _store_may_clobber(
         self, loop: Loop, base: Reg, offset: Optional[int], defs_in_loop: Dict[Reg, Set[int]]
     ) -> bool:

@@ -71,16 +71,9 @@ Commands
                  python -m repro fuzz --runs 50 --oracle trace-equivalence --json
                  python -m repro fuzz --runs 200 --out fuzz-repro/
 
-``bench``    Benchmark execution-core throughput (funcsim Minstr/s, pipeline
-             cycles/s, cold-vs-warm session latency), write ``BENCH_<n>.json``
-             and compare against the previous baseline::
-
-                 python -m repro bench --quick
-                 python -m repro bench --json --baseline BENCH_1.json
-
 ``list``     List available workloads and configuration names.
 
-Exit codes: 0 success, 1 lint/fuzz failures or bench regressions were found,
+Exit codes: 0 success, 1 lint/fuzz failures were found,
 2 usage/internal error or a *partial* campaign (some cells failed; the
 journal records which, and ``--resume`` re-executes exactly those), 130 when
 a campaign was interrupted (resume hint printed).
@@ -101,8 +94,8 @@ from .workloads.suite import WORKLOAD_CLASSES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-insts", type=int, default=40_000, help="committed-instruction budget per run")
-    parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="committed-instruction budget per run")
+    parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
     parser.add_argument("--wide", action="store_true", help="use the Section 7.4 16-wide machine")
     parser.add_argument(
         "--recovery",
@@ -919,110 +912,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .bench import (
-        BenchConfig,
-        compare_benchmarks,
-        find_latest_bench,
-        load_bench,
-        next_bench_path,
-        run_benchmarks,
-        write_bench,
-    )
-
-    if args.quick:
-        config = BenchConfig.quick_config()
-        if args.workload:
-            config.workloads = tuple(args.workload)
-    else:
-        config = BenchConfig(
-            workloads=tuple(args.workload) if args.workload else tuple(WORKLOAD_CLASSES),
-            max_instructions=args.max_insts,
-            repeats=args.repeats,
-        )
-    config.profile_top = max(0, args.profile)
-    try:
-        config = config.validated()
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(message: str) -> None:
-        if not args.json:
-            print(f"  {message}", file=sys.stderr)
-
-    root = args.out_dir if args.out_dir else os.getcwd()
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-    auto_baseline = args.baseline is None
-    baseline_path = args.baseline or find_latest_bench(root)
-    payload = run_benchmarks(config, progress=progress)
-
-    comparisons = []
-    if baseline_path is not None:
-        try:
-            baseline = load_bench(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            if not auto_baseline:
-                # An explicitly named baseline must exist and parse.
-                print(f"bench: cannot load baseline {baseline_path}: {exc}", file=sys.stderr)
-                return 2
-            # A missing/corrupt *auto-discovered* baseline (e.g. a previous
-            # run was SIGKILLed mid-write before atomic writes existed) must
-            # not block new measurements: warn and continue uncompared.
-            print(f"bench: ignoring unreadable baseline {baseline_path}: {exc}", file=sys.stderr)
-            baseline = None
-        if baseline is not None:
-            comparisons = compare_benchmarks(
-                payload, baseline, fail_threshold=args.fail_threshold, warn_threshold=args.warn_threshold
-            )
-            payload["baseline"] = {
-                "path": os.path.basename(baseline_path),
-                "comparisons": comparisons,
-            }
-
-    out_path = args.out if args.out else (None if args.no_write else next_bench_path(root))
-    if out_path is not None:
-        write_bench(out_path, payload)
-
-    failed = any(entry["status"] == "fail" for entry in comparisons)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        summary = payload["summary"]
-        print(f"funcsim:  reference {summary['reference_minstr_s_geomean']:.2f} Minstr/s, "
-              f"fast {summary['fast_minstr_s_geomean']:.2f} Minstr/s "
-              f"({summary['fast_speedup_geomean']:.1f}x), "
-              f"trace {summary['trace_minstr_s_geomean']:.2f} Minstr/s "
-              f"({summary['trace_speedup_geomean']:.1f}x)")
-        print(f"pipeline: reference {summary['pipeline_cycles_per_s_geomean']:,.0f} cycles/s, "
-              f"fast {summary['pipeline_fast_cycles_per_s_geomean']:,.0f} cycles/s "
-              f"({summary['pipeline_fast_speedup_geomean']:.1f}x)")
-        for name, result in payload["results"]["session"].items():
-            print(f"session:  {name} cold {result['cold_s'] * 1e3:.1f} ms, "
-                  f"warm {result['warm_s'] * 1e6:.0f} us")
-        for engine, rows in payload.get("profiles", {}).items():
-            print(f"profile [{engine}]:")
-            for row in rows:
-                print(f"  {row['cumtime_s']:8.4f}s cum  {row['tottime_s']:8.4f}s tot  "
-                      f"{row['ncalls']:>9} calls  {row['where']}")
-        for entry in comparisons:
-            if entry["status"] == "missing":
-                print(f"MISSING: {entry['metric']} has no value in "
-                      f"{os.path.basename(baseline_path)}; gate arms once a baseline "
-                      f"with this series is committed (current {entry['current']:.3g})")
-            elif entry["status"] != "ok":
-                print(f"{entry['status'].upper()}: {entry['metric']} dropped "
-                      f"{entry['drop']:.1%} vs {os.path.basename(baseline_path)} "
-                      f"({entry['baseline']:.3g} -> {entry['current']:.3g})")
-        if out_path is not None:
-            print(f"wrote {os.path.basename(out_path)}")
-    return 1 if failed else 0
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     print("workloads:")
     for name, cls in WORKLOAD_CLASSES.items():
@@ -1037,6 +926,13 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text}")
     return value
 
 
@@ -1158,8 +1054,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse-report", action="store_true",
         help="compare static reuse-class estimates against the profiled lists",
     )
-    lint_parser.add_argument("--max-insts", type=int, default=40_000, help="profiling budget for variant construction")
-    lint_parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    lint_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for variant construction")
+    lint_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
     lint_parser.add_argument(
         "--max-gap", type=float, default=None, metavar="FRACTION",
         help="with --reuse-report: exit 3 when any workload's |static - profiled| "
@@ -1182,8 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 1 when any program fails to analyze or symbolic candidates fall behind the heuristic",
     )
-    analyze_parser.add_argument("--max-insts", type=int, default=40_000, help="profiling budget for the overlap report")
-    analyze_parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    analyze_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for the overlap report")
+    analyze_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
     analyze_parser.set_defaults(fn=_cmd_analyze)
 
     from .testing.oracles import ORACLE_FAMILIES
@@ -1223,41 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ir_parser.add_argument("--seed", type=int, default=0, help="first generator seed for --generated")
     ir_parser.set_defaults(fn=_cmd_ir)
-
-    bench_parser = sub.add_parser("bench", help="benchmark execution-core throughput and track regressions")
-    bench_parser.add_argument(
-        "--workload", nargs="+", choices=sorted(WORKLOAD_CLASSES), help="workloads to time (default: all nine)"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="fast smoke mode: m88ksim + mgrid, 20k insts, 2 repeats"
-    )
-    bench_parser.add_argument("--max-insts", type=int, default=40_000, help="committed-instruction budget per run")
-    bench_parser.add_argument("--repeats", type=int, default=3, help="timed repetitions per section (best kept)")
-    bench_parser.add_argument("--json", action="store_true", help="emit the full payload as JSON on stdout")
-    bench_parser.add_argument("--out", metavar="FILE", help="write the payload to FILE instead of BENCH_<n>.json")
-    bench_parser.add_argument(
-        "--out-dir", metavar="DIR",
-        help="directory for BENCH_<n>.json files and baseline discovery (default: cwd)",
-    )
-    bench_parser.add_argument("--no-write", action="store_true", help="do not write a BENCH file")
-    bench_parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="compare against this BENCH file (default: highest-numbered BENCH_<n>.json in cwd)",
-    )
-    bench_parser.add_argument(
-        "--fail-threshold", type=float, default=0.30,
-        help="fail (exit 1) when a summary throughput metric drops more than this fraction",
-    )
-    bench_parser.add_argument(
-        "--warn-threshold", type=float, default=0.10, help="warn when a metric drops more than this fraction"
-    )
-    bench_parser.add_argument(
-        "--profile", type=int, nargs="?", const=15, default=0, metavar="N",
-        help="cProfile each benched engine (funcsim reference/decoded, pipeline "
-        "reference/fast) on the first workload and report the top N cumulative "
-        "hot spots (default N=15)",
-    )
-    bench_parser.set_defaults(fn=_cmd_bench)
 
     list_parser = sub.add_parser("list", help="list workloads and configurations")
     list_parser.set_defaults(fn=_cmd_list)

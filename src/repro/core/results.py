@@ -68,10 +68,6 @@ class ResultTable:
     def status(self, workload: str, config: str) -> Optional[str]:
         return self._statuses.get((workload, config))
 
-    @property
-    def has_failures(self) -> bool:
-        return any(status != "ok" for status in self._statuses.values())
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -82,6 +82,10 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown machine {self.machine!r}; choose from {sorted(MACHINE_FACTORIES)}"
             )
+        if self.max_instructions < 1:
+            raise ValueError(f"max_instructions must be at least 1, got {self.max_instructions}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be between 0 and 1, got {self.threshold}")
 
     # -- identity -------------------------------------------------------
     def config_dict(self) -> Dict[str, object]:

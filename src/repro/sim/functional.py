@@ -235,10 +235,6 @@ class FunctionalSimulator:
             metrics.inc("sim.runs")
             metrics.inc("sim.instructions", executed)
 
-    def run_reference(self, max_instructions: int = 1_000_000, collect_trace: bool = False) -> RunResult:
-        """Eager wrapper over :meth:`iter_run_reference` (the oracle loop)."""
-        return self._drain(self.iter_run_reference(max_instructions=max_instructions), collect_trace)
-
     # ------------------------------------------------------------------
     # Decoded engine — pre-bound handler table, locals-hoisted dispatch
     # ------------------------------------------------------------------

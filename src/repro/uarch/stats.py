@@ -42,10 +42,6 @@ class SimStats:
     def accuracy(self) -> float:
         return self.correct_predictions / self.predictions if self.predictions else 0.0
 
-    @property
-    def predictions_per_cycle(self) -> float:
-        return self.predictions / self.cycles if self.cycles else 0.0
-
     def counters(self) -> Dict[str, int]:
         """Every raw counter field by name (no derived ratios).
 

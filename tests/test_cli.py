@@ -263,6 +263,27 @@ def test_bad_workload_rejected():
         parser.parse_args(["run", "--workload", "gcc"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--workload", "li", "--config", "no_predict"],
+        ["lint", "li"],
+        ["analyze", "li"],
+    ],
+    ids=["run", "lint", "analyze"],
+)
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--max-insts", "0"), ("--max-insts", "-5"), ("--threshold", "1.5"), ("--threshold", "-1")],
+)
+def test_out_of_range_budget_and_threshold_rejected(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "internal error" not in err
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -340,6 +340,20 @@ def test_cli_serve_moves_bad_spec_to_failed(tmp_path, capsys):
     assert (spool / "failed" / "broken.error").exists()
 
 
+@pytest.mark.parametrize("field,value", [("max_instructions", 0), ("threshold", 1.5)])
+def test_cli_serve_moves_out_of_range_spec_to_failed(tmp_path, capsys, field, value):
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "bad.json").write_text(
+        json.dumps({"workloads": ["li"], "configs": ["no_predict"], field: value})
+    )
+    argv = ["serve", "--spool", str(spool), "--out-dir", str(tmp_path / "runs"), "--once"]
+    assert main(argv) == 2
+    assert (spool / "failed" / "bad.json").exists()
+    assert field in (spool / "failed" / "bad.error").read_text()
+    assert not list((tmp_path / "runs").glob("*.journal.jsonl"))
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_campaign_leaves_no_heartbeat_directory(tmp_path, capsys, jobs):
     argv = [

@@ -25,10 +25,10 @@ WORKLOADS = tuple(w.name for w in all_workloads())
 #: prepared streams are built once per workload, not once per matrix cell.
 SESSION = SimSession()
 
-# One table-backed config, one profile-guided static config (marked program
-# variant), one reallocated-program config — the three stream-preparation
-# shapes the fast tier must reproduce bit-for-bit.
-MATRIX_CONFIGS = ("drvp", "srvp_dead", "drvp_all_realloc")
+# The no-predictor baseline, one table-backed config, one profile-guided
+# static config (marked program variant), one reallocated-program config —
+# the stream-preparation shapes the fast tier must reproduce bit-for-bit.
+MATRIX_CONFIGS = ("no_predict", "drvp", "srvp_dead", "drvp_all_realloc")
 
 
 def trace_of(program, memory=None, budget=50_000):
