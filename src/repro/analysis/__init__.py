@@ -9,13 +9,12 @@ Layers (see DESIGN.md, "Static verification"):
   def-use/use-def chains, dominance, reachability, copies).
 * :mod:`repro.analysis.verifier` — the rule registry and the ``RVP###``
   rule catalog; compiler passes run it as an on-by-default postcondition.
-* :mod:`repro.analysis.reuse_static` — profile-free estimation of the
-  paper's reuse classes from dataflow facts alone.
 * :mod:`repro.analysis.absint` — abstract interpretation over the SSA IR:
   interval value ranges, induction-variable recognition, and a symbolic
   ``base + k*iv + offset`` address/alias domain.
-* :mod:`repro.analysis.reuse_symbolic` — absint-backed reuse classification
-  and profile-free RVP candidate selection for the marking pass.
+* :mod:`repro.analysis.reuse_static` — profile-free estimation of the
+  paper's reuse classes from dataflow and absint facts, and RVP candidate
+  selection for the marking pass.
 
 The engine (:mod:`.dataflow`) and the diagnostic types (:mod:`.diagnostics`)
 are dependency-free and imported eagerly; everything that depends on
@@ -76,6 +75,9 @@ _LAZY = {
     "StaticReuseEstimate": "reuse_static",
     "StaticReuseEstimator": "reuse_static",
     "compare_with_profile": "reuse_static",
+    "candidate_overlap": "reuse_static",
+    "select_rvp_candidates": "reuse_static",
+    "symbolic_reuse_by_depth": "reuse_static",
     "AbsintError": "absint",
     "AffineExpr": "absint",
     "Alias": "absint",
@@ -83,10 +85,6 @@ _LAZY = {
     "InductionFact": "absint",
     "Interval": "absint",
     "ProgramAbsint": "absint",
-    "SymbolicReuseEstimator": "reuse_symbolic",
-    "candidate_overlap": "reuse_symbolic",
-    "select_rvp_candidates": "reuse_symbolic",
-    "symbolic_reuse_by_depth": "reuse_symbolic",
 }
 
 __all__ = [

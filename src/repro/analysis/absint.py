@@ -27,9 +27,9 @@ each a pluggable domain over the same engine:
   offsets canonicalised mod 2**64 so expression equality is exactly runtime
   address equality.  :meth:`FunctionAbsint.alias` turns expression pairs
   into must/no/may verdicts.  Distinct base atoms are assumed to address
-  distinct objects — the same allocation-site object model the flat
-  estimator used per base *register*, now applied per SSA value, which
-  removes the register-name-reuse unsoundness but is still an assumption:
+  distinct objects — an allocation-site object model applied per SSA value
+  rather than per base *register*, which avoids the register-name-reuse
+  unsoundness but is still an assumption:
   the ``absint-soundness`` fuzz oracle (:mod:`repro.testing.oracles`)
   checks every verdict family against decoded-engine traces.
 
@@ -801,9 +801,7 @@ class FunctionAbsint:
         if roots_a and roots_b and not roots_a & roots_b:
             # Allocation-site object model: pointer chains seeded by
             # different opaque values (or different literal bases) address
-            # different objects.  This is the symbolic generalisation of
-            # the flat estimator's "different base register, different
-            # object" assumption — per seed value instead of per register
+            # different objects — per seed value instead of per register
             # name, and validated dynamically by the soundness oracle.
             return Alias.NO
         return Alias.MAY

@@ -55,12 +55,23 @@ Commands
                  python -m repro realloc --workload mgrid
 
 ``lint``     Statically verify workload program variants (or an ``.s`` file)
-             against the RVP rule catalog; ``--reuse-report`` adds the
-             static-vs-profiled reuse-class comparison::
+             against the RVP rule catalog::
 
                  python -m repro lint --all --variant base srvp_dead realloc
                  python -m repro lint li --json
                  python -m repro lint --asm bad.s
+
+``analyze``  Abstract-interpretation facts (induction variables, decided
+             branches, unreachable code) plus the static reuse-class
+             report: per-load classes against the profiled lists,
+             profile-free RVP candidates and per-loop-depth buckets.
+             ``--max-gap`` bounds the static-vs-profiled gap (exit 3);
+             ``--dump-ssa`` prints each raised SSA module::
+
+                 python -m repro analyze turb3d
+                 python -m repro analyze --all --generated 50 --strict
+                 python -m repro analyze li --max-gap 0.5 --json
+                 python -m repro analyze stencil --dump-ssa
 
 ``fuzz``     Property-based differential fuzzing: generate random verifier-clean
              programs and judge them against the oracle families in
@@ -73,10 +84,11 @@ Commands
 
 ``list``     List available workloads and configuration names.
 
-Exit codes: 0 success, 1 lint/fuzz failures were found,
-2 usage/internal error or a *partial* campaign (some cells failed; the
-journal records which, and ``--resume`` re-executes exactly those), 130 when
-a campaign was interrupted (resume hint printed).
+Exit codes: 0 success, 1 lint/fuzz failures were found (or, with
+``analyze --strict``, a program failed to analyze), 2 usage/internal error
+or a *partial* campaign (some cells failed; the journal records which, and
+``--resume`` re-executes exactly those), 3 an ``analyze --max-gap`` bound
+was exceeded, 130 when a campaign was interrupted (resume hint printed).
 """
 
 from __future__ import annotations
@@ -470,54 +482,6 @@ def _lint_one(session, name: str, variant: str, args: argparse.Namespace):
     return program, lists, lvr_pcs
 
 
-def _sorted_classes(estimate) -> dict:
-    """Deterministic per-class pc lists for JSON output."""
-    from .analysis.reuse_static import ReuseClass
-
-    return {
-        cls.value: sorted(pc for pc, v in estimate.loads.items() if v.reuse is cls)
-        for cls in (ReuseClass.SAME, ReuseClass.DEAD, ReuseClass.LAST_VALUE)
-    }
-
-
-def _reuse_report(session, name: str, args: argparse.Namespace):
-    from .analysis.reuse_static import StaticReuseEstimator, compare_with_profile
-    from .ir.nodes import IRError
-
-    program = session.workload(name).program
-    profile = session.train_artifacts(name, 1.0, args.max_insts).profile
-    lists = session.profile_lists(name, 1.0, args.max_insts, args.threshold, loads_only=True)
-    estimate = StaticReuseEstimator(program).estimate()
-    report = compare_with_profile(estimate, profile, lists)
-    report["static_classes"] = _sorted_classes(estimate)
-
-    # Symbolic (absint-backed) side-by-side, when the program raises to SSA.
-    try:
-        from .analysis.reuse_symbolic import (
-            SymbolicReuseEstimator,
-            candidate_overlap,
-            select_rvp_candidates,
-            symbolic_reuse_by_depth,
-        )
-
-        sym = SymbolicReuseEstimator(program)
-    except IRError:
-        report["symbolic"] = None
-        return report
-    sym_estimate = sym.estimate()
-    sym_report = compare_with_profile(sym_estimate, profile, lists)
-    candidates = select_rvp_candidates(program, sym_estimate)
-    report["symbolic"] = {
-        "static_counts": sym_report["static_counts"],
-        "overlap": sym_report["overlap"],
-        "weighted_static_fractions": sym_report["weighted_static_fractions"],
-        "static_classes": _sorted_classes(sym_estimate),
-        "candidate_overlap": candidate_overlap(candidates, lists),
-        "by_loop_depth": symbolic_reuse_by_depth(sym.absint, sym_estimate, lists),
-    }
-    return report
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
@@ -588,73 +552,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                     print(f"  {diag.render()}")
 
     payload = {"ok": not any_errors, "targets": reports}
-    if args.reuse_report:
-        payload["reuse_report"] = [_reuse_report(session, name, args) for name in workloads]
-        if not args.json:
-            print()
-            for entry in payload["reuse_report"]:
-                counts = entry["static_counts"]
-                weighted = entry["weighted_static_fractions"]
-                fig1 = entry["profiled_fig1_fractions"]
-                print(
-                    f"{entry['program']}: {entry['static_loads']} static loads — "
-                    f"same {counts['same']}, dead {counts['dead']}, lv {counts['last_value']}; "
-                    f"weighted same {weighted['same']:.1%} (profiled {fig1['same']:.1%}), "
-                    f"dead {weighted['dead']:.1%} (profiled {fig1['dead']:.1%})"
-                )
-                symbolic = entry.get("symbolic")
-                if symbolic is not None:
-                    counts = symbolic["static_counts"]
-                    cand = symbolic["candidate_overlap"]
-                    print(
-                        f"  symbolic: same {counts['same']}, dead {counts['dead']}, "
-                        f"lv {counts['last_value']}; candidates vs profiled — "
-                        f"same {cand['same']['both']}/{cand['same']['profiled']}, "
-                        f"dead {cand['dead']['both']}/{cand['dead']['profiled']}, "
-                        f"lv {cand['last_value']['both']}/{cand['last_value']['profiled']}"
-                    )
-                    for depth, bucket in symbolic["by_loop_depth"].items():
-                        reuse = bucket["trip_weighted_reuse"]
-                        reuse_text = f"{reuse:.1%}" if reuse is not None else "n/a"
-                        print(
-                            f"  symbolic depth {depth}: {bucket['loads']} load(s) — "
-                            f"same {bucket['same']}, dead {bucket['dead']}, lv {bucket['last_value']}; "
-                            f"trip-weighted reuse {reuse_text}"
-                        )
-    gap_failures = []
-    if args.reuse_report and args.max_gap is not None:
-        for entry in payload["reuse_report"]:
-            weighted = entry["weighted_static_fractions"]
-            fig1 = entry["profiled_fig1_fractions"]
-            for cls in ("same", "dead", "last_value"):
-                gap = abs(weighted.get(cls, 0.0) - fig1.get(cls, 0.0))
-                if gap > args.max_gap:
-                    gap_failures.append(f"{entry['program']}: {cls} gap {gap:.3f} > {args.max_gap}")
-        payload["max_gap_failures"] = gap_failures
-        if gap_failures and not args.json:
-            print()
-            for line in gap_failures:
-                print(f"lint: reuse gap exceeded — {line}")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif len(reports) > 1:
         total_err = sum(r["summary"]["error"] for r in reports)
         total_warn = sum(r["summary"]["warning"] for r in reports)
         print(f"\nlint: {len(reports)} target(s), {total_err} error(s), {total_warn} warning(s)")
-    if any_errors:
-        return 1
-    return 3 if gap_failures else 0
+    return 1 if any_errors else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Abstract-interpretation facts + profile-free RVP candidate report."""
+    """Abstract-interpretation facts plus the static reuse-class report."""
     import json
 
     from .analysis.absint import ProgramAbsint
-    from .analysis.reuse_static import StaticReuseEstimator
-    from .analysis.reuse_symbolic import (
-        SymbolicReuseEstimator,
+    from .analysis.reuse_static import (
+        StaticReuseEstimator,
         candidate_overlap,
+        compare_with_profile,
         select_rvp_candidates,
         symbolic_reuse_by_depth,
     )
@@ -673,73 +588,67 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
 
     session = get_session() if names else None
-    failures: List[str] = []
-    entries = []
-
-    def absint_summary(absint, program) -> dict:
-        return {
-            "induction": [
-                {
-                    "function": fn,
-                    "header": fact.header,
-                    "stride": fact.stride,
-                    "depth": fact.depth,
-                    "trip": fact.trip,
-                }
-                for fn, fact in absint.induction_facts()
-            ],
-            "unreachable_pcs": sorted(absint.unreachable_pcs()),
-            "decided_branches": sorted(
-                inst.pc
-                for inst in program
-                if inst.op.kind is OpKind.BRANCH and absint.branch_decision(inst.pc) is not None
-            ),
-        }
-
-    for name in names:
-        program = session.workload(name).program
-        entry: dict = {"target": name}
-        try:
-            sym = SymbolicReuseEstimator(program)
-        except IRError as exc:
-            entry["error"] = str(exc)
-            failures.append(f"{name}: cannot analyze — {exc}")
-            entries.append(entry)
-            continue
-        entry.update(absint_summary(sym.absint, program))
-        heur_estimate = StaticReuseEstimator(program).estimate()
-        sym_estimate = sym.estimate()
-        entry["heuristic_counts"] = heur_estimate.counts()
-        entry["symbolic_counts"] = sym_estimate.counts()
-        lists = session.profile_lists(name, 1.0, args.max_insts, args.threshold, loads_only=True)
-        sym_overlap = candidate_overlap(select_rvp_candidates(program, sym_estimate), lists)
-        heur_overlap = candidate_overlap(select_rvp_candidates(program, heur_estimate), lists)
-        entry["candidate_overlap"] = sym_overlap
-        entry["heuristic_candidate_overlap"] = heur_overlap
-        entry["by_loop_depth"] = symbolic_reuse_by_depth(sym.absint, sym_estimate, lists)
-        for cls in ("same", "dead"):
-            if sym_overlap[cls]["both"] < heur_overlap[cls]["both"]:
-                failures.append(
-                    f"{name}: symbolic {cls} candidates agree with the profile on "
-                    f"{sym_overlap[cls]['both']} site(s), heuristic on {heur_overlap[cls]['both']}"
-                )
-        entries.append(entry)
-
+    # (label, program, workload name or None for a generated program)
+    targets = [(name, session.workload(name).program, name) for name in names]
     for i in range(args.generated):
         case = generate_case(args.seed + i, GeneratorConfig())
-        label = f"gen[{case.seed}]"
-        entry = {"target": label}
+        targets.append((f"gen[{case.seed}]", case.program, None))
+
+    failures: List[str] = []
+    gap_failures: List[str] = []
+    entries = []
+    for label, program, workload in targets:
+        entry: dict = {"target": label}
+        entries.append(entry)
         try:
-            absint = ProgramAbsint(case.program)
+            absint = ProgramAbsint(program)
         except IRError as exc:
             entry["error"] = str(exc)
             failures.append(f"{label}: cannot analyze — {exc}")
-            entries.append(entry)
             continue
-        entry.update(absint_summary(absint, case.program))
-        entries.append(entry)
+        entry["induction"] = [
+            {
+                "function": fn,
+                "header": fact.header,
+                "stride": fact.stride,
+                "depth": fact.depth,
+                "trip": fact.trip,
+            }
+            for fn, fact in absint.induction_facts()
+        ]
+        entry["unreachable_pcs"] = sorted(absint.unreachable_pcs())
+        entry["decided_branches"] = sorted(
+            inst.pc
+            for inst in program
+            if inst.op.kind is OpKind.BRANCH and absint.branch_decision(inst.pc) is not None
+        )
+        if args.dump_ssa:
+            entry["ssa"] = absint.module.render()
+        if workload is None:
+            continue  # generated programs have no training input to profile
 
-    payload = {"ok": not failures, "targets": entries, "failures": failures}
+        estimate = StaticReuseEstimator(program, absint=absint).estimate()
+        profile = session.train_artifacts(workload, 1.0, args.max_insts).profile
+        lists = session.profile_lists(workload, 1.0, args.max_insts, args.threshold, loads_only=True)
+        report = compare_with_profile(estimate, profile, lists)
+        del report["program"]
+        entry.update(report)
+        entry["candidate_overlap"] = candidate_overlap(select_rvp_candidates(program, estimate), lists)
+        entry["by_loop_depth"] = symbolic_reuse_by_depth(absint, estimate, lists)
+        if args.max_gap is not None:
+            weighted = report["weighted_static_fractions"]
+            fig1 = report["profiled_fig1_fractions"]
+            for cls in ("same", "dead", "last_value"):
+                gap = abs(weighted[cls] - fig1.get(cls, 0.0))
+                if gap > args.max_gap:
+                    gap_failures.append(f"{label}: {cls} gap {gap:.3f} > {args.max_gap}")
+
+    payload = {
+        "ok": not failures,
+        "targets": entries,
+        "failures": failures,
+        "max_gap_failures": gap_failures,
+    }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -755,75 +664,48 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"{len(entry['decided_branches'])} decided branch(es), "
                 f"{len(entry['unreachable_pcs'])} interval-unreachable pc(s)"
             )
+            if "ssa" in entry:
+                print(entry["ssa"])
             for fact in ivs:
                 trip = f", trip {fact['trip']}" if fact["trip"] is not None else ""
                 print(
                     f"  iv {fact['function']}/{fact['header']}: stride {fact['stride']}, "
                     f"depth {fact['depth']}{trip}"
                 )
-            if "symbolic_counts" in entry:
-                heur, symc = entry["heuristic_counts"], entry["symbolic_counts"]
-                cand, hcand = entry["candidate_overlap"], entry["heuristic_candidate_overlap"]
+            if "static_counts" not in entry:
+                continue
+            counts = entry["static_counts"]
+            weighted = entry["weighted_static_fractions"]
+            fig1 = entry["profiled_fig1_fractions"]
+            cand = entry["candidate_overlap"]
+            print(
+                f"  classes: {entry['static_loads']} load(s) — same {counts['same']}, "
+                f"dead {counts['dead']}, lv {counts['last_value']}; "
+                f"weighted same {weighted['same']:.1%} (profiled {fig1['same']:.1%}), "
+                f"dead {weighted['dead']:.1%} (profiled {fig1['dead']:.1%}), "
+                f"lv {weighted['last_value']:.1%}"
+            )
+            print(
+                f"  candidates vs profiled: same {cand['same']['both']}/{cand['same']['profiled']}, "
+                f"dead {cand['dead']['both']}/{cand['dead']['profiled']}, "
+                f"lv {cand['last_value']['both']}/{cand['last_value']['profiled']}"
+            )
+            for depth, bucket in entry["by_loop_depth"].items():
+                reuse = bucket["trip_weighted_reuse"]
+                reuse_text = f", trip-weighted reuse {reuse:.1%}" if reuse is not None else ""
                 print(
-                    f"  classes: heuristic same {heur['same']}/dead {heur['dead']}/lv {heur['last_value']} — "
-                    f"symbolic same {symc['same']}/dead {symc['dead']}/lv {symc['last_value']}"
+                    f"  depth {depth}: {bucket['loads']} load(s), same {bucket['same']}, "
+                    f"dead {bucket['dead']}, lv {bucket['last_value']}{reuse_text}"
                 )
-                print(
-                    f"  candidates vs profiled: symbolic same {cand['same']['both']}, dead {cand['dead']['both']} "
-                    f"(heuristic same {hcand['same']['both']}, dead {hcand['dead']['both']})"
-                )
-                for depth, bucket in entry["by_loop_depth"].items():
-                    reuse = bucket["trip_weighted_reuse"]
-                    reuse_text = f", trip-weighted reuse {reuse:.1%}" if reuse is not None else ""
-                    print(
-                        f"  depth {depth}: {bucket['loads']} load(s), same {bucket['same']}, "
-                        f"dead {bucket['dead']}, lv {bucket['last_value']}{reuse_text}"
-                    )
-        if failures:
+        if failures or gap_failures:
             print()
-            for line in failures:
-                print(f"analyze: {line}")
+        for line in failures:
+            print(f"analyze: {line}")
+        for line in gap_failures:
+            print(f"analyze: reuse gap exceeded — {line}")
     if failures and args.strict:
         return 1
-    return 0
-
-
-def _cmd_ir(args: argparse.Namespace) -> int:
-    from .ir import IRError, raise_program
-    from .testing import GeneratorConfig, generate_case
-    from .workloads.suite import make_workload
-
-    names = sorted(WORKLOAD_CLASSES) if args.all else list(args.workload)
-    unknown = [name for name in names if name not in WORKLOAD_CLASSES]
-    if unknown:
-        print(f"ir: unknown workload(s) {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    if not names and not args.generated:
-        print("ir: nothing to do (name workloads, or use --all / --generated N)", file=sys.stderr)
-        return 2
-
-    targets = [(name, make_workload(name).program) for name in names]
-    for i in range(args.generated):
-        case = generate_case(args.seed + i, GeneratorConfig())
-        targets.append((f"gen[{case.seed}]", case.program))
-
-    failures = 0
-    for label, program in targets:
-        try:
-            module = raise_program(program)
-        except IRError as exc:
-            print(f"{label}: RAISE FAILED — {exc}")
-            failures += 1
-            continue
-        if args.dump_ssa:
-            print(module.render())
-            continue
-        funcs = module.functions
-        phis = sum(len(b.phis) for f in funcs for b in f.blocks)
-        print(f"{label}: {len(funcs)} function(s), {sum(len(f.blocks) for f in funcs)} blocks, {phis} phis")
-    if failures:
-        print(f"ir: {failures} of {len(targets)} target(s) failed", file=sys.stderr)
-    return 1 if failures else 0
+    return 3 if gap_failures else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -926,6 +808,13 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -1050,46 +939,45 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     lint_parser.add_argument("--disable", nargs="+", metavar="RULE", help="rule ids to skip (e.g. RVP004)")
     lint_parser.add_argument("--rules", action="store_true", help="print the rule catalog and exit")
-    lint_parser.add_argument(
-        "--reuse-report", action="store_true",
-        help="compare static reuse-class estimates against the profiled lists",
-    )
     lint_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for variant construction")
     lint_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
-    lint_parser.add_argument(
-        "--max-gap", type=float, default=None, metavar="FRACTION",
-        help="with --reuse-report: exit 3 when any workload's |static - profiled| "
-        "dynamic-weighted reuse fraction (same/dead/last_value) exceeds FRACTION",
-    )
     lint_parser.set_defaults(fn=_cmd_lint)
 
     analyze_parser = sub.add_parser(
-        "analyze", help="abstract-interpretation facts and profile-free RVP candidate selection"
+        "analyze", help="abstract-interpretation facts and the static reuse-class report"
     )
     analyze_parser.add_argument(
         "workload", nargs="*", metavar="WORKLOAD",
         help="workloads to analyze (default: none; use --all for every workload)",
     )
     analyze_parser.add_argument("--all", action="store_true", help="analyze every registered workload")
-    analyze_parser.add_argument("--generated", type=int, default=0, metavar="N", help="also analyze N generated programs")
+    analyze_parser.add_argument(
+        "--generated", type=_non_negative, default=0, metavar="N",
+        help="also analyze N generated programs (seeds SEED..SEED+N-1)",
+    )
     analyze_parser.add_argument("--seed", type=int, default=0, help="first generator seed for --generated")
     analyze_parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     analyze_parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any program fails to analyze or symbolic candidates fall behind the heuristic",
+        "--strict", action="store_true", help="exit 1 when any program fails to analyze"
     )
-    analyze_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for the overlap report")
+    analyze_parser.add_argument("--dump-ssa", action="store_true", help="print each program's raised SSA module")
+    analyze_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for the reuse report")
     analyze_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
+    analyze_parser.add_argument(
+        "--max-gap", type=_fraction, default=None, metavar="FRACTION",
+        help="exit 3 when any workload's |static - profiled| dynamic-weighted "
+        "reuse fraction (same/dead/last_value) exceeds FRACTION",
+    )
     analyze_parser.set_defaults(fn=_cmd_analyze)
 
     from .testing.oracles import ORACLE_FAMILIES
 
     fuzz_parser = sub.add_parser("fuzz", help="differential fuzzing of the sim/compiler/predictor stack")
     fuzz_parser.add_argument("--seed", type=int, default=0, help="first generator seed (seeds are consecutive)")
-    fuzz_parser.add_argument("--runs", type=int, default=100, help="number of generated programs")
+    fuzz_parser.add_argument("--runs", type=_at_least_one, default=100, help="number of generated programs")
     fuzz_parser.add_argument(
         "--oracle", nargs="+", choices=list(ORACLE_FAMILIES), default=None,
-        help="oracle families to apply (default: all five)",
+        help=f"oracle families to apply (default: all {len(ORACLE_FAMILIES)})",
     )
     fuzz_parser.add_argument("--no-shrink", action="store_true", help="report failures without minimising them")
     fuzz_parser.add_argument("--json", action="store_true", help="emit the campaign report as JSON")
@@ -1105,20 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--register-pressure", type=int, default=8, help="generator: working registers")
     fuzz_parser.add_argument("--branch-mix", type=float, default=0.4, help="generator: branchy-segment fraction")
     fuzz_parser.set_defaults(fn=_cmd_fuzz)
-
-    ir_parser = sub.add_parser("ir", help="raise programs to SSA and summarise or print them")
-    ir_parser.add_argument(
-        "workload", nargs="*", metavar="WORKLOAD",
-        help="workloads to process (default: none; use --all for every workload)",
-    )
-    ir_parser.add_argument("--all", action="store_true", help="process every registered workload")
-    ir_parser.add_argument("--dump-ssa", action="store_true", help="print the raised SSA module")
-    ir_parser.add_argument(
-        "--generated", type=int, default=0, metavar="N",
-        help="also process N generator programs (seeds SEED..SEED+N-1)",
-    )
-    ir_parser.add_argument("--seed", type=int, default=0, help="first generator seed for --generated")
-    ir_parser.set_defaults(fn=_cmd_ir)
 
     list_parser = sub.add_parser("list", help="list workloads and configurations")
     list_parser.set_defaults(fn=_cmd_list)

@@ -5,7 +5,7 @@ from .experiment import CONFIG_NAMES, ExperimentResult, ExperimentRunner
 from .metrics import MetricsRegistry, get_metrics, reset_metrics
 from .results import ResultTable, metrics_report, render_metrics
 from .session import SimSession, canonical_variant_key, get_session, reset_session
-from .sweep import render_sweep, speedup_series, sweep, sweep_machine
+from .sweep import render_sweep, speedup_series, sweep_machine
 
 __all__ = [
     "CONFIG_NAMES",
@@ -23,6 +23,5 @@ __all__ = [
     "reset_metrics",
     "reset_session",
     "speedup_series",
-    "sweep",
     "sweep_machine",
 ]

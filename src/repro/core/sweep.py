@@ -1,8 +1,8 @@
 """Parameter sweeps: vary one machine/predictor knob, measure the suite.
 
 The paper fixes its machine at Table 1 and motivates the design by IQ
-pressure, storage cost and confidence filtering.  :func:`sweep_machine` and
-:func:`sweep` make those arguments quantitative for any knob::
+pressure, storage cost and confidence filtering.  :func:`sweep_machine`
+makes those arguments quantitative for any machine knob::
 
     from dataclasses import replace
     from repro.core.sweep import sweep_machine
@@ -45,7 +45,6 @@ def sweep_machine(
     configs: Sequence[str],
     max_instructions: int = 25_000,
     recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
-    journal=None,
 ) -> SweepRows:
     """Run ``configs`` x ``workloads`` at every sweep point; returns IPCs.
 
@@ -53,13 +52,6 @@ def sweep_machine(
     all sweep points share one functional-sim run per (workload, program
     variant) through the process-wide :class:`~repro.core.session.SimSession`
     — only the cycle-level pipeline re-runs per point.
-
-    With a :class:`~repro.runtime.journal.RunJournal` attached, every sweep
-    cell (``<name>=<point>/<workload>/<config>``) is committed durably as it
-    completes, cells already ``ok`` in the journal are restored from their
-    stored IPC without re-running, and a deterministic cell failure is
-    journaled and re-raised — so an interrupted sweep resumes from where it
-    died.
     """
     rows: SweepRows = {}
     for point in points:
@@ -67,34 +59,8 @@ def sweep_machine(
         for workload in workloads:
             runner = ExperimentRunner(workload, machine=machine, max_instructions=max_instructions)
             for config in configs:
-                cell_id = f"{name}={point}/{workload}/{config}"
-                if journal is not None:
-                    entry = journal.states().get(cell_id)
-                    if entry is not None and entry.get("status") == "ok":
-                        rows[(point, workload, config)] = float(entry["result"]["ipc"])
-                        continue
-                try:
-                    ipc = runner.run(config, recovery=recovery).ipc
-                except Exception as exc:
-                    if journal is not None:
-                        from ..runtime.errors import classify_failure
-
-                        journal.record(
-                            cell_id, "failed", error=repr(exc), error_kind=classify_failure(exc)
-                        )
-                    raise
-                rows[(point, workload, config)] = ipc
-                if journal is not None:
-                    journal.record(cell_id, "ok", result={"ipc": ipc})
+                rows[(point, workload, config)] = runner.run(config, recovery=recovery).ipc
     return rows
-
-
-def sweep(
-    points: Iterable[object],
-    run_point: Callable[[object], Dict[str, float]],
-) -> Dict[object, Dict[str, float]]:
-    """Generic sweep: ``run_point`` returns a metrics dict per point."""
-    return {point: run_point(point) for point in points}
 
 
 def speedup_series(rows: SweepRows, workload: str, config: str, baseline: str = "no_predict") -> Dict[object, float]:

@@ -6,8 +6,8 @@ The package has two layers:
 * :mod:`repro.ir.ssa` — raising flat programs and SSA construction.
 
 Its users are abstract interpretation (:mod:`repro.analysis.absint`, and
-through it the verifier's RVP010–RVP013 and the symbolic reuse
-estimator), ``repro ir --dump-ssa`` and the SSA tests.  The RVP passes
+through it the verifier's RVP010–RVP013 and the static reuse
+estimator), ``repro analyze --dump-ssa`` and the SSA tests.  The RVP passes
 themselves (marking, insertion, stride shadows, Section 7.3 reallocation)
 run on the flat program in :mod:`repro.compiler`; nothing lowers IR back
 to the flat ISA.

@@ -2,7 +2,6 @@
 
 from .decoded import DecodedProgram, decode
 from .functional import (
-    DEFAULT_ENGINE,
     FunctionalSimulator,
     RunResult,
     SimulationError,
@@ -14,7 +13,6 @@ from .memory import WORD_BYTES, Memory
 from .trace import TraceRecord
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "DecodedProgram",
     "decode",
     "FunctionalSimulator",

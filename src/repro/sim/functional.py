@@ -17,7 +17,7 @@ Two execution engines share this class:
   decode-every-time interpreter.  It is kept verbatim as the correctness
   oracle: golden tests and the ``trace-equivalence`` fuzz oracle assert the
   decoded engine reproduces its records, final state and memory bit for bit.
-  Select it globally with ``REPRO_SIM_ENGINE=reference``.
+  Select it with ``FunctionalSimulator(engine="reference")``.
 
 Observers receive each :class:`TraceRecord` as it commits and may also inspect
 the live :class:`ArchState` (the record is delivered *after* the architectural
@@ -26,7 +26,6 @@ write, with the prior destination value preserved in ``record.old_dest``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -40,10 +39,8 @@ from .trace import TraceRecord
 
 Observer = Callable[[TraceRecord, ArchState], None]
 
-#: Engine used when a simulator is built without an explicit choice:
-#: ``decoded`` (threaded-code core) or ``reference`` (the step() oracle).
-DEFAULT_ENGINE = os.environ.get("REPRO_SIM_ENGINE", "decoded")
-
+#: ``decoded`` (threaded-code core, the default) or ``reference`` (the
+#: step() oracle).
 _ENGINES = ("decoded", "reference")
 
 
@@ -98,7 +95,7 @@ class FunctionalSimulator:
         self.memory = memory if memory is not None else Memory()
         self.state = state if state is not None else ArchState()
         self.state.pc = program.entry
-        self.engine = engine if engine is not None else DEFAULT_ENGINE
+        self.engine = engine if engine is not None else "decoded"
         #: raise :class:`BudgetExceeded` instead of truncating at the budget.
         self.strict_budget = strict_budget
         if self.engine not in _ENGINES:

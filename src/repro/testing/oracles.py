@@ -682,7 +682,7 @@ def check_recovery_invariant(case: GeneratedCase) -> None:
 
 
 # ----------------------------------------------------------------------
-# Oracle family: fast-vs-reference pipeline stats equivalence
+# Oracle family 6: fast-vs-reference pipeline stats equivalence
 # ----------------------------------------------------------------------
 def _engine_stats(trace: Sequence[TraceRecord], predictor: ValuePredictor, recovery: RecoveryScheme, engine: str):
     """Seam: one timing-tier run (monkeypatched by the mutation self-tests;
@@ -731,10 +731,10 @@ def check_pipeline_equivalence(case: GeneratedCase) -> None:
 def _build_absint(program: Program):
     """Seam: the analyses under test (monkeypatched/flag-mutated by self-tests)."""
     from ..analysis.absint import ProgramAbsint
-    from ..analysis.reuse_symbolic import SymbolicReuseEstimator
+    from ..analysis.reuse_static import StaticReuseEstimator
 
     absint = ProgramAbsint(program)
-    estimator = SymbolicReuseEstimator(program, absint=absint)
+    estimator = StaticReuseEstimator(program, absint=absint)
     return absint, estimator.estimate()
 
 
@@ -848,7 +848,7 @@ def check_absint_soundness(case: GeneratedCase) -> None:
                 values[record.pc] = record.result
 
 
-#: The five oracle families, by CLI/report name.
+#: The six oracle families, by CLI/report name.
 ORACLES: Dict[str, Callable[[GeneratedCase], None]] = {
     "trace-equivalence": check_trace_equivalence,
     "pass-preservation": check_pass_preservation,

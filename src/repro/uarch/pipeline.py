@@ -27,7 +27,6 @@ longer speculative; selective reissue holds only the dependence cone.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -46,12 +45,10 @@ _WAIT, _ISSUED, _DONE = 0, 1, 2
 #: Engine selection: ``fast`` (event-driven, the default) or ``reference``
 #: (this module's per-cycle loop, kept verbatim as the stats-exact oracle).
 PIPELINE_ENGINES = ("fast", "reference")
-_ENGINE_ENV = "REPRO_PIPELINE_ENGINE"
-_DEFAULT_ENGINE = "fast"
 
 
 def _resolve_engine(engine: Optional[str]) -> str:
-    resolved = engine if engine is not None else os.environ.get(_ENGINE_ENV) or _DEFAULT_ENGINE
+    resolved = engine if engine is not None else "fast"
     if resolved not in PIPELINE_ENGINES:
         raise ValueError(
             f"unknown pipeline engine {resolved!r}; choose from {PIPELINE_ENGINES}"
@@ -122,7 +119,7 @@ class PipelineSimulator:
     Two engines share this class's stats contract: the per-cycle loop below
     (``engine="reference"``, the oracle) and the event-driven fast tier
     (``engine="fast"``, :mod:`repro.uarch.fast`), selected by the ``engine``
-    argument or the ``REPRO_PIPELINE_ENGINE`` environment variable.  Both
+    argument.  Both
     produce identical :class:`~repro.uarch.stats.SimStats` — every counter,
     not just IPC — which the differential test matrix enforces.
 
@@ -685,8 +682,8 @@ def simulate(
     pre-built ``stream`` is supplied (the SimSession stream cache), ``trace``
     is unused and may be None; the stream carries no predictor state, so one
     stream serves any number of ``(predictor, config, recovery)`` runs.
-    ``engine`` selects the timing tier (``fast``/``reference``; default from
-    ``REPRO_PIPELINE_ENGINE``).
+    ``engine`` selects the timing tier (``fast``/``reference``; default
+    ``fast``).
     """
     return PipelineSimulator(
         trace, predictor, config, recovery, engine=engine, stream=stream

@@ -169,42 +169,6 @@ def test_lint_rules_catalog(capsys):
         assert rule_id in out
 
 
-def test_lint_reuse_report(capsys):
-    import json
-
-    code, out = run_cli(
-        capsys, "lint", "li", "--max-insts", "4000", "--reuse-report", "--json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    (entry,) = payload["reuse_report"]
-    assert entry["program"] == "li"
-    assert set(entry["static_counts"]) == {"same", "dead", "last_value", "none"}
-
-
-def test_lint_max_gap_exit_three(capsys):
-    import json
-
-    # A zero tolerance always trips on real workloads: static weighted
-    # fractions never match the profiled Figure-1 fractions exactly.
-    code, out = run_cli(
-        capsys, "lint", "li", "--max-insts", "4000",
-        "--reuse-report", "--max-gap", "0.0", "--json",
-    )
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["ok"] is True  # no lint errors: the gap alone caused exit 3
-    assert any("gap" in line for line in payload["max_gap_failures"])
-
-
-def test_lint_max_gap_within_tolerance(capsys):
-    code, _ = run_cli(
-        capsys, "lint", "li", "--max-insts", "4000",
-        "--reuse-report", "--max-gap", "1.0",
-    )
-    assert code == 0
-
-
 def test_analyze_workload(capsys):
     code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000")
     assert code == 0
@@ -220,19 +184,49 @@ def test_analyze_json_payload(capsys):
     assert payload["ok"] is True and payload["failures"] == []
     (target,) = payload["targets"]
     assert target["target"] == "li"
-    for key in (
-        "induction", "unreachable_pcs", "decided_branches",
-        "heuristic_counts", "symbolic_counts",
-        "candidate_overlap", "heuristic_candidate_overlap", "by_loop_depth",
-    ):
+    for key in ("induction", "unreachable_pcs", "decided_branches", "candidate_overlap", "by_loop_depth"):
         assert key in target
-    # Acceptance invariant the command enforces under --strict: symbolic
-    # candidates overlap the profiled lists at least as well as heuristic.
-    for cls in ("same", "dead"):
-        assert (
-            target["candidate_overlap"][cls]["both"]
-            >= target["heuristic_candidate_overlap"][cls]["both"]
-        )
+
+
+def test_analyze_reuse_report(capsys):
+    import json
+
+    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    (target,) = payload["targets"]
+    assert target["target"] == "li"
+    for key in ("static_counts", "overlap", "weighted_static_fractions", "profiled_fig1_fractions"):
+        assert key in target
+    assert set(target["static_counts"]) == {"same", "dead", "last_value", "none"}
+    assert payload["max_gap_failures"] == []
+
+
+def test_analyze_max_gap_exit_three(capsys):
+    import json
+
+    # A zero tolerance always trips on real workloads: static weighted
+    # fractions never match the profiled Figure-1 fractions exactly.
+    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--max-gap", "0.0", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ok"] is True  # the analysis itself succeeded: the gap alone caused exit 3
+    assert any("gap" in line for line in payload["max_gap_failures"])
+
+
+def test_analyze_max_gap_within_tolerance(capsys):
+    code, _ = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--max-gap", "1.0")
+    assert code == 0
+
+
+def test_analyze_dump_ssa_and_generated_programs(capsys):
+    code, out = run_cli(capsys, "analyze", "stencil", "--max-insts", "4000", "--dump-ssa")
+    assert code == 0
+    assert "func main:" in out and "phi " in out
+    code, out = run_cli(capsys, "analyze", "--all", "--generated", "2", "--strict", "--max-insts", "4000")
+    assert code == 0
+    summaries = [line for line in out.splitlines() if "induction variable(s)" in line]
+    assert len(summaries) == 11 + 2
 
 
 def test_analyze_generated_programs(capsys):
@@ -282,6 +276,31 @@ def test_out_of_range_budget_and_threshold_rejected(capsys, argv, flag, value):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--runs", "0"],
+        ["analyze", "--generated", "-1"],
+        ["analyze", "li", "--max-gap", "-1"],
+    ],
+    ids=["fuzz-runs", "analyze-generated", "analyze-max-gap"],
+)
+def test_out_of_range_counts_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}" in err and "internal error" not in err
+
+
+def test_ir_command_is_gone(capsys):
+    # `repro analyze --dump-ssa` prints the raised SSA module instead.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ir", "li"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_missing_command_rejected():
@@ -347,14 +366,3 @@ def test_fuzz_command_rejects_unknown_oracle():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["fuzz", "--oracle", "nonsense"])
-
-
-def test_ir_command_raises_every_workload(capsys):
-    code, out = run_cli(capsys, "ir", "--all", "--generated", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 11 + 2
-    assert "dotprod: 1 function(s), 5 blocks, 6 phis" in lines
-    code, out = run_cli(capsys, "ir", "stencil", "--dump-ssa")
-    assert code == 0
-    assert out.startswith("func main:") and "phi " in out

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.core import render_sweep, speedup_series, sweep, sweep_machine
+from repro.core import render_sweep, speedup_series, sweep_machine
 from repro.uarch import table1_config
 
 
@@ -29,11 +29,6 @@ def test_speedup_series():
     }
     series = speedup_series(rows, "go", "drvp_all")
     assert series == {1: 1.1, 2: 1.3}
-
-
-def test_generic_sweep():
-    out = sweep([1, 2, 3], lambda p: {"square": p * p})
-    assert out[3]["square"] == 9
 
 
 def test_render_sweep():

@@ -1,4 +1,4 @@
-"""The five oracle families: clean on generated programs, and each one
+"""The six oracle families: clean on generated programs, and each one
 provably detects a seeded defect (mutation self-tests)."""
 
 from __future__ import annotations
