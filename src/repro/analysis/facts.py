@@ -1,7 +1,8 @@
-"""Concrete dataflow facts per procedure: reaching defs, chains, dominance.
+"""Concrete dataflow facts per procedure: reaching defs, chains, reachability.
 
-:class:`ProcedureFacts` bundles everything the verifier and the static reuse
-estimator need about one procedure, computed lazily and cached:
+:class:`ProcedureFacts` bundles everything the verifier, the static reuse
+estimator and web construction need about one procedure, computed lazily
+and cached:
 
 * **reaching definitions** — forward/union instance of the shared engine.
   A definition is ``(pc, reg)``; the procedure entry contributes a pseudo
@@ -10,8 +11,6 @@ estimator need about one procedure, computed lazily and cached:
   meaningfully, volatile temporaries as garbage).
 * **use-def / def-use chains** — per explicit operand slot, which defs reach
   it; and per definition, which operand slots consume it.
-* **dominance** — immediate dominators of the CFG (networkx), plus the
-  derived ``dominates`` predicate.
 * **reachability** — blocks unreachable from the procedure entry.
 * **available copies** — forward/intersection instance: ``(dst, src)`` pairs
   established by ``mov``/``fmov`` and still valid (neither side redefined)
@@ -120,7 +119,6 @@ class ProcedureFacts:
         self._liveness: Optional[LivenessInfo] = None
         self._reaching: Optional[DataflowResult] = None
         self._copies: Optional[DataflowResult] = None
-        self._idom: Optional[Dict[int, int]] = None
         self._reachable: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------
@@ -183,30 +181,8 @@ class ProcedureFacts:
         return self.copies.in_facts[pc]
 
     # ------------------------------------------------------------------
-    # Dominance / reachability
+    # Reachability
     # ------------------------------------------------------------------
-    @property
-    def idom(self) -> Dict[int, int]:
-        if self._idom is None:
-            graph = self.program.cfg(self.proc)
-            if self.proc.start in graph:
-                self._idom = dict(nx.immediate_dominators(graph, self.proc.start))
-            else:
-                self._idom = {}
-        return self._idom
-
-    def dominates(self, a: int, b: int) -> bool:
-        """True if block-start ``a`` dominates block-start ``b``."""
-        node = b
-        idom = self.idom
-        while True:
-            if node == a:
-                return True
-            parent = idom.get(node)
-            if parent is None or parent == node:
-                return node == a
-            node = parent
-
     @property
     def reachable_blocks(self) -> Set[int]:
         """Block starts reachable from the procedure entry."""

@@ -867,7 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run configurations on one workload")
     run_parser.add_argument("--workload", choices=sorted(WORKLOAD_CLASSES))
-    run_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
+    run_parser.add_argument(
+        "--config", nargs="+", choices=CONFIG_NAMES,
+        default=["no_predict", "lvp_all", "drvp_all_dead_lv"],
+    )
     _add_jobs(
         run_parser, 1,
         "leased worker processes for campaign cells (with --out-dir/--resume; 1 = in-process)",
@@ -877,7 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(fn=_cmd_run)
 
     suite_parser = sub.add_parser("suite", help="run configurations across all workloads")
-    suite_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
+    suite_parser.add_argument(
+        "--config", nargs="+", choices=CONFIG_NAMES,
+        default=["no_predict", "lvp_all", "drvp_all_dead_lv"],
+    )
     _add_jobs(
         suite_parser, 1, "leased worker processes for (workload x config) fan-out (1 = serial)"
     )
@@ -900,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", metavar="DIR", help="shared content-addressed result store directory"
     )
     serve_parser.add_argument(
-        "--poll", type=float, default=2.0, metavar="SECONDS", help="spool scan interval"
+        "--poll", type=_positive_seconds, default=2.0, metavar="SECONDS", help="spool scan interval"
     )
     serve_parser.add_argument(
         "--once", action="store_true",
@@ -910,7 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_parser = sub.add_parser("metrics", help="run configurations and emit results + metrics JSON")
     metrics_parser.add_argument("--workload", default="m88ksim", choices=sorted(WORKLOAD_CLASSES))
-    metrics_parser.add_argument("--config", nargs="+", default=["no_predict", "drvp_all_dead_lv"])
+    metrics_parser.add_argument(
+        "--config", nargs="+", choices=CONFIG_NAMES, default=["no_predict", "drvp_all_dead_lv"]
+    )
     _add_common(metrics_parser)
     metrics_parser.set_defaults(fn=_cmd_metrics)
 

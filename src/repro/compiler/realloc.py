@@ -45,7 +45,6 @@ from ..isa.program import Procedure, Program
 from ..isa.registers import ALLOCATABLE_FP, ALLOCATABLE_INT, Reg
 from ..profiling.lists import ProfileLists
 from .interference import build_interference
-from .liveness import compute_liveness
 from .webs import WebAnalysis, build_webs
 
 _POOLS = {"int": ALLOCATABLE_INT, "fp": ALLOCATABLE_FP}
@@ -151,8 +150,7 @@ def _reallocate_procedure(
     from ..analysis.verifier import AllocationCheck
 
     report = ReallocReport()
-    liveness = compute_liveness(program, proc)
-    analysis = build_webs(program, proc, liveness)
+    analysis = build_webs(program, proc)
     adjacency = build_interference(analysis.webs)
     webs = analysis.webs
 

@@ -6,6 +6,11 @@ renamed to a different register without changing program semantics.  The
 Section 7.3 reallocator merges webs ("combine the live ranges") to realise
 dead-register reuse, so we need real webs, not whole-register live ranges.
 
+Webs are read off the shared reaching-definitions solution
+(:class:`repro.analysis.facts.ProcedureFacts`): every use unions the
+definitions that reach it, and a web is live wherever its register is live
+and one of its definitions reaches.
+
 Implicit definitions (procedure entry, call clobbers) and implicit uses
 (call argument registers, procedure-exit non-volatiles) participate in web
 construction and mark their webs *fixed*: those values cross a convention
@@ -17,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..analysis.effects import defs_and_uses, explicit_defs, implicit_uses
 from ..isa.program import Procedure, Program
 from ..isa.registers import ALLOCATABLE_FP, ALLOCATABLE_INT, Reg
-from .liveness import LivenessInfo, defs_and_uses, explicit_defs, explicit_uses
 
 _ALLOCATABLE = set(ALLOCATABLE_INT) | set(ALLOCATABLE_FP)
 
@@ -79,126 +84,73 @@ class WebAnalysis:
         return self.webs[index] if index is not None else None
 
 
-def build_webs(program: Program, proc: Procedure, liveness: LivenessInfo) -> WebAnalysis:
-    """Reaching-definitions web construction for one procedure."""
+def build_webs(program: Program, proc: Procedure) -> WebAnalysis:
+    """Web construction for one procedure, over its reaching definitions."""
+    # Imported here: analysis.facts imports compiler.liveness, so a
+    # module-level import would cycle through the package __init__.
+    from ..analysis.facts import ProcedureFacts
+
+    facts = ProcedureFacts(program, proc)
+    reaching = facts.reaching.in_facts
+    live_in = facts.liveness.live_in
+
     # --- enumerate definitions -------------------------------------------
     # def id -> (pc or None for entry, reg, implicit?)
     defs: List[Tuple[Optional[int], Reg, bool]] = []
+    #: the solver's (pc, reg) definition -> def id
+    def_ids: Dict[Tuple[Optional[int], Reg], int] = {}
 
-    def new_def(pc: Optional[int], reg: Reg, implicit: bool) -> int:
+    def new_def(pc: Optional[int], reg: Reg, implicit: bool) -> None:
+        def_ids[(pc, reg)] = len(defs)
         defs.append((pc, reg, implicit))
-        return len(defs) - 1
 
-    entry_def: Dict[Reg, int] = {}
-
-    def entry_def_of(reg: Reg) -> int:
-        if reg not in entry_def:
-            entry_def[reg] = new_def(None, reg, True)
-        return entry_def[reg]
-
-    # Pre-create explicit/implicit defs per pc so ids are stable.
-    code_defs: Dict[int, Dict[Reg, Tuple[int, bool]]] = {}
     for pc in range(proc.start, proc.end):
         inst = program[pc]
         all_defs, all_uses = defs_and_uses(inst)
-        explicit = set(explicit_defs(inst))
-        per_pc: Dict[Reg, Tuple[int, bool]] = {}
+        explicit = explicit_defs(inst)
         for reg in all_defs:
-            implicit = reg not in explicit
-            per_pc[reg] = (new_def(pc, reg, implicit), implicit)
-        code_defs[pc] = per_pc
-        # Eagerly materialise an entry def for every register read anywhere:
-        # at a join where one path defines the register and another reaches it
-        # straight from procedure entry (e.g. a loop body read on the first
-        # iteration), the entry contribution must survive the dataflow merge
-        # so the use's web is pinned, not just the in-loop definition's.
+            new_def(pc, reg, reg not in explicit)
+        # An entry def for every register read anywhere: at a join where one
+        # path defines the register and another reaches it straight from
+        # procedure entry (e.g. a loop body read on the first iteration), the
+        # use's web must be pinned, not just the in-loop definition's.
         for reg in all_uses:
-            if not reg.is_zero:
-                entry_def_of(reg)
-
-    # --- reaching definitions dataflow (block granularity) ---------------
-    blocks = program.basic_blocks(proc)
-    preds: Dict[int, List[int]] = {b.start: [] for b in blocks}
-    for block in blocks:
-        for succ in block.successors:
-            preds[succ].append(block.start)
-
-    def transfer(state: Dict[Reg, Set[int]], pc: int) -> None:
-        for reg, (def_id, _implicit) in code_defs[pc].items():
-            state[reg] = {def_id}
-
-    block_in: Dict[int, Dict[Reg, Set[int]]] = {}
-    block_out: Dict[int, Dict[Reg, Set[int]]] = {}
-    for block in blocks:
-        block_in[block.start] = {}
-        block_out[block.start] = {}
-    # Entry block starts with entry defs for every register ever referenced.
-    changed = True
-    while changed:
-        changed = False
-        for block in blocks:
-            state: Dict[Reg, Set[int]] = {}
-            if block.start == proc.start:
-                for reg, def_id in entry_def.items():
-                    state[reg] = {def_id}
-            for p in preds[block.start]:
-                for reg, ids in block_out[p].items():
-                    state.setdefault(reg, set()).update(ids)
-            if state != block_in[block.start]:
-                block_in[block.start] = {r: set(s) for r, s in state.items()}
-                changed = True
-            work = {r: set(s) for r, s in block_in[block.start].items()}
-            for pc in block.pcs():
-                transfer(work, pc)
-            if work != block_out[block.start]:
-                block_out[block.start] = work
-                changed = True
-
-    def reaching(state: Dict[Reg, Set[int]], reg: Reg, at_entry_block: bool) -> Set[int]:
-        ids = state.get(reg)
-        if not ids:
-            # No def on some path: the value comes from procedure entry.
-            return {entry_def_of(reg)}
-        return ids
+            if not reg.is_zero and (None, reg) not in def_ids:
+                new_def(None, reg, True)
 
     # --- union defs through uses ------------------------------------------
     uf = _UnionFind()
     for def_id in range(len(defs)):
         uf.add(def_id)
-    # entry defs may be created during use resolution; add lazily via helper
-    use_webs: Dict[Tuple[int, str], Set[int]] = {}
+    use_webs: Dict[Tuple[int, str], int] = {}
     implicit_use_defs: Set[int] = set()
+    live_defs: List[Tuple[int, Set[int]]] = []
 
-    for block in blocks:
-        state = {r: set(s) for r, s in block_in[block.start].items()}
-        at_entry = block.start == proc.start
-        for pc in block.pcs():
-            inst = program[pc]
-            _, all_uses = defs_and_uses(inst)
-            explicit = list(explicit_uses(inst))
-            slots: List[Tuple[str, Reg]] = []
-            if inst.src1 is not None and not inst.src1.is_zero:
-                slots.append(("src1", inst.src1))
-            if inst.src2 is not None and not inst.src2.is_zero:
-                slots.append(("src2", inst.src2))
-            for slot, reg in slots:
-                ids = reaching(state, reg, at_entry)
-                for def_id in ids:
-                    uf.add(def_id)
-                use_webs[(pc, slot)] = set(ids)
-                first = next(iter(ids))
-                for other in ids:
-                    uf.union(first, other)
-            for reg in all_uses - set(r for _, r in slots):
-                # Implicit use (call args, exit non-volatiles): union and pin.
-                ids = reaching(state, reg, at_entry)
-                for def_id in ids:
-                    uf.add(def_id)
-                    implicit_use_defs.add(def_id)
-                first = next(iter(ids))
-                for other in ids:
-                    uf.union(first, other)
-            transfer(state, pc)
+    for pc in range(proc.start, proc.end):
+        # The definitions reaching pc, grouped by register once per pc.
+        reach: Dict[Reg, Set[int]] = {}
+        for fact in reaching[pc]:
+            def_id = def_ids.get(fact)
+            if def_id is not None:
+                reach.setdefault(fact[1], set()).add(def_id)
+
+        def reaching_ids(reg: Reg) -> Set[int]:
+            # No def on any path (unreachable code): the entry value reaches.
+            return reach.get(reg) or {def_ids[(None, reg)]}
+
+        uses = facts.use_sites(pc)
+        for use in uses:
+            ids = reaching_ids(use.reg)
+            use_webs[(pc, use.slot)] = next(iter(ids))
+            _union_all(uf, ids)
+        for reg in implicit_uses(program[pc]) - {use.reg for use in uses}:
+            # Implicit use (call args, exit non-volatiles): union and pin.
+            ids = reaching_ids(reg)
+            implicit_use_defs |= ids
+            _union_all(uf, ids)
+        # A web is live at pc if its register is live-in and one of the web's
+        # defs reaches pc.
+        live_defs.extend((pc, reaching_ids(reg)) for reg in live_in[pc])
 
     # --- materialise webs ---------------------------------------------------
     root_to_web: Dict[int, int] = {}
@@ -209,50 +161,41 @@ def build_webs(program: Program, proc: Procedure, liveness: LivenessInfo) -> Web
             root_to_web[root] = len(webs)
             webs.append(Web(index=len(webs), reg=reg))
         web = webs[root_to_web[root]]
-        if pc is not None and not implicit:
-            web.def_pcs.add(pc)
-        if implicit or pc is None:
+        if implicit:
             web.fixed = True
+        else:
+            web.def_pcs.add(pc)
+
+    def web_of(def_id: int) -> Web:
+        return webs[root_to_web[uf.find(def_id)]]
+
     for def_id in implicit_use_defs:
-        webs[root_to_web[uf.find(def_id)]].fixed = True
+        web_of(def_id).fixed = True
     for web in webs:
         if web.reg not in _ALLOCATABLE:
             web.fixed = True
 
     slot_web: Dict[Tuple[int, str], int] = {}
-    for (pc, slot), ids in use_webs.items():
-        web = webs[root_to_web[uf.find(next(iter(ids)))]]
+    for (pc, slot), def_id in use_webs.items():
+        web = web_of(def_id)
         slot_web[(pc, slot)] = web.index
         web.use_sites.add((pc, slot))
     for pc in range(proc.start, proc.end):
-        inst = program[pc]
-        dst = inst.writes
-        if dst is None:
-            continue
-        def_id, implicit = code_defs[pc][dst]
-        web = webs[root_to_web[uf.find(def_id)]]
-        if not implicit:
-            slot_web[(pc, "dst")] = web.index
+        dst = program[pc].writes
+        if dst is not None:
+            slot_web[(pc, "dst")] = web_of(def_ids[(pc, dst)]).index
 
-    # --- live ranges ---------------------------------------------------------
-    # A web is live at pc if its register is live-in and one of the web's defs
-    # reaches pc.  Reuse the block dataflow to find the reaching web per pc.
-    for block in blocks:
-        state = {r: set(s) for r, s in block_in[block.start].items()}
-        for pc in block.pcs():
-            live = liveness.live_in[pc]
-            for reg in live:
-                ids = state.get(reg)
-                if not ids:
-                    if reg in entry_def:
-                        ids = {entry_def[reg]}
-                    else:
-                        continue
-                for def_id in ids:
-                    webs[root_to_web[uf.find(def_id)]].live_pcs.add(pc)
-            transfer(state, pc)
+    for pc, ids in live_defs:
+        for def_id in ids:
+            web_of(def_id).live_pcs.add(pc)
     # Include def points so two defs at the same point conflict.
     for web in webs:
         web.live_pcs |= web.def_pcs
 
     return WebAnalysis(proc=proc, webs=webs, slot_web=slot_web)
+
+
+def _union_all(uf: _UnionFind, ids: Set[int]) -> None:
+    first = next(iter(ids))
+    for other in ids:
+        uf.union(first, other)

@@ -18,8 +18,8 @@ machine sweep paid the functional-sim cost three times per workload.
   :func:`canonical_variant_key`) → transformed :class:`Program` plus, for
   ``realloc``, its :class:`ReallocReport`,
 * **ref traces** — program variant × input → an immutable record tuple,
-  kept in a small LRU (traces dominate resident memory; capacity via
-  ``REPRO_SESSION_TRACE_CAP``, default 32),
+  kept in a small LRU (traces dominate resident memory; bounded by
+  :data:`DEFAULT_TRACE_CAP` entries and :data:`DEFAULT_TRACE_BYTES`),
 * **pipeline streams** — the ref-trace key → the trace's
   predictor-independent :func:`~repro.uarch.stream.prepare_stream` result,
   shared by every predictor, recovery scheme and machine that runs on it.
@@ -47,7 +47,6 @@ one worker reuse its traces.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,13 +65,13 @@ from ..workloads.suite import make_workload
 from .metrics import get_metrics
 
 #: Default LRU capacity for cached ref traces (the dominant memory cost).
-DEFAULT_TRACE_CAP = int(os.environ.get("REPRO_SESSION_TRACE_CAP", "32"))
+DEFAULT_TRACE_CAP = 32
 
 #: Default resident-size budget for the trace LRU, in bytes.  Entry-count
 #: caps alone under-protect long-budget runs (a 1M-instruction trace is three
 #: orders of magnitude heavier than a 1.5k one), so eviction also fires on
 #: estimated bytes.
-DEFAULT_TRACE_BYTES = int(os.environ.get("REPRO_SESSION_TRACE_BYTES", str(256 * 1024 * 1024)))
+DEFAULT_TRACE_BYTES = 256 * 1024 * 1024
 
 #: Estimated resident cost of one cached :class:`TraceRecord` (slots, ints,
 #: tuple overhead) — an accounting constant, not a measurement.
@@ -335,7 +334,7 @@ class SimSession:
         machine cell of one trace shares one stream.
 
         Cached streams share the trace LRU's byte budget
-        (``REPRO_SESSION_TRACE_BYTES``): stream bytes count toward the same
+        (``trace_bytes``): stream bytes count toward the same
         ceiling, and stream entries are evicted (LRU) when the combined
         resident estimate exceeds it.
         """

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 import networkx as nx
 
 from ..isa.opcodes import OpKind, Opcode, opcode
+from ..isa.program import natural_loops
 from ..isa.registers import Reg
 
 
@@ -331,42 +332,7 @@ class IRFunction:
 
     def loops(self) -> List[Tuple[str, Set[str], int]]:
         """Natural loops as ``(header_label, body_labels, depth)`` tuples."""
-        graph = self.cfg()
-        if self.entry.label not in graph:
-            return []
-        idom = nx.immediate_dominators(graph, self.entry.label)
-
-        def dominates(a: str, b: str) -> bool:
-            node = b
-            while True:
-                if node == a:
-                    return True
-                parent = idom.get(node)
-                if parent is None or parent == node:
-                    return node == a
-                node = parent
-
-        raw: Dict[str, Set[str]] = {}
-        for u, v in graph.edges():
-            if dominates(v, u):  # back edge u -> v
-                body = {v, u}
-                stack = [] if u == v else [u]
-                while stack:
-                    node = stack.pop()
-                    if node == v:
-                        continue
-                    for pred in graph.predecessors(node):
-                        if pred not in body:
-                            body.add(pred)
-                            stack.append(pred)
-                raw.setdefault(v, set()).update(body)
-        items = list(raw.items())
-        loops = []
-        for header, body in items:
-            depth = 1 + sum(1 for h, b in items if h != header and body < b)
-            loops.append((header, body, depth))
-        loops.sort(key=lambda t: t[2])
-        return loops
+        return natural_loops(self.cfg(), self.entry.label)
 
     def loop_depth(self, label: str) -> int:
         depth = 0

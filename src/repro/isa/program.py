@@ -17,7 +17,7 @@ know each instruction's innermost loop and its nesting depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -238,28 +238,11 @@ class Program:
         """Natural loops of one procedure, innermost-last, with nesting depths."""
         if proc.name in self._loop_cache:
             return self._loop_cache[proc.name]
-        graph = self.cfg(proc)
         blocks = {b.start: b for b in self.basic_blocks(proc)}
-        loops: List[Loop] = []
-        if proc.start in graph:
-            idom = nx.immediate_dominators(graph, proc.start)
-            dominates = _dominates_fn(idom)
-            raw: Dict[int, set] = {}
-            for u, v in graph.edges():
-                if dominates(v, u):  # back edge u -> v
-                    body = _natural_loop(graph, v, u)
-                    raw.setdefault(v, set()).update(body)
-            # Nesting depth: loop A nests inside loop B if A's blocks ⊂ B's blocks.
-            items = list(raw.items())
-            for header, body_blocks in items:
-                depth = 1 + sum(
-                    1
-                    for other_header, other_body in items
-                    if other_header != header and body_blocks < other_body
-                )
-                pcs = frozenset(pc for b in body_blocks for pc in blocks[b].pcs())
-                loops.append(Loop(header, pcs, depth))
-            loops.sort(key=lambda lp: lp.depth)
+        loops = [
+            Loop(header, frozenset(pc for b in body for pc in blocks[b].pcs()), depth)
+            for header, body, depth in natural_loops(self.cfg(proc), proc.start)
+        ]
         self._loop_cache[proc.name] = loops
         return loops
 
@@ -277,8 +260,33 @@ class Program:
         return loop.depth if loop else 0
 
 
-def _dominates_fn(idom: Dict[int, int]) -> Callable[[int, int], bool]:
-    def dominates(a: int, b: int) -> bool:
+def natural_loops(graph: "nx.DiGraph", entry: Hashable) -> List[Tuple[Hashable, Set, int]]:
+    """Natural loops of a CFG as ``(header, body nodes, depth)``, innermost-last.
+
+    The one loop finder for both the flat CFG (:meth:`Program.loops`) and the
+    SSA CFG (:meth:`repro.ir.IRFunction.loops`).  A back edge ``u -> v`` is
+    one whose target dominates its source; loops sharing a header merge, and
+    a loop's depth is 1 plus the number of loops whose bodies strictly
+    contain it.
+    """
+    if entry not in graph:
+        return []
+    dominates = _dominates_fn(nx.immediate_dominators(graph, entry))
+    raw: Dict[Hashable, Set] = {}
+    for u, v in graph.edges():
+        if dominates(v, u):  # back edge u -> v
+            raw.setdefault(v, set()).update(_natural_loop(graph, v, u))
+    items = list(raw.items())
+    loops = [
+        (header, body, 1 + sum(1 for other, other_body in items if other != header and body < other_body))
+        for header, body in items
+    ]
+    loops.sort(key=lambda loop: loop[2])
+    return loops
+
+
+def _dominates_fn(idom: Dict[Hashable, Hashable]) -> Callable[[Hashable, Hashable], bool]:
+    def dominates(a: Hashable, b: Hashable) -> bool:
         """True if block a dominates block b."""
         node = b
         while True:
@@ -292,7 +300,7 @@ def _dominates_fn(idom: Dict[int, int]) -> Callable[[int, int], bool]:
     return dominates
 
 
-def _natural_loop(graph: "nx.DiGraph", header: int, tail: int) -> set:
+def _natural_loop(graph: "nx.DiGraph", header: Hashable, tail: Hashable) -> Set:
     """Blocks of the natural loop for back edge ``tail -> header``."""
     body = {header, tail}
     stack = [] if tail == header else [tail]

@@ -5,7 +5,6 @@ from .deadness import NUM_REG_IDS, reg_id, resolve_deadness
 from .lists import DeadHint, HintKind, ProfileLists
 from .reuse import Fig1Stats, MAX_MATCHES, ReuseProfile, ReuseProfileBuilder, SiteStats
 from .stride import StrideProfile, StrideSite
-from .value import ValueProfile, ValueSite
 
 __all__ = [
     "CriticalPathBuilder",
@@ -23,6 +22,4 @@ __all__ = [
     "SiteStats",
     "StrideProfile",
     "StrideSite",
-    "ValueProfile",
-    "ValueSite",
 ]

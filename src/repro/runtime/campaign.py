@@ -36,9 +36,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
-from ..core.experiment import ExperimentResult
+from ..core.experiment import CONFIG_NAMES, ExperimentResult
 from ..core.session import get_session
 from ..uarch.config import MachineConfig, aggressive_config, table1_config
+from ..uarch.recovery import RecoveryScheme
+from ..workloads.suite import WORKLOAD_CLASSES
 from .atomic import atomic_write_json
 from .journal import OK, PENDING, JournalError, RunJournal
 
@@ -78,6 +80,16 @@ class CampaignSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        # Reject unknown names here, before a journal exists: a grid naming
+        # one would otherwise fail every cell or leave an unresumable journal.
+        for axis, names, known in (
+            ("workloads", self.workloads, sorted(WORKLOAD_CLASSES)),
+            ("configs", self.configs, list(CONFIG_NAMES)),
+            ("recoveries", self.recoveries, [s.value for s in RecoveryScheme]),
+        ):
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ValueError(f"{axis}: unknown name {unknown[0]!r}; choose from {known}")
         if self.machine not in MACHINE_FACTORIES:
             raise ValueError(
                 f"unknown machine {self.machine!r}; choose from {sorted(MACHINE_FACTORIES)}"

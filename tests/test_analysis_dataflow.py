@@ -139,7 +139,7 @@ def test_liveness_satisfies_dataflow_equations_on_workload():
 
 
 # ----------------------------------------------------------------------
-# Chains, dominance, reachability
+# Chains, reachability
 # ----------------------------------------------------------------------
 def test_du_chains_invert_ud_chains():
     program, facts = facts_of(
@@ -155,7 +155,7 @@ def test_du_chains_invert_ud_chains():
     assert du[(1, R[2])] == {(2, "src2")}
 
 
-def test_dominance_and_unreachable_blocks():
+def test_unreachable_blocks():
     program, facts = facts_of(
         """
         li r1, #0
@@ -166,9 +166,7 @@ def test_dominance_and_unreachable_blocks():
         br end
         """
     )
-    # Entry dominates everything reachable; the trailing br is dead code.
-    assert facts.dominates(0, 3)
-    assert not facts.dominates(2, 3)
+    # The trailing br is dead code.
     dead = facts.unreachable_blocks()
     assert [block.start for block in dead] == [4]
 

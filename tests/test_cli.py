@@ -284,8 +284,15 @@ def test_out_of_range_budget_and_threshold_rejected(capsys, argv, flag, value):
         ["fuzz", "--runs", "0"],
         ["analyze", "--generated", "-1"],
         ["analyze", "li", "--max-gap", "-1"],
+        ["run", "--workload", "li", "--config", "bogus"],
+        ["suite", "--config", "bogus"],
+        ["metrics", "--config", "bogus"],
+        ["serve", "--spool", "spool", "--out-dir", "runs", "--poll", "-1"],
     ],
-    ids=["fuzz-runs", "analyze-generated", "analyze-max-gap"],
+    ids=[
+        "fuzz-runs", "analyze-generated", "analyze-max-gap",
+        "run-config", "suite-config", "metrics-config", "serve-poll",
+    ],
 )
 def test_out_of_range_counts_rejected(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -1,14 +1,13 @@
 """Interference-graph tests."""
 
 from repro.isa import assemble
-from repro.compiler import build_interference, build_webs, compute_liveness, interferes
+from repro.compiler import build_interference, build_webs, interferes
 
 
 def analysis_of(text):
     program = assemble(text)
     proc = program.procedures[0]
-    liveness = compute_liveness(program, proc)
-    webs = build_webs(program, proc, liveness)
+    webs = build_webs(program, proc)
     return webs, build_interference(webs.webs)
 
 

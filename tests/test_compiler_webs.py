@@ -1,14 +1,13 @@
 """Web (du-chain) construction tests."""
 
 from repro.isa import R, assemble
-from repro.compiler import build_webs, compute_liveness
+from repro.compiler import build_webs
 
 
 def webs_of(text, proc_name=None):
     program = assemble(text)
     proc = program.procedure(proc_name) if proc_name else program.procedures[0]
-    liveness = compute_liveness(program, proc)
-    return program, build_webs(program, proc, liveness)
+    return program, build_webs(program, proc)
 
 
 def test_disjoint_defs_make_separate_webs():
@@ -141,8 +140,7 @@ def test_join_webs_in_multi_procedure_program():
     program = assemble(MULTI_PROC_JOIN)
     by_proc = {}
     for proc in program.procedures:
-        liveness = compute_liveness(program, proc)
-        by_proc[proc.name] = build_webs(program, proc, liveness)
+        by_proc[proc.name] = build_webs(program, proc)
 
     main = by_proc["main"]
     helper = by_proc["helper"]
@@ -173,7 +171,7 @@ def test_multi_procedure_join_webs_match_ssa_phi_webs():
             if program[pc].writes is not None and program[pc].writes.name == "r2"
         }
         assert len(r2_defs) == 2
-        analysis = build_webs(program, proc, compute_liveness(program, proc))
+        analysis = build_webs(program, proc)
         assert len({analysis.web_of_def(pc).index for pc in r2_defs}) == 1
         def_vids = {
             instr.dst.vid
@@ -189,3 +187,43 @@ def test_live_pcs_cover_definition_points():
     program, analysis = webs_of("li r1, #1\nadd r2, r1, #1\nst r2, 0(r31)\nhalt")
     web = analysis.web_of_def(0)
     assert 0 in web.live_pcs and 1 in web.live_pcs
+
+
+def _web_invariant_programs():
+    from repro.testing import generate_case
+    from repro.workloads import all_workloads
+
+    return [w.program for w in all_workloads()] + [generate_case(seed).program for seed in range(50)]
+
+
+def test_web_invariants_on_workloads_and_generated_programs():
+    """Every explicit def and use slot lies in exactly one web of its own
+    register, and every web reached by an entry or implicit (convention)
+    definition is fixed."""
+    from repro.analysis.facts import ProcedureFacts
+
+    for program in _web_invariant_programs():
+        for proc in program.procedures:
+            analysis = build_webs(program, proc)
+            where = f"{program.name}/{proc.name}"
+            for web in analysis.webs:
+                assert all(program[pc].writes == web.reg for pc in web.def_pcs), where
+                assert all(getattr(program[pc], slot) == web.reg for pc, slot in web.use_sites), where
+            for pc in range(proc.start, proc.end):
+                inst = program[pc]
+                slots = [("dst", inst.writes)] + [
+                    (slot, getattr(inst, slot)) for slot in ("src1", "src2")
+                ]
+                for slot, reg in slots:
+                    if reg is None or reg.is_zero:
+                        continue
+                    web = analysis.webs[analysis.slot_web[(pc, slot)]]
+                    assert web.reg == reg, (where, pc, slot)
+                    if slot == "dst":
+                        owners = [w for w in analysis.webs if pc in w.def_pcs]
+                    else:
+                        owners = [w for w in analysis.webs if (pc, slot) in w.use_sites]
+                    assert owners == [web], (where, pc, slot)
+            for (pc, slot), defs in ProcedureFacts(program, proc).ud_chains().items():
+                if any(d_pc is None or program[d_pc].writes != reg for d_pc, reg in defs):
+                    assert analysis.web_of_use(pc, slot).fixed, (where, pc, slot)

@@ -168,3 +168,26 @@ def test_verify_ssa_rejects_double_definition():
     defs[1].dst = defs[0].dst
     with pytest.raises(IRError):
         verify_ssa(func)
+
+
+def test_ssa_loops_match_flat_loops_on_every_workload():
+    """Each raised function's loop nest, mapped back to flat block starts,
+    is ``Program.loops``: absint's loop depths rest on the SSA CFG."""
+    from repro.workloads import all_workloads
+
+    for workload in all_workloads():
+        program = workload.program
+        module = raise_program(program)
+        for proc in program.procedures:
+            func = module.function(proc.name)
+            start_of = {block.label: block.instrs[0].origin_pc for block in func.blocks}
+            ssa = sorted(
+                (start_of[header], sorted(start_of[label] for label in body), depth)
+                for header, body, depth in func.loops()
+            )
+            starts = {block.start for block in program.basic_blocks(proc)}
+            flat = sorted(
+                (loop.header, sorted(pc for pc in loop.body if pc in starts), loop.depth)
+                for loop in program.loops(proc)
+            )
+            assert ssa == flat, (workload.name, proc.name)

@@ -340,7 +340,16 @@ def test_cli_serve_moves_bad_spec_to_failed(tmp_path, capsys):
     assert (spool / "failed" / "broken.error").exists()
 
 
-@pytest.mark.parametrize("field,value", [("max_instructions", 0), ("threshold", 1.5)])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_instructions", 0),
+        ("threshold", 1.5),
+        ("workloads", ["nope"]),
+        ("configs", ["bogus"]),
+        ("recoveries", ["sideways"]),
+    ],
+)
 def test_cli_serve_moves_out_of_range_spec_to_failed(tmp_path, capsys, field, value):
     spool = tmp_path / "spool"
     spool.mkdir()
