@@ -24,9 +24,9 @@ Commands
                  python -m repro suite --config no_predict lvp_all drvp_all_dead_lv --jobs 4
 
              Every campaign runs under the fault-tolerant supervisor
-             (:mod:`repro.runtime.service`); ``--jobs N`` gives it N leased
-             worker processes, heartbeat-monitored, with crashed/wedged
-             workers' cells stolen back and re-dispatched; ``--store DIR``
+             (:mod:`repro.runtime.service`); ``--jobs N`` gives it N worker
+             processes, with a crashed worker's cells re-dispatched and a
+             wedged one's pool recycled at the per-cell deadline; ``--store DIR``
              adds the shared content-addressed result store so identical
              cells are never re-simulated across campaigns::
 
@@ -99,7 +99,6 @@ from typing import List, Optional
 
 from .core.experiment import CONFIG_NAMES, ExperimentRunner
 from .core.results import ResultTable, render_metrics
-from .runtime.heartbeat import DEFAULT_LEASE_DURATION
 from .uarch.config import aggressive_config, table1_config
 from .uarch.recovery import RecoveryScheme
 from .workloads.suite import WORKLOAD_CLASSES
@@ -202,11 +201,8 @@ def _campaign_spec(args: argparse.Namespace, workloads):
 
 
 def _supervisor_kwargs(args: argparse.Namespace) -> dict:
-    """``--store`` and ``--lease`` as campaign supervisor arguments."""
-    kwargs = {"store": _campaign_store(args)}
-    if args.lease is not None:
-        kwargs["lease_duration"] = args.lease
-    return kwargs
+    """``--store`` as a campaign supervisor argument."""
+    return {"store": _campaign_store(args)}
 
 
 def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
@@ -304,7 +300,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Each ``<name>.json`` dropped into ``--spool`` is a campaign config (the
     same canonical payload ``CampaignSpec.config_dict`` produces); the
-    service runs it under supervision (leased workers, work stealing, shared
+    service runs it under supervision (worker pool, per-cell deadline, shared
     ``--store``), writes ``<run-id>.report.json`` next to the journal, and
     moves the spec file to ``done/`` (or ``failed/`` with a ``.error`` note).
     A service killed mid-campaign resumes that campaign's journal on restart
@@ -843,11 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--jobs", type=_at_least_one, default=default, metavar="N", help=help
         )
-        sub_parser.add_argument(
-            "--lease", type=_positive_seconds, metavar="SECONDS",
-            help="lease duration before a silent worker's cell is stolen "
-            f"(with --jobs > 1; default {DEFAULT_LEASE_DURATION:g})",
-        )
 
     def _add_campaign(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
@@ -873,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs(
         run_parser, 1,
-        "leased worker processes for campaign cells (with --out-dir/--resume; 1 = in-process)",
+        "worker processes for campaign cells (with --out-dir/--resume; 1 = in-process)",
     )
     _add_campaign(run_parser)
     _add_common(run_parser)
@@ -885,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["no_predict", "lvp_all", "drvp_all_dead_lv"],
     )
     _add_jobs(
-        suite_parser, 1, "leased worker processes for (workload x config) fan-out (1 = serial)"
+        suite_parser, 1, "worker processes for (workload x config) fan-out (1 = serial)"
     )
     _add_campaign(suite_parser)
     _add_common(suite_parser)

@@ -7,7 +7,7 @@ Every layer of the execution core reports into one :class:`MetricsRegistry`:
 * the :class:`~repro.core.session.SimSession` counts cache hits/misses per
   artifact kind (trace / profile / program variant),
 * the :class:`~repro.runtime.service.CampaignSupervisor` counts dispatches,
-  re-dispatches, lease steals and pool rebuilds (``service.*``).
+  re-dispatches, per-cell timeouts and pool rebuilds (``service.*``).
 
 The registry is deliberately simple — plain dict increments, one
 ``perf_counter`` pair per *run* (never per instruction) — so instrumentation

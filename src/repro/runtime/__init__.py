@@ -8,16 +8,14 @@ Layers, bottom-up:
 * :mod:`~repro.runtime.errors` — the transient/deterministic failure
   taxonomy the campaign supervisor routes every cell failure through.
 * :mod:`~repro.runtime.journal` — the append-only JSONL run journal.
-* :mod:`~repro.runtime.heartbeat` — clocks, heartbeat boards and the lease
-  protocol the campaign service's work stealing is built on.
 * :mod:`~repro.runtime.store` — the shared content-addressed result store
   (the persistent L2 under each worker's in-process session).
 * :mod:`~repro.runtime.campaign` — campaign specs, cells, the digest
   sidecar and reports.
 * :mod:`~repro.runtime.service` — the campaign supervisor, the one cell
-  executor (in-process serial mode, or leased workers with work stealing,
-  pool rebuilds and serial degradation), and ``run_campaign`` /
-  ``resume_campaign``.
+  executor (in-process serial mode, or a worker pool recycled at the
+  per-cell deadline, with pool rebuilds and serial degradation), and
+  ``run_campaign`` / ``resume_campaign``.
 
 ``campaign``, ``store`` and ``service`` are exposed lazily (module-level
 ``__getattr__``): they import :mod:`repro.core` modules, which themselves
@@ -32,23 +30,12 @@ from .atomic import (
     ensure_durable_directory,
     fsync_directory,
 )
-from .heartbeat import (
-    DEFAULT_LEASE_DURATION,
-    FileHeartbeatBoard,
-    HeartbeatBoard,
-    Lease,
-    LeaseError,
-    LeaseTable,
-    ManualClock,
-    MonotonicClock,
-)
 from .errors import (
     DETERMINISTIC,
     TRANSIENT,
     BudgetExceeded,
     CampaignError,
     DeterministicError,
-    LeaseExpired,
     TransientError,
     WorkerCrashed,
     classify_failure,
@@ -100,7 +87,6 @@ __all__ = [
     "BudgetExceeded",
     "CampaignError",
     "DeterministicError",
-    "LeaseExpired",
     "TransientError",
     "WorkerCrashed",
     "classify_failure",
@@ -114,14 +100,6 @@ __all__ = [
     "new_run_id",
     "backoff_delay",
     "backoff_delays",
-    "DEFAULT_LEASE_DURATION",
-    "FileHeartbeatBoard",
-    "HeartbeatBoard",
-    "Lease",
-    "LeaseError",
-    "LeaseTable",
-    "ManualClock",
-    "MonotonicClock",
     *_CAMPAIGN_EXPORTS,
     *_STORE_EXPORTS,
     *_SERVICE_EXPORTS,

@@ -57,16 +57,6 @@ class WorkerCrashed(TransientError):
     """
 
 
-class LeaseExpired(TransientError):
-    """A worker stopped heartbeating past its lease deadline.
-
-    Raised *on the worker's behalf* by the supervisor when it reclaims the
-    lease of a wedged or silently-dead worker (work stealing).  Transient by
-    the same argument as :class:`WorkerCrashed`; the stale worker's late
-    result, if one ever arrives, is discarded by the cell's dispatch epoch.
-    """
-
-
 class DeterministicError(CampaignError):
     """A repeatable experiment failure; retrying would replay it."""
 

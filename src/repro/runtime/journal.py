@@ -260,7 +260,7 @@ class RunJournal:
         return entry
 
     def note(self, event: str, fsync: bool = False, **fields: object) -> Dict[str, object]:
-        """Append a supervisor *event* record (lease steal, pool rebuild, ...).
+        """Append a supervisor *event* record (cell timeout, pool rebuild, ...).
 
         Events are observability, not cell state: replay ignores every
         record whose ``type`` is not ``cell``, so notes never change what a

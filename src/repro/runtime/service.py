@@ -1,38 +1,38 @@
-"""Campaign execution: one supervisor, in-process or over leased workers.
+"""Campaign execution: one supervisor, in-process or over a worker pool.
 
 :class:`CampaignSupervisor` is the only cell executor.  It owns a campaign's
 grid and journal and takes every cell to exactly one terminal journal
 state.  With ``spec.jobs == 1`` it runs the cells one after another in its
 own process (serial mode); with ``jobs > 1`` it dispatches them to a pool of
-worker processes under a lease protocol, which adds surviving **worker**
-failure mid-campaign to the journal's crash safety:
+worker processes, which adds surviving **worker** failure mid-campaign to
+the journal's crash safety:
 
-* every dispatched cell carries a **lease** (:mod:`repro.runtime.heartbeat`)
-  that the worker must keep renewing by heartbeating; a worker that is
-  SIGKILLed, wedged, or silently dead stops renewing, the lease expires, and
-  the supervisor *steals the cell back* and re-dispatches it to a surviving
-  worker;
-* a **dispatch epoch** per cell makes redelivery exactly-once: if the
-  original worker was merely slow and its result arrives after the steal,
-  the stale epoch is discarded — each cell reaches exactly one terminal
-  journal state;
+* every dispatched cell has a **per-cell deadline** (``cell_timeout``, from
+  :func:`derive_cell_timeout`); a cell past it — its worker wedged,
+  SIGSTOPped or livelocked — fails with ``TimeoutError`` and the supervisor
+  **recycles the pool**: the workers are killed, every other in-flight cell
+  goes back to the queue without being charged an attempt, and a fresh pool
+  takes over.  No killed worker can deliver a late result, so each cell
+  reaches exactly one terminal journal state;
 * worker death that breaks the whole ``ProcessPoolExecutor`` (POSIX kills
   any sibling futures with ``BrokenProcessPool``) triggers a bounded **pool
   rebuild**; past the rebuild budget the supervisor **degrades to serial**
   execution in its own process — a collapsed pool costs throughput, never
-  results;
+  results.  Deadline recycles do not count against that budget, and serial
+  mode (``jobs == 1`` or degraded) has no per-cell deadline;
 * in both modes failures are routed through the taxonomy
   (:func:`~repro.runtime.errors.classify_failure`): transient ones
-  (:class:`~repro.runtime.errors.WorkerCrashed`,
-  :class:`~repro.runtime.errors.LeaseExpired`, timeouts) are retried behind
-  the deterministic backoff schedule (:func:`~repro.runtime.retry.backoff_delays`,
-  elapsed-capped); deterministic ones fail fast with the diagnostic
-  preserved;
+  (:class:`~repro.runtime.errors.WorkerCrashed`, timeouts) are retried
+  behind the deterministic backoff schedule
+  (:func:`~repro.runtime.retry.backoff_delays`, elapsed-capped);
+  deterministic ones fail fast with the diagnostic preserved;
 * every terminal state goes through the
   :class:`~repro.runtime.journal.RunJournal`, plus ``note`` event records
-  (dispatches, steals, rebuilds, degradation) so a post-mortem can replay
+  (dispatches, timeouts, rebuilds, degradation) so a post-mortem can replay
   the supervisor's decisions; supervisor SIGKILL is therefore just another
-  resume (:func:`resume_campaign`).
+  resume (:func:`resume_campaign`).  The pool is always torn down by killing
+  its workers, never by waiting on them, so a stopped worker cannot hang
+  the supervisor.
 
 All time flows through an injectable clock and all waiting through an
 injectable ``sleep``, so the chaos harness (:mod:`repro.testing.faults`)
@@ -42,14 +42,12 @@ wall clock.
 
 from __future__ import annotations
 
-import os
-import shutil
-import threading
+import signal
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, process
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.experiment import ExperimentResult, ExperimentRunner
 from ..core.metrics import get_metrics
@@ -64,32 +62,15 @@ from .campaign import (
     build_report,
     deliver_sigterm_as_interrupt,
 )
-from .errors import (
-    DETERMINISTIC,
-    LeaseExpired,
-    WorkerCrashed,
-    classify_failure,
-    is_timeout,
-)
-from .heartbeat import (
-    DEFAULT_LEASE_DURATION,
-    FileHeartbeatBoard,
-    HeartbeatBoard,
-    LeaseTable,
-    MonotonicClock,
-)
+from .errors import DETERMINISTIC, WorkerCrashed, classify_failure, is_timeout
 from .journal import OK, RunJournal, new_run_id
 from .retry import backoff_delays
 from .store import ResultStore, cell_store_key
 
-#: Supervisor poll cadence (seconds): how often futures, heartbeats and
-#: lease deadlines are re-examined.  Chaos tests replace ``_sleep`` so this
-#: is wall-clock cost only, never a correctness parameter.
+#: Supervisor poll cadence (seconds): how often futures and cell deadlines
+#: are re-examined.  Chaos tests replace ``_sleep`` so this is wall-clock
+#: cost only, never a correctness parameter.
 DEFAULT_POLL_INTERVAL = 0.05
-
-#: Workers heartbeat at a quarter of the lease duration: four consecutive
-#: missed beats before the supervisor presumes death.
-BEAT_FRACTION = 0.25
 
 
 def derive_cell_timeout(max_instructions: int) -> float:
@@ -125,9 +106,16 @@ def _run_cell(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _beat_loop(board: HeartbeatBoard, cell_id: str, worker: str, interval: float, stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        board.beat(cell_id, worker)
+def _restore_default_sigterm() -> None:
+    """Pool initializer: a SIGTERMed worker dies instead of raising.
+
+    Forked workers inherit the supervisor's SIGTERM -> ``KeyboardInterrupt``
+    handler (:func:`~repro.runtime.campaign.deliver_sigterm_as_interrupt`);
+    with it a worker would ship the interrupt back as its cell's result and
+    abort the whole campaign.  With the default action the worker dies like
+    a SIGKILLed one and the pool-rebuild path re-runs its cell.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _service_cell_worker(
@@ -136,47 +124,30 @@ def _service_cell_worker(
     max_instructions: int,
     threshold: float,
     scale: float,
-    heartbeat_dir: Optional[str],
     worker_tag: str,
-    beat_interval: float,
     store_root: Optional[str],
     store_key: Optional[str],
 ) -> Tuple[str, object]:
-    """Top-level (picklable) pool worker: heartbeat + L2 check + run one cell.
+    """Top-level (picklable) pool worker: L2 check + run one cell.
 
-    A daemon thread publishes liveness to the file heartbeat board for the
-    duration of the cell; the main thread consults the shared result store
-    (the L2 under this process's :class:`~repro.core.session.SimSession` L1)
-    before simulating, and publishes fresh results back.  Returns a tagged
-    pair so the supervisor can count store traffic: ``("store", payload)``
-    for an L2 hit, ``("ran", ExperimentResult)`` for fresh work.
+    Consults the shared result store (the L2 under this process's
+    :class:`~repro.core.session.SimSession` L1) before simulating, and
+    publishes fresh results back.  Returns a tagged pair so the supervisor
+    can count store traffic: ``("store", payload)`` for an L2 hit,
+    ``("ran", ExperimentResult)`` for fresh work.
     """
-    stop = threading.Event()
-    board: Optional[HeartbeatBoard] = None
-    if heartbeat_dir:
-        board = FileHeartbeatBoard(heartbeat_dir)
-        board.beat(cell.cell_id, worker_tag)
-        beater = threading.Thread(
-            target=_beat_loop,
-            args=(board, cell.cell_id, worker_tag, beat_interval, stop),
-            daemon=True,
-        )
-        beater.start()
-    try:
-        store = ResultStore(store_root, writer=worker_tag) if store_root else None
-        if store is not None and store_key:
-            payload = store.get(store_key)
-            if payload is not None:
-                return ("store", payload)
-        result = _run_cell(cell, machine, max_instructions, threshold, scale)
-        if store is not None and store_key:
-            try:
-                store.put(store_key, result.to_dict(), cell_id=cell.cell_id)
-            except OSError:
-                pass  # the store accelerates; it never fails a cell
-        return ("ran", result)
-    finally:
-        stop.set()
+    store = ResultStore(store_root, writer=worker_tag) if store_root else None
+    if store is not None and store_key:
+        payload = store.get(store_key)
+        if payload is not None:
+            return ("store", payload)
+    result = _run_cell(cell, machine, max_instructions, threshold, scale)
+    if store is not None and store_key:
+        try:
+            store.put(store_key, result.to_dict(), cell_id=cell.cell_id)
+        except OSError:
+            pass  # the store accelerates; it never fails a cell
+    return ("ran", result)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +167,10 @@ class _Pending:
 
 @dataclass
 class _Dispatch:
-    """One in-flight (cell, future) pairing under a lease."""
+    """One in-flight (cell, future) pairing."""
 
     cell: SuiteCell
     future: object
-    epoch: int
     worker_tag: str
     started: float
     attempts: int
@@ -215,34 +185,23 @@ class ServiceStats:
     dispatched: int = 0
     completed: int = 0
     store_hits: int = 0
-    steals: int = 0
-    stale_results_discarded: int = 0
+    timeouts: int = 0
     pool_rebuilds: int = 0
     degraded_serial: bool = False
-    lease: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "store_hits": self.store_hits,
-            "steals": self.steals,
-            "stale_results_discarded": self.stale_results_discarded,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded_serial": self.degraded_serial,
-            "lease": dict(self.lease),
-        }
+        return asdict(self)
 
 
 class CampaignSupervisor:
-    """Run one campaign: in-process at ``spec.jobs == 1``, else over leased workers."""
+    """Run one campaign: in-process at ``spec.jobs == 1``, else over a worker pool."""
 
-    #: Executor factory, ``callable(max_workers=n)``; the chaos harness
-    #: substitutes a scripted executor here.
+    #: Executor factory, ``callable(max_workers=n, initializer=f)``; the
+    #: chaos harness substitutes a scripted executor here.
     executor_factory = ProcessPoolExecutor
 
     #: Injectable wait primitive — the chaos harness replaces this with a
-    #: function that advances a :class:`ManualClock` and emits scripted beats.
+    #: function that advances its manual clock and ticks the scripted futures.
     _sleep = staticmethod(time.sleep)
 
     def __init__(
@@ -250,16 +209,13 @@ class CampaignSupervisor:
         spec: CampaignSpec,
         out_dir: str,
         store: Optional[ResultStore] = None,
-        lease_duration: float = DEFAULT_LEASE_DURATION,
         machine: Optional[MachineConfig] = None,
         retries: int = 2,
         cell_timeout: Optional[float] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         max_pool_rebuilds: int = 2,
-        clock: Optional[MonotonicClock] = None,
-        heartbeats: Optional[HeartbeatBoard] = None,
+        clock: Optional[Callable[[], float]] = None,
         executor_factory=None,
-        use_heartbeat_files: bool = True,
     ) -> None:
         self.spec = spec
         self.out_dir = out_dir
@@ -273,17 +229,11 @@ class CampaignSupervisor:
         self.retry_deadline = self.cell_timeout
         self.poll_interval = poll_interval
         self.max_pool_rebuilds = max(0, max_pool_rebuilds)
-        self.clock = clock if clock is not None else MonotonicClock()
-        self.lease_duration = lease_duration
-        self.leases = LeaseTable(duration=lease_duration, clock=self.clock)
+        #: Zero-argument time source; production reads ``time.monotonic``.
+        self.now = clock if clock is not None else time.monotonic
         self.stats = ServiceStats()
         if executor_factory is not None:
             self.executor_factory = executor_factory
-        self._heartbeats = heartbeats
-        self._use_heartbeat_files = use_heartbeat_files
-        self._heartbeat_dir: Optional[str] = None
-        self._epochs: Dict[str, int] = {}
-        self._abandoned: List[_Dispatch] = []
         self._dispatch_counter = 0
 
     # ------------------------------------------------------------------
@@ -344,18 +294,10 @@ class CampaignSupervisor:
         resumed: bool,
     ) -> CampaignReport:
         metrics = get_metrics()
-        board = self._heartbeats
-        # Workers beat into files only when pooled; the directory (or one a
-        # killed predecessor left behind) is removed when supervision ends.
-        self._heartbeat_dir = (
-            os.path.join(self.out_dir, f"{journal.run_id}.heartbeats")
-            if board is None and self._use_heartbeat_files
-            else None
-        )
         journal.note(
             "service_start",
             workers=self.workers,
-            lease_duration=self.lease_duration,
+            cell_timeout=self.cell_timeout,
             resumed=resumed,
             cells=len(cells),
         )
@@ -390,14 +332,13 @@ class CampaignSupervisor:
                     if not serial and pool is None:
                         try:
                             pool = self.executor_factory(
-                                max_workers=max(1, min(self.workers, len(pending)))
+                                max_workers=max(1, min(self.workers, len(pending))),
+                                initializer=_restore_default_sigterm,
                             )
                             used_processes = True
                         except (OSError, RuntimeError) as exc:
                             journal.note("pool_unavailable", error=repr(exc))
                             serial = True
-                        if pool is not None and board is None and self._heartbeat_dir is not None:
-                            board = FileHeartbeatBoard(self._heartbeat_dir, clock=self.clock)
                     if serial:
                         self._drain_serial(journal, pending, fresh)
                         break
@@ -406,7 +347,7 @@ class CampaignSupervisor:
                         # dead worker's future raise BrokenProcessPool; the
                         # kill can land between polls, so dispatch needs the
                         # same collapse handling as the harvest.
-                        self._dispatch_ready(pool, board, journal, pending, inflight)
+                        self._dispatch_ready(pool, journal, pending, inflight)
                         self._poll_inflight(journal, pending, inflight, fresh)
                     except process.BrokenProcessPool as exc:
                         rebuilds += 1
@@ -421,13 +362,16 @@ class CampaignSupervisor:
                             metrics.inc("service.degraded_serial")
                             serial = True
                         continue
-                    self._renew_from_heartbeats(board, inflight)
-                    self._steal_expired(journal, pending, inflight)
-                    self._reap_abandoned(journal)
+                    if self._time_out_overdue(journal, pending, inflight):
+                        # The overdue worker may be wedged for good: recycle
+                        # the pool (not a rebuild, so no step toward serial).
+                        self._abandon_pool(pool)
+                        pool = None
+                        continue
                     if pending or inflight:
                         self._sleep(self.poll_interval)
             if pool is not None:
-                pool.shutdown(wait=True)
+                self._abandon_pool(pool)  # nothing is in flight: no result lost
                 pool = None
         except KeyboardInterrupt:
             journal.note("interrupted", inflight=len(inflight), pending=len(pending))
@@ -436,14 +380,7 @@ class CampaignSupervisor:
             if pool is not None:
                 self._abandon_pool(pool)
             raise
-        finally:
-            if board is not None:
-                for cell_id in list(self._epochs):
-                    board.clear(cell_id)
-            if self._heartbeat_dir is not None:
-                shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
 
-        self.stats.lease = self.leases.stats.to_dict()
         journal.note("service_done", **self.stats.to_dict())
         report = build_report(
             self.spec, journal, restored, fresh, resumed=resumed,
@@ -458,14 +395,14 @@ class CampaignSupervisor:
     # ------------------------------------------------------------------
     @staticmethod
     def _abandon_pool(pool) -> None:
-        """Tear down an executor we are done with, without blocking on corpses.
+        """Tear down an executor we are done with, without blocking on workers.
 
         A SIGKILLed worker can die holding the shared call-queue lock,
-        leaving its siblings deadlocked inside ``call_queue.get``; a plain
-        ``shutdown`` would then hang (or leak the deadlocked processes past
-        interpreter exit). The pool is already broken or being discarded, so
-        no result can be lost: kill the survivors first, then shut down
-        without waiting.
+        leaving its siblings deadlocked inside ``call_queue.get``, and a
+        SIGSTOPped one never exits at all; a waiting ``shutdown`` would then
+        hang (or leak the deadlocked processes past interpreter exit).  The
+        caller has nothing in flight it still wants, so no result can be
+        lost: kill the workers first, then shut down without waiting.
         """
         for proc in list((getattr(pool, "_processes", None) or {}).values()):
             try:
@@ -481,9 +418,9 @@ class CampaignSupervisor:
         self._dispatch_counter += 1
         return f"d{self._dispatch_counter}"
 
-    def _dispatch_ready(self, pool, board, journal, pending, inflight) -> None:
+    def _dispatch_ready(self, pool, journal, pending, inflight) -> None:
         """Submit every dispatchable pending cell to a free worker slot."""
-        now = self.clock.now()
+        now = self.now()
         for cell_id in list(pending):
             if len(inflight) >= self.workers:
                 return
@@ -491,38 +428,25 @@ class CampaignSupervisor:
             if entry.not_before > now:
                 continue
             tag = self._next_tag()
-            epoch = self._epochs.get(cell_id, 0) + 1
-            self._epochs[cell_id] = epoch
-            self.leases.claim(cell_id, owner=tag)
-            if board is not None:
-                board.beat(cell_id, tag)  # dispatch counts as the first beat
-            try:
-                future = pool.submit(
-                    _service_cell_worker,
-                    entry.cell,
-                    self.machine,
-                    self.spec.max_instructions,
-                    self.spec.threshold,
-                    self.spec.scale,
-                    self._heartbeat_dir,
-                    tag,
-                    self.lease_duration * BEAT_FRACTION,
-                    self.store.root if self.store is not None else None,
-                    self.store_key(entry.cell) if self.store is not None else None,
-                )
-            except Exception:
-                # The cell never left pending; free its lease so the
-                # re-dispatch after pool recovery can claim it again.
-                self.leases.release(cell_id)
-                raise
+            future = pool.submit(
+                _service_cell_worker,
+                entry.cell,
+                self.machine,
+                self.spec.max_instructions,
+                self.spec.threshold,
+                self.spec.scale,
+                tag,
+                self.store.root if self.store is not None else None,
+                self.store_key(entry.cell) if self.store is not None else None,
+            )
             del pending[cell_id]
             inflight[cell_id] = _Dispatch(
-                cell=entry.cell, future=future, epoch=epoch, worker_tag=tag,
+                cell=entry.cell, future=future, worker_tag=tag,
                 started=now, attempts=entry.attempts + 1, entry=entry,
             )
             self.stats.dispatched += 1
             get_metrics().inc("service.dispatches")
-            journal.note("dispatch", cell=cell_id, worker=tag, epoch=epoch, attempt=entry.attempts + 1)
+            journal.note("dispatch", cell=cell_id, worker=tag, attempt=entry.attempts + 1)
 
     def _poll_inflight(self, journal, pending, inflight, fresh) -> None:
         """Harvest completed futures; raise ``BrokenProcessPool`` upward."""
@@ -532,11 +456,6 @@ class CampaignSupervisor:
             if not future.done():
                 continue
             del inflight[cell_id]
-            if self._epochs.get(cell_id) != dispatch.epoch:
-                # A steal already re-dispatched this cell; this result is
-                # from a superseded epoch and must not double-commit.
-                self._discard_stale(journal, dispatch)
-                continue
             try:
                 outcome = future.result()
             except process.BrokenProcessPool:
@@ -545,10 +464,8 @@ class CampaignSupervisor:
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                self.leases.release(cell_id)
                 self._handle_failure(journal, pending, dispatch, exc)
                 continue
-            self.leases.release(cell_id)
             self._commit_outcome(journal, fresh, dispatch, outcome, pending=pending)
 
     def _commit_outcome(self, journal, fresh, dispatch: _Dispatch, outcome, pending=None) -> None:
@@ -572,7 +489,7 @@ class CampaignSupervisor:
         else:
             result = value
         payload = result.to_dict() if hasattr(result, "to_dict") else None
-        elapsed = self.clock.now() - dispatch.started
+        elapsed = self.now() - dispatch.started
         journal.record(cell.cell_id, "ok", attempts=dispatch.attempts, elapsed_s=elapsed, result=payload)
         fresh[cell.cell_id] = result
         self.stats.completed += 1
@@ -606,7 +523,7 @@ class CampaignSupervisor:
             if dispatch.attempts <= len(prior.schedule):
                 delay = prior.schedule[dispatch.attempts - 1]
                 prior.attempts = dispatch.attempts
-                prior.not_before = self.clock.now() + delay
+                prior.not_before = self.now() + delay
                 pending[cell.cell_id] = prior
                 get_metrics().inc("service.redispatches")
                 journal.note(
@@ -621,94 +538,55 @@ class CampaignSupervisor:
 
     def _commit_failure(self, journal, dispatch: _Dispatch, message, kind, timed_out=False) -> None:
         status = "timeout" if timed_out else "failed"
-        elapsed = self.clock.now() - dispatch.started
+        elapsed = self.now() - dispatch.started
         journal.record(
             dispatch.cell.cell_id, status, attempts=dispatch.attempts,
             elapsed_s=elapsed, error=message, error_kind=kind,
         )
         self.stats.completed += 1
 
-    def _renew_from_heartbeats(self, board, inflight) -> None:
-        if board is None:
-            return
-        for cell_id, dispatch in inflight.items():
-            beat = board.last_beat(cell_id)
-            if beat is None:
-                continue
-            worker, at = beat
-            lease = self.leases.active().get(cell_id)
-            if lease is None or worker != lease.owner:
-                continue  # a superseded worker's beat never renews the new lease
-            if at > lease.renewed_at:
-                self.leases.renew(cell_id, owner=worker, at=at)
+    def _time_out_overdue(self, journal, pending, inflight) -> bool:
+        """Enforce the per-cell deadline; True when the pool must be recycled.
 
-    def _steal_expired(self, journal, pending, inflight) -> None:
-        """Reclaim every expired lease and requeue its cell (work stealing).
-
-        Also enforces the hard per-cell wall-clock cap: a worker that keeps
-        heartbeating while livelocked still loses its cell at
-        ``cell_timeout``.
+        Each cell past ``cell_timeout`` fails with ``TimeoutError`` (retried,
+        or committed ``timeout`` once its retries run out).  Its worker may
+        never come back, so the pool goes with it: every other in-flight
+        cell returns to ``pending`` at its current attempt count — it did
+        nothing wrong, so it is not charged an attempt.
         """
-        now = self.clock.now()
-        expired = {lease.cell_id for lease in self.leases.expired_leases()}
-        for cell_id in list(inflight):
-            dispatch = inflight[cell_id]
-            timed_out = now - dispatch.started > self.cell_timeout
-            if cell_id not in expired and not timed_out:
-                continue
-            self.leases.reclaim(cell_id)
-            del inflight[cell_id]
-            self._epochs[cell_id] = self._epochs.get(cell_id, 0) + 1  # invalidate late results
-            self._abandoned.append(dispatch)
-            self.stats.steals += 1
-            get_metrics().inc("service.steals")
+        now = self.now()
+        overdue = [
+            cell_id for cell_id, dispatch in inflight.items()
+            if now - dispatch.started > self.cell_timeout
+        ]
+        if not overdue:
+            return False
+        requeued = [cell_id for cell_id in inflight if cell_id not in overdue]
+        for cell_id in requeued:
+            pending[cell_id] = inflight.pop(cell_id).entry
+        for cell_id in overdue:
+            dispatch = inflight.pop(cell_id)
+            self.stats.timeouts += 1
+            get_metrics().inc("service.timeouts")
             journal.note(
-                "lease_stolen", cell=cell_id, worker=dispatch.worker_tag,
-                epoch=dispatch.epoch, timed_out=timed_out,
+                "cell_timeout", cell=cell_id, worker=dispatch.worker_tag,
+                attempt=dispatch.attempts, requeued=requeued,
             )
-            error: Exception = (
-                TimeoutError(f"cell exceeded {self.cell_timeout:.1f}s wall-clock cap")
-                if timed_out
-                else LeaseExpired(
-                    f"worker {dispatch.worker_tag!r} stopped heartbeating on {cell_id!r}"
-                )
+            self._handle_failure(
+                journal, pending, dispatch,
+                TimeoutError(f"cell exceeded {self.cell_timeout:.1f}s wall-clock cap"),
             )
-            self._handle_failure(journal, pending, dispatch, error)
+        return True
 
     def _reclaim_all(self, journal, pending, inflight, cause: Exception) -> None:
-        """Pool collapse: every in-flight lease is reclaimed and requeued."""
+        """Pool collapse: every in-flight cell fails as a worker crash (retried while it can)."""
         journal.note("pool_broken", inflight=len(inflight), error=repr(cause))
         for cell_id in list(inflight):
             dispatch = inflight.pop(cell_id)
-            if cell_id in self.leases:
-                self.leases.reclaim(cell_id)
-            self._epochs[cell_id] = self._epochs.get(cell_id, 0) + 1
             self._handle_failure(
                 journal, pending, dispatch,
                 WorkerCrashed(f"pool broken while running {cell_id!r}: {cause!r}"),
             )
-
-    def _discard_stale(self, journal, dispatch: _Dispatch) -> None:
-        self.stats.stale_results_discarded += 1
-        get_metrics().inc("service.stale_discards")
-        journal.note(
-            "stale_result_discarded", cell=dispatch.cell.cell_id,
-            worker=dispatch.worker_tag, epoch=dispatch.epoch,
-        )
-
-    def _reap_abandoned(self, journal) -> None:
-        """Drain completed futures from stolen dispatches (discard-only)."""
-        still_open: List[_Dispatch] = []
-        for dispatch in self._abandoned:
-            try:
-                done = dispatch.future.done()
-            except Exception:
-                done = True
-            if done:
-                self._discard_stale(journal, dispatch)
-            else:
-                still_open.append(dispatch)
-        self._abandoned = still_open
 
     # ------------------------------------------------------------------
     # Serial mode
@@ -725,13 +603,12 @@ class CampaignSupervisor:
         while pending:
             cell_id = next(iter(pending))
             entry = pending.pop(cell_id)
-            wait = entry.not_before - self.clock.now()
+            wait = entry.not_before - self.now()
             if wait > 0:
                 self._sleep(wait)
-            started = self.clock.now()
+            started = self.now()
             dispatch = _Dispatch(
-                cell=entry.cell, future=None, epoch=self._epochs.get(cell_id, 0) + 1,
-                worker_tag="serial", started=started, attempts=entry.attempts + 1, entry=entry,
+                cell=entry.cell, future=None, worker_tag="serial", started=started, attempts=entry.attempts + 1, entry=entry,
             )
             try:
                 if self.store is not None:

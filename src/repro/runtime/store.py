@@ -20,7 +20,7 @@ does not (mirroring the journal's config-fingerprint rules):
   correctly, not just the named ``table1``/``aggressive`` presets),
 * ``max_instructions``, ``threshold``, ``scale``.
 
-``jobs``, lease durations, worker counts and journal ids are excluded —
+``jobs``, deadlines, worker counts and journal ids are excluded —
 parallelism and supervision never change results.  The canonical-JSON +
 SHA-256 encoding is shared with :func:`repro.runtime.journal.config_fingerprint`.
 

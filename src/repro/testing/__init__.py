@@ -28,6 +28,7 @@ from .faults import (
     ChaosExecutor,
     ChaosHarness,
     ChaosPolicy,
+    ManualClock,
     PoisonedCellError,
     evict_traces,
     verify_trace_refill,
@@ -63,6 +64,7 @@ __all__ = [
     "FuzzReport",
     "GeneratedCase",
     "GeneratorConfig",
+    "ManualClock",
     "ORACLES",
     "ORACLE_FAMILIES",
     "OracleViolation",

@@ -3,13 +3,14 @@
 Two targets, matching the production fault paths that must keep working:
 
 :class:`~repro.runtime.service.CampaignSupervisor`
-    The real supervisor is kept; only its executor boundary, clock and
-    heartbeat board are faked.  A :class:`ChaosPolicy` scripts worker
-    lifecycle events by dispatch slot (kills that break the pool, stalls
-    that force lease expiry, torn store writes, slow cells, deterministic
+    The real supervisor is kept; only its executor boundary and clock are
+    faked.  A :class:`ChaosPolicy` scripts worker lifecycle events by
+    dispatch slot or by cell (kills that break the pool, stalls that run
+    into the per-cell deadline, torn store writes, slow cells, deterministic
     simulator faults, supervisor interrupts) and a :class:`ChaosHarness`
-    replays the script on a manual clock, so every retry, steal, rebuild
-    and serial-degradation path is exercised on purpose.
+    replays the script on a :class:`ManualClock`, so every retry, timeout,
+    pool recycle, rebuild and serial-degradation path is exercised on
+    purpose.
 
 :class:`~repro.core.session.SimSession`
     :func:`evict_traces` forces LRU evictions on the shared trace cache;
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import process
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.session import SimSession
 from ..sim.functional import SimulationError
@@ -48,24 +49,42 @@ class PoisonedCellError(RuntimeError):
 CHAOS_OK = "ok"
 CHAOS_KILL = "kill"            # worker SIGKILL: the pool breaks (POSIX semantics)
 CHAOS_CRASH = "crash"          # single worker death without pool collapse
-CHAOS_STALL = "stall"          # wedged worker: never completes, never beats
-CHAOS_SLOW = "slow"            # completes after N ticks, heartbeating throughout
+CHAOS_STALL = "stall"          # wedged worker: never completes
+CHAOS_SLOW = "slow"            # completes after ``slow_ticks`` ticks
 CHAOS_TORN_STORE = "torn-store"  # tears its store entry mid-write, then dies
 CHAOS_SIM_FAULT = "sim-fault"  # the cell raises a deterministic simulator fault
 CHAOS_INTERRUPT = "chaos-interrupt"  # supervisor-side interrupt (models its death)
 
 
+class ManualClock:
+    """A clock that moves only when told to — the chaos tests' time source."""
+
+    def __init__(self, start: float = 0.0) -> None:
+        self._now = float(start)
+
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> float:
+        if seconds < 0:
+            raise ValueError("clocks do not run backwards")
+        self._now += seconds
+        return self._now
+
+
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """A deterministic script of service-layer failures, by dispatch slot.
+    """A deterministic script of service-layer failures, by dispatch slot or cell.
 
     Scripts *worker lifecycle* events against the campaign supervisor —
-    kills that break the pool, stalls that force lease expiry, torn store
-    writes, slow cells that must keep their lease via heartbeats, and
-    simulator faults that must fail fast.  Unscripted slots behave (``ok``).
+    kills that break the pool, stalls and slow cells that meet the per-cell
+    deadline, torn store writes, and simulator faults that must fail fast.
+    An ``int`` key scripts one dispatch slot; a ``str`` key names a cell id
+    and scripts every dispatch of that cell (a cell that always hangs).
+    Unscripted dispatches behave (``ok``).
     """
 
-    script: Dict[int, str] = field(default_factory=dict)
+    script: Dict[Union[int, str], str] = field(default_factory=dict)
     #: ticks a ``slow`` dispatch stays in flight before completing.
     slow_ticks: int = 3
     #: ticks an ``ok`` dispatch stays in flight (1 = harvested next poll).
@@ -76,8 +95,8 @@ class ChaosPolicy:
         """Script slots 0..n-1 positionally: ``from_actions('kill', 'ok')``."""
         return cls(script=dict(enumerate(actions)), **kwargs)
 
-    def action_for(self, slot: int) -> str:
-        return self.script.get(slot, CHAOS_OK)
+    def action_for(self, slot: int, cell_id: str) -> str:
+        return self.script.get(cell_id, self.script.get(slot, CHAOS_OK))
 
 
 class _ChaosFuture:
@@ -89,12 +108,10 @@ class _ChaosFuture:
         self.action = action
         self.harness = harness
         # Service worker signature: (cell, machine, max_instructions,
-        # threshold, scale, heartbeat_dir, worker_tag, beat_interval,
-        # store_root, store_key).
+        # threshold, scale, worker_tag, store_root, store_key).
         self.cell = args[0]
-        self.worker_tag = args[6] if len(args) > 6 else "chaos"
-        self.store_root = args[8] if len(args) > 8 else None
-        self.store_key = args[9] if len(args) > 9 else None
+        self.store_root = args[6] if len(args) > 6 else None
+        self.store_key = args[7] if len(args) > 7 else None
         self.cancelled = False
         if action == CHAOS_SLOW:
             self.ticks_left = harness.policy.slow_ticks
@@ -107,9 +124,6 @@ class _ChaosFuture:
     def on_tick(self) -> None:
         if self.ticks_left > 0:
             self.ticks_left -= 1
-        # Healthy and slow workers heartbeat; stalled/killed ones fall silent.
-        if self.action in (CHAOS_OK, CHAOS_SLOW, CHAOS_TORN_STORE) and not self.done():
-            self.harness.board.beat(self.cell.cell_id, self.worker_tag)
 
     # -- future protocol -------------------------------------------------
     def done(self) -> bool:
@@ -164,7 +178,7 @@ class ChaosExecutor:
 
     def submit(self, fn, *args, **kwargs) -> _ChaosFuture:
         slot = self.harness.next_slot()
-        action = self.harness.policy.action_for(slot)
+        action = self.harness.policy.action_for(slot, args[0].cell_id)
         future = _ChaosFuture(fn, args, action, self.harness)
         self.harness.injected[action] = self.harness.injected.get(action, 0) + 1
         self.submitted.append(future)
@@ -172,32 +186,41 @@ class ChaosExecutor:
         return future
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Model ``ProcessPoolExecutor.shutdown``, including its blocking.
+
+        A real ``shutdown(wait=True)`` joins every worker, so it never
+        returns while a worker is wedged; here that is an ``AssertionError``
+        instead of a hang, which is how the chaos matrix catches a
+        supervisor that waits on a stalled dispatch.
+        """
         self.shutdown_calls.append((wait, cancel_futures))
         if cancel_futures:
             for future in self.submitted:
                 future.cancel()
+        wedged = [f for f in self.submitted if not (f.done() or f.cancelled)]
+        if wait and wedged:
+            raise AssertionError(
+                f"shutdown(wait=True) would block on {len(wedged)} unfinished dispatch(es)"
+            )
 
 
 class ChaosHarness:
     """Drives a :class:`~repro.runtime.service.CampaignSupervisor` through chaos.
 
-    Owns the :class:`~repro.runtime.heartbeat.ManualClock`, the in-memory
-    heartbeat board, and the scripted executor factory.  Installing the
-    harness replaces the supervisor's ``_sleep`` with :meth:`sleep`, so each
-    supervisor poll tick *is* a harness tick: the clock advances by exactly
-    the requested interval and every live future gets one ``on_tick`` —
-    lease-expiry races become scripted sequences, never wall-clock races.
+    Owns the :class:`ManualClock` and the scripted executor factory.
+    Installing the harness replaces the supervisor's ``_sleep`` with
+    :meth:`sleep`, so each supervisor poll tick *is* a harness tick: the
+    clock advances by exactly the requested interval and every live future
+    gets one ``on_tick`` — deadline races become scripted sequences, never
+    wall-clock races.
 
     Build supervisors with ``CampaignSupervisor(..., **harness.supervisor_kwargs())``
     then call :meth:`attach`.
     """
 
     def __init__(self, policy: ChaosPolicy) -> None:
-        from ..runtime.heartbeat import HeartbeatBoard, ManualClock
-
         self.policy = policy
         self.clock = ManualClock()
-        self.board = HeartbeatBoard(clock=self.clock)
         self.live: List[_ChaosFuture] = []
         self.executors: List[ChaosExecutor] = []
         self.injected: Dict[str, int] = {}
@@ -209,19 +232,15 @@ class ChaosHarness:
         self._slots += 1
         return slot
 
-    def executor_factory(self, max_workers: Optional[int] = None) -> ChaosExecutor:
+    def executor_factory(self, max_workers: Optional[int] = None, initializer=None) -> ChaosExecutor:
+        """Build a scripted pool; scripted workers run no ``initializer``."""
         executor = ChaosExecutor(self, max_workers)
         self.executors.append(executor)
         return executor
 
     def supervisor_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs that put the supervisor on harness time."""
-        return {
-            "clock": self.clock,
-            "heartbeats": self.board,
-            "executor_factory": self.executor_factory,
-            "use_heartbeat_files": False,
-        }
+        return {"clock": self.clock.now, "executor_factory": self.executor_factory}
 
     def attach(self, supervisor) -> None:
         supervisor._sleep = self.sleep

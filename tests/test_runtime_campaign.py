@@ -286,7 +286,7 @@ def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Service CLI surface (--jobs / --store / --lease / serve)
+# Service CLI surface (--jobs / --store / serve)
 # ----------------------------------------------------------------------
 def test_cli_run_with_workers_uses_supervised_service(tmp_path, capsys):
     store_dir = tmp_path / "store"
@@ -363,20 +363,9 @@ def test_cli_serve_moves_out_of_range_spec_to_failed(tmp_path, capsys, field, va
     assert not list((tmp_path / "runs").glob("*.journal.jsonl"))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_cli_campaign_leaves_no_heartbeat_directory(tmp_path, capsys, jobs):
-    argv = [
-        "run", "--workload", "li", "--config", "no_predict", "lvp",
-        "--max-insts", "500", "--out-dir", str(tmp_path), "--run-id", "hb", "--jobs", jobs,
-    ]
-    assert main(argv) == 0
-    assert "campaign hb (run): 2/2 cells ok" in capsys.readouterr().out
-    assert not list(tmp_path.glob("*.heartbeats"))
-
-
 @pytest.mark.parametrize("command", ["run", "suite", "serve"])
-@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3"), ("--lease", "0"), ("--lease", "-1")])
-def test_cli_rejects_nonpositive_jobs_and_lease(tmp_path, capsys, command, flag, value):
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3")])
+def test_cli_rejects_nonpositive_jobs(tmp_path, capsys, command, flag, value):
     argv = [command, flag, value, "--out-dir", str(tmp_path / "runs")]
     if command == "serve":
         argv += ["--spool", str(tmp_path / "spool")]

@@ -256,13 +256,13 @@ def test_is_timeout():
 # Multi-appender and adversarial replay edge cases (campaign service)
 # ----------------------------------------------------------------------
 def test_interleaved_records_from_two_appenders_replay_last_wins(tmp_path):
-    """Two supervisors interleaving appends (a lease-expiry race that briefly
-    double-dispatched) must still replay deterministically: per cell, the
-    last record on disk wins, regardless of which appender wrote it."""
+    """Two supervisors interleaving appends (two services resuming the same
+    run) must still replay deterministically: per cell, the last record on
+    disk wins, regardless of which appender wrote it."""
     journal = _make(tmp_path)
     journal.record(CELLS[0], "failed", error="appender A, attempt 1")
     journal.close()
-    # Appender B (the stealing supervisor) writes directly, interleaving
+    # Appender B (the second supervisor) writes directly, interleaving
     # records for both cells between A's.
     with open(journal.path, "a") as handle:
         handle.write(json.dumps({"type": "cell", "id": CELLS[1], "status": "ok",
@@ -314,13 +314,13 @@ def test_header_replaced_with_garbage_mid_resume_is_refused(tmp_path):
 def test_event_notes_are_replayed_but_never_change_cell_state(tmp_path):
     journal = _make(tmp_path)
     journal.record(CELLS[0], "ok", result={})
-    journal.note("lease_stolen", cell=CELLS[1], worker="d3")
+    journal.note("cell_timeout", cell=CELLS[1], worker="d3")
     journal.note("pool_rebuilt", rebuilds=1)
     journal.close()
 
     replayed = RunJournal.open(journal.path)
     events = replayed.events()
-    assert [e["event"] for e in events] == ["lease_stolen", "pool_rebuilt"]
+    assert [e["event"] for e in events] == ["cell_timeout", "pool_rebuilt"]
     assert events[0]["cell"] == CELLS[1]
     # Notes are observability only: replayed cell state is untouched.
     assert replayed.status_of(CELLS[0]) == "ok"

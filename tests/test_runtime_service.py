@@ -1,12 +1,13 @@
 """Chaos matrix for the supervised campaign service.
 
 Every scenario runs the real simulator under a scripted
-:class:`~repro.testing.faults.ChaosHarness`: worker kills, heartbeat stalls,
-torn store writes, pool collapse and supervisor death are dispatch-slot
-scripts on a :class:`ManualClock`, so each race replays identically on every
-run.  The common acceptance bar is *exactly-once*: every cell reaches exactly
-one terminal ``ok`` journal record, and the result set is byte-identical to a
-fault-free serial campaign over the same grid.
+:class:`~repro.testing.faults.ChaosHarness`: worker kills, stalls and slow
+cells against the per-cell deadline, torn store writes, pool collapse and
+supervisor death are dispatch scripts on a :class:`ManualClock`, so each race
+replays identically on every run.  The common acceptance bar is
+*exactly-once*: every cell reaches exactly one terminal ``ok`` journal
+record, and the result set is byte-identical to a fault-free serial campaign
+over the same grid.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.metrics import get_metrics, reset_metrics
 from repro.runtime.campaign import CampaignSpec
-from repro.runtime.journal import journal_path
+from repro.runtime.journal import RunJournal, journal_path
 from repro.runtime.service import CampaignSupervisor, resume_campaign, run_campaign
 from repro.runtime.store import ResultStore
 from repro.testing.faults import (
@@ -59,7 +60,7 @@ def _payloads(report):
 
 
 def _supervised(tmp_path, harness, name="runs", **kwargs):
-    defaults = dict(poll_interval=0.1, lease_duration=30.0, retries=3)
+    defaults = dict(poll_interval=0.1, retries=3)
     defaults.update(kwargs)
     supervisor = CampaignSupervisor(
         SPEC, str(tmp_path / name), **defaults, **harness.supervisor_kwargs()
@@ -84,6 +85,18 @@ def _assert_exactly_once(supervisor, run_id="r1"):
     assert counts == {cell_id: 1 for cell_id in SPEC.cell_ids()}
 
 
+def _replay(supervisor, run_id="r1"):
+    """(cell states, events named by kind) replayed from the run's journal."""
+    journal = RunJournal.open(journal_path(supervisor.out_dir, run_id))
+    try:
+        events = {}
+        for event in journal.events():
+            events.setdefault(event["event"], []).append(event)
+        return journal.states(), events
+    finally:
+        journal.close()
+
+
 # ----------------------------------------------------------------------
 # Baseline: a fault-free supervised run is just a parallel serial run
 # ----------------------------------------------------------------------
@@ -94,14 +107,15 @@ def test_fault_free_supervised_run_matches_serial(tmp_path, serial_payloads):
     assert report.complete
     assert _payloads(report) == serial_payloads
     _assert_exactly_once(supervisor)
-    assert supervisor.stats.steals == 0
+    assert supervisor.stats.timeouts == 0
     assert supervisor.stats.pool_rebuilds == 0
+    assert len(harness.executors) == 1
 
 
 # ----------------------------------------------------------------------
-# Worker SIGKILL: the pool breaks; leases are reclaimed; survivors finish
+# Worker SIGKILL: the pool breaks; in-flight cells are requeued; all finish
 # ----------------------------------------------------------------------
-def test_worker_kill_reclaims_leases_and_completes(tmp_path, serial_payloads):
+def test_worker_kill_requeues_inflight_cells_and_completes(tmp_path, serial_payloads):
     harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_KILL}))
     supervisor = _supervised(tmp_path, harness)
     report = supervisor.run(run_id="r1")
@@ -111,8 +125,9 @@ def test_worker_kill_reclaims_leases_and_completes(tmp_path, serial_payloads):
     _assert_exactly_once(supervisor)
     assert supervisor.stats.pool_rebuilds == 1
     assert not supervisor.stats.degraded_serial
-    # Pool collapse reclaimed every in-flight lease, not just the victim's.
-    assert supervisor.stats.lease["reclaims"] >= 2
+    # Pool collapse requeued every in-flight cell, not just the victim's.
+    [broken] = _replay(supervisor)[1]["pool_broken"]
+    assert broken["inflight"] >= 2
     assert len(harness.executors) == 2  # original pool + one rebuild
 
 
@@ -129,54 +144,72 @@ def test_two_workers_killed_mid_flight(tmp_path, serial_payloads):
 
 
 # ----------------------------------------------------------------------
-# Heartbeat stall: lease expires, the cell is stolen and re-dispatched
+# Per-cell deadline: a stalled cell times out and the pool is recycled
 # ----------------------------------------------------------------------
-def test_heartbeat_stall_past_lease_expiry_is_stolen(tmp_path, serial_payloads):
+def test_stalled_worker_times_out_and_pool_is_recycled(tmp_path, serial_payloads):
     harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_STALL}))
-    supervisor = _supervised(tmp_path, harness, lease_duration=1.0)
+    supervisor = _supervised(tmp_path, harness, cell_timeout=2.0)
     report = supervisor.run(run_id="r1")
 
     assert report.complete
     assert _payloads(report) == serial_payloads
     _assert_exactly_once(supervisor)
-    assert supervisor.stats.steals >= 1
-    assert supervisor.stats.lease["expirations"] >= 1
-    # The stolen cell's journal trail shows the steal event.
-    events = [
-        json.loads(line)
-        for line in open(journal_path(supervisor.out_dir, "r1"))
-        if '"event"' in line
-    ]
-    assert any(e.get("event") == "lease_stolen" for e in events)
+    assert supervisor.stats.timeouts == 1
+    assert supervisor.stats.pool_rebuilds == 0  # a recycle is not a rebuild
+    # The stalled pool was killed, never waited on, and a fresh one finished.
+    assert len(harness.executors) == 2
+    stalled = harness.executors[0]
+    assert stalled.shutdown_calls == [(False, True)]
+    assert stalled.submitted[0].cancelled
+    [note] = _replay(supervisor)[1]["cell_timeout"]
+    assert note["cell"] == SPEC.cell_ids()[0]
 
 
-def test_healthy_slow_worker_keeps_its_lease_via_heartbeats(tmp_path, serial_payloads):
-    """A slow-but-heartbeating worker must NOT be stolen from: renewal works."""
+def test_slow_cell_under_its_deadline_is_not_interrupted(tmp_path, serial_payloads):
     harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_SLOW}, slow_ticks=25))
-    # Lease far shorter than the cell's 2.5s runtime: only renewal saves it.
-    supervisor = _supervised(tmp_path, harness, lease_duration=0.5, cell_timeout=60.0)
+    # 2.5 s of harness time against a 60 s deadline.
+    supervisor = _supervised(tmp_path, harness, cell_timeout=60.0)
     report = supervisor.run(run_id="r1")
 
     assert report.complete
     assert _payloads(report) == serial_payloads
-    assert supervisor.stats.steals == 0
-    assert supervisor.stats.lease["renewals"] >= 1
+    _assert_exactly_once(supervisor)
+    assert supervisor.stats.timeouts == 0
+    assert supervisor.stats.dispatched == len(SPEC.cell_ids())
+    assert len(harness.executors) == 1
 
 
-# ----------------------------------------------------------------------
-# Livelock: heartbeating forever but past the wall-clock cap -> stolen,
-# and the late result from the superseded epoch is discarded
-# ----------------------------------------------------------------------
-def test_livelocked_worker_is_stolen_and_late_result_discarded(tmp_path, serial_payloads):
+def test_slow_cell_past_its_deadline_is_timed_out_and_retried_once(tmp_path, serial_payloads):
     harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_SLOW}, slow_ticks=22))
-    supervisor = _supervised(tmp_path, harness, lease_duration=30.0, cell_timeout=2.0)
+    supervisor = _supervised(tmp_path, harness, cell_timeout=2.0)
     report = supervisor.run(run_id="r1")
 
     assert report.complete
     assert _payloads(report) == serial_payloads
-    _assert_exactly_once(supervisor)  # the stale result never double-commits
-    assert supervisor.stats.steals >= 1
-    assert supervisor.stats.stale_results_discarded >= 1
+    _assert_exactly_once(supervisor)  # the killed attempt never commits
+    assert supervisor.stats.timeouts == 1
+    states = _replay(supervisor)[0]
+    assert states[SPEC.cell_ids()[0]]["attempts"] == 2
+
+
+def test_cell_that_always_stalls_commits_timeout_and_the_rest_finish(tmp_path, serial_payloads):
+    """Recycles never degrade the run to serial mode, which has no deadline."""
+    victim = SPEC.cell_ids()[1]
+    harness = ChaosHarness(ChaosPolicy(script={victim: CHAOS_STALL}))
+    supervisor = _supervised(tmp_path, harness, cell_timeout=2.0, max_pool_rebuilds=0)
+    report = supervisor.run(run_id="r1")
+
+    assert not report.complete
+    states = _replay(supervisor)[0]
+    assert states[victim]["status"] == "timeout"
+    assert states[victim]["attempts"] == 4  # the first try and three retries
+    others = {cell_id: 1 for cell_id in SPEC.cell_ids() if cell_id != victim}
+    assert _ok_record_counts(journal_path(supervisor.out_dir, "r1")) == others
+    assert supervisor.stats.timeouts == 4
+    assert supervisor.stats.pool_rebuilds == 0
+    assert not supervisor.stats.degraded_serial
+    ok = sorted(json.dumps(r.to_dict(), sort_keys=True) for r in report.results)
+    assert set(ok) <= set(serial_payloads) and len(ok) == len(others)
 
 
 # ----------------------------------------------------------------------

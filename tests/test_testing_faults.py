@@ -25,6 +25,7 @@ from repro.testing import (
     CHAOS_KILL,
     ChaosHarness,
     ChaosPolicy,
+    ManualClock,
     PoisonedCellError,
     evict_traces,
     verify_trace_refill,
@@ -240,6 +241,20 @@ def test_interrupt_cancels_pool_and_flushes_journal(tmp_path):
     replayed = RunJournal.find(str(tmp_path), "r")
     assert [replayed.status_of(cell.cell_id) for cell in CELLS[:2]] == ["ok", "ok"]
     assert replayed.pending_cells() == SPEC.cell_ids()[2:]
+
+
+def test_manual_clock_advances_only_when_told():
+    clock = ManualClock(start=10.0)
+    assert clock.now() == 10.0
+    clock.advance(2.5)
+    assert clock.now() == 12.5
+    assert clock.now() == 12.5  # reading does not tick
+
+
+def test_manual_clock_rejects_negative_advance():
+    clock = ManualClock()
+    with pytest.raises(ValueError):
+        clock.advance(-1.0)
 
 
 def test_poisoned_cell_error_is_transient_by_class_attribute():
