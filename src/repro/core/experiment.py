@@ -41,6 +41,7 @@ from ..uarch.config import MachineConfig, table1_config
 from ..uarch.pipeline import simulate
 from ..uarch.recovery import RecoveryScheme
 from ..uarch.stats import SimStats
+from ..uarch.stream import predictor_routing
 from ..vp.base import NoPredictor, ValuePredictor
 from ..vp.context import ContextPredictor
 from ..vp.gabbay import GabbayRegisterPredictor
@@ -50,7 +51,7 @@ from ..vp.rvp import DynamicRVP
 from ..vp.static_rvp import StaticRVP
 from ..vp.stride import StridePredictor
 from ..workloads.base import Workload
-from .session import SimSession, get_session
+from .session import SimSession, get_session, timing_key
 
 CONFIG_NAMES = (
     "no_predict",
@@ -153,21 +154,19 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Program variants and their ref traces
     # ------------------------------------------------------------------
+    def _where(self, variant: str, threshold: Optional[float]) -> Tuple:
+        """The session address of one program variant of this runner: the
+        leading arguments of :meth:`SimSession.program_variant`,
+        :meth:`~SimSession.content_key`, :meth:`~SimSession.ref_trace` and
+        :meth:`~SimSession.pipeline_stream`."""
+        return (self.workload.name, self.scale, self.max_instructions, variant, threshold, self.threshold)
+
     def program_variant(self, variant: str, threshold: Optional[float] = None) -> Program:
         """'base', 'srvp_<level>' (marked) or 'realloc' (transformed)."""
-        return self.session.program_variant(
-            self.workload.name, self.scale, self.max_instructions, variant, threshold, self.threshold
-        )
+        return self.session.program_variant(*self._where(variant, threshold))
 
     def ref_trace(self, variant: str = "base", threshold: Optional[float] = None) -> Sequence[TraceRecord]:
-        return self.session.ref_trace(
-            self.workload.name,
-            self.scale,
-            self.max_instructions,
-            variant,
-            threshold,
-            default_threshold=self.threshold,
-        )
+        return self.session.ref_trace(*self._where(variant, threshold))
 
     @property
     def realloc_report(self) -> Optional[ReallocReport]:
@@ -181,9 +180,11 @@ class ExperimentRunner:
     # Named configurations
     # ------------------------------------------------------------------
     def _build(self, config: str, threshold: Optional[float]) -> Tuple[str, ValuePredictor]:
-        """(program variant, predictor) for a configuration name."""
-        loads = self.profile_lists(threshold, loads_only=True)
-        all_lists = self.profile_lists(threshold, loads_only=False)
+        """(program variant, predictor) for a configuration name.
+
+        Profile lists are fetched only by the configurations that read them,
+        so a list-free configuration never profiles the train input.
+        """
         if config == "no_predict":
             return "base", NoPredictor()
         if config == "lvp":
@@ -202,19 +203,22 @@ class ExperimentRunner:
                 "live": {"use_dead": True, "use_live": True},
                 "live_lv": {"use_dead": True, "use_live": True, "use_lv": True},
             }[level]
-            return config, StaticRVP(lists=loads, name=config, **flags)
+            lists = self.profile_lists(threshold, loads_only=True)
+            return config, StaticRVP(lists=lists, name=config, **flags)
         if config == "drvp":
             return "base", DynamicRVP(loads_only=True)
-        if config == "drvp_dead":
-            return "base", DynamicRVP(loads_only=True, lists=loads, use_dead=True)
-        if config == "drvp_dead_lv":
-            return "base", DynamicRVP(loads_only=True, lists=loads, use_dead=True, use_lv=True)
+        if config in ("drvp_dead", "drvp_dead_lv"):
+            lists = self.profile_lists(threshold, loads_only=True)
+            return "base", DynamicRVP(
+                loads_only=True, lists=lists, use_dead=True, use_lv=config == "drvp_dead_lv"
+            )
         if config == "drvp_all":
             return "base", DynamicRVP(loads_only=False)
-        if config == "drvp_all_dead":
-            return "base", DynamicRVP(loads_only=False, lists=all_lists, use_dead=True)
-        if config == "drvp_all_dead_lv":
-            return "base", DynamicRVP(loads_only=False, lists=all_lists, use_dead=True, use_lv=True)
+        if config in ("drvp_all_dead", "drvp_all_dead_lv"):
+            lists = self.profile_lists(threshold, loads_only=False)
+            return "base", DynamicRVP(
+                loads_only=False, lists=lists, use_dead=True, use_lv=config == "drvp_all_dead_lv"
+            )
         if config == "drvp_all_realloc":
             return "realloc", DynamicRVP(loads_only=False, name="drvp_all_realloc")
         if config == "stride":
@@ -233,15 +237,7 @@ class ExperimentRunner:
         """The cached pipeline stream for a configuration (see
         :meth:`SimSession.pipeline_stream`)."""
         variant, predictor = self._build(config, threshold)
-        stream = self.session.pipeline_stream(
-            self.workload.name,
-            self.scale,
-            self.max_instructions,
-            variant,
-            threshold,
-            default_threshold=self.threshold,
-        )
-        return stream, predictor
+        return self.session.pipeline_stream(*self._where(variant, threshold)), predictor
 
     def run(
         self,
@@ -249,11 +245,23 @@ class ExperimentRunner:
         recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
         threshold: Optional[float] = None,
     ) -> ExperimentResult:
+        """Run one configuration, memoized in the session by what the timing
+        engine reads (see :func:`~repro.core.session.timing_key`); a direct
+        :func:`~repro.uarch.pipeline.simulate` call is never memoized."""
         # The session canonicalizes (variant, threshold) — base variants drop
         # the threshold, others resolve None to this runner's default — so no
         # per-call-site key arithmetic is needed (or allowed) here.  All
         # pipeline construction routes through the session's stream cache:
-        # every predictor × recovery cell of one trace shares its stream.
-        stream, predictor = self.pipeline_stream(config, threshold)
-        stats = simulate(None, predictor, self.machine, recovery, stream=stream)
+        # every predictor × recovery cell of one program shares its stream.
+        variant, predictor = self._build(config, threshold)
+        where = self._where(variant, threshold)
+        session = self.session
+        stream = session.pipeline_stream(*where)
+        routing = predictor_routing(session.program_variant(*where).instructions, predictor)
+        key = timing_key(session.content_key(*where), predictor, routing, self.machine, recovery)
+
+        def engine_run() -> SimStats:
+            return simulate(None, predictor, self.machine, recovery, stream=stream)
+
+        stats = session.timing_stats(key, predictor.name, engine_run)
         return ExperimentResult(self.workload.name, config, recovery.value, stats)

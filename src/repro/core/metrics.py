@@ -5,7 +5,7 @@ Every layer of the execution core reports into one :class:`MetricsRegistry`:
 * the functional simulator counts runs and committed instructions,
 * the pipeline counts runs, cycles and its wall time,
 * the :class:`~repro.core.session.SimSession` counts cache hits/misses per
-  artifact kind (trace / profile / program variant),
+  artifact kind (trace / profile / program variant / timing run),
 * the :class:`~repro.runtime.service.CampaignSupervisor` counts dispatches,
   re-dispatches, per-cell timeouts and pool rebuilds (``service.*``).
 
@@ -84,7 +84,7 @@ class MetricsRegistry:
         pipe_seconds = self.seconds("pipeline.wall")
         if pipe_seconds > 0:
             derived["pipeline.cycles_per_sec"] = self.get("pipeline.cycles") / pipe_seconds
-        for kind in ("trace", "profile", "program", "lists"):
+        for kind in ("trace", "profile", "program", "lists", "timing"):
             rate = self._rate(f"session.{kind}.hits", f"session.{kind}.misses")
             if rate is not None:
                 derived[f"session.{kind}.hit_rate"] = rate

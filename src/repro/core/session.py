@@ -16,27 +16,56 @@ machine sweep paid the functional-sim cost three times per workload.
 * **profile lists** — train artifacts × ``(threshold, loads_only)``,
 * **program variants** — canonical ``(variant, threshold)`` keys (see
   :func:`canonical_variant_key`) → transformed :class:`Program` plus, for
-  ``realloc``, its :class:`ReallocReport`,
-* **ref traces** — program variant × input → an immutable record tuple,
-  kept in a small LRU (traces dominate resident memory; bounded by
-  :data:`DEFAULT_TRACE_CAP` entries and :data:`DEFAULT_TRACE_BYTES`),
-* **pipeline streams** — the ref-trace key → the trace's
+  ``realloc``, its :class:`ReallocReport`, and the program's content key,
+* **ref traces** — content key (:meth:`SimSession.content_key`) → an
+  immutable record tuple, kept in a small LRU (traces dominate resident
+  memory; bounded by :data:`DEFAULT_TRACE_CAP` entries and
+  :data:`DEFAULT_TRACE_BYTES`),
+* **pipeline streams** — the same content key → the trace's
   predictor-independent :func:`~repro.uarch.stream.prepare_stream` result,
-  shared by every predictor, recovery scheme and machine that runs on it.
+  shared by every predictor, recovery scheme and machine that runs on it,
+* **timing runs** — :class:`TimingKey` → the :class:`SimStats` of one
+  memoized :meth:`~repro.core.experiment.ExperimentRunner.run`.
 
 Cache-keying rules
 ------------------
 
-Keys are value keys (names and numbers), never object identities, so any two
-runners that describe the same experiment share artifacts.  A ``base``
-variant never includes the profile threshold in its key — the base program
-and its traces are threshold-independent — while ``srvp_*`` and ``realloc``
-variants always include the *effective* threshold (an explicit ``None``
-resolves to the caller's default).  This single canonicalization point fixes
-the seed's asymmetry where ``ExperimentRunner.run`` keyed a trace as
-``"srvp_dead"`` but the same program variant as ``"srvp_dead@0.8"``.
-Entries are invalidated only by LRU pressure on the trace cache or an
-explicit :meth:`SimSession.reset` — workload programs and inputs are
+Keys are value keys (names, numbers and program content), never object
+identities, so any two runners that describe the same experiment share
+artifacts.  Program variants are keyed by name: a ``base`` variant never
+includes the profile threshold in its key — the base program is
+threshold-independent — while ``srvp_*`` and ``realloc`` variants always
+include the *effective* threshold (an explicit ``None`` resolves to the
+caller's default).  This single canonicalization point fixes the seed's
+asymmetry where ``ExperimentRunner.run`` keyed a trace as ``"srvp_dead"``
+but the same program variant as ``"srvp_dead@0.8"``.
+
+Traces and streams are keyed by *content*: ``(name, scale,
+max_instructions, program-content key, input_name)``.  The program-content
+key is computed once per variant from ``program.instructions`` and
+``program.procedures`` — everything the functional simulator executes — and
+interned to a small integer, so two variants that compile to one program
+(on most workloads ``srvp_dead``, ``srvp_live`` and ``srvp_live_lv``, whose
+marking picks the same loads) share one trace and one stream.  The input
+image is a pure function of ``(name, scale, input_name)``.
+
+A timing run is memoized under the five things the timing engines read
+(:func:`timing_key`): the stream's content key; the predictor's class and
+:meth:`~repro.vp.base.ValuePredictor.timing_key`, its state-shaping
+constructor arguments; the routing, ``(pc, source kind, REG register id)``
+per candidate pc (:func:`~repro.uarch.stream.predictor_routing`); the frozen
+:class:`~repro.uarch.config.MachineConfig`; and the
+:class:`~repro.uarch.recovery.RecoveryScheme`.  This is sound because the
+engines are deterministic and consult the predictor only through the
+routing (which pcs are candidates, from which source) and through
+``confident``/``stored_value``/``update`` on candidate pcs, whose answers
+two fresh instances with equal class and ``timing_key()`` give alike.  A
+routing with no candidate never consults the predictor at all, so it uses
+``no_predict``'s key.  A predictor whose ``timing_key()`` is ``None``
+(stride, context, memory renaming) is never memoized.
+
+Entries are invalidated only by LRU pressure on the trace and stream caches
+or an explicit :meth:`SimSession.reset` — workload programs and inputs are
 deterministic in ``(name, scale)``, so staleness is impossible.
 
 Campaign worker processes (:mod:`repro.runtime.service`) each keep their
@@ -48,8 +77,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..compiler.marking import mark_static_rvp
 from ..compiler.realloc import ReallocReport, reallocate
@@ -59,7 +88,11 @@ from ..profiling.lists import ProfileLists
 from ..profiling.reuse import ReuseProfile, ReuseProfileBuilder
 from ..sim.functional import FunctionalSimulator
 from ..sim.trace import TraceRecord
-from ..uarch.stream import StreamEntry, prepare_stream
+from ..uarch.config import MachineConfig
+from ..uarch.recovery import RecoveryScheme
+from ..uarch.stats import SimStats
+from ..uarch.stream import Route, StreamEntry, prepare_stream
+from ..vp.base import NoPredictor, ValuePredictor
 from ..workloads.base import Workload
 from ..workloads.suite import make_workload
 from .metrics import get_metrics
@@ -100,6 +133,35 @@ def canonical_variant_key(
     return (variant, default_threshold if threshold is None else threshold)
 
 
+class TimingKey(NamedTuple):
+    """Everything a timing engine reads, as one memo key (see the module
+    docstring for why these five parts suffice)."""
+
+    #: :meth:`SimSession.content_key` of the run's trace and stream
+    stream: Tuple
+    #: ``(predictor class, predictor.timing_key())``
+    predictor: Tuple
+    #: :func:`~repro.uarch.stream.predictor_routing` of the run
+    routing: Tuple[Route, ...]
+    machine: MachineConfig
+    recovery: RecoveryScheme
+
+
+def timing_key(
+    stream_key: Tuple,
+    predictor: ValuePredictor,
+    routing: Sequence[Route],
+    machine: MachineConfig,
+    recovery: RecoveryScheme,
+) -> Optional[TimingKey]:
+    """The memo key of one timing run, or ``None`` if it must not be memoized."""
+    state = predictor.timing_key()
+    if state is None:
+        return None
+    table = (type(predictor), state) if routing else (NoPredictor, ())
+    return TimingKey(stream_key, table, tuple(routing), machine, recovery)
+
+
 @dataclass
 class TrainArtifacts:
     """Everything one streamed train-input pass produces."""
@@ -127,12 +189,17 @@ class SimSession:
         self._train: Dict[Tuple[str, float, int], TrainArtifacts] = {}
         self._lists: Dict[Tuple[str, float, int, float, bool], ProfileLists] = {}
         self._programs: Dict[Tuple, Program] = {}
+        #: program variant key -> interned content key of its program
+        self._content: Dict[Tuple, int] = {}
+        #: (instructions, procedures) -> content key
+        self._content_ids: Dict[Tuple, int] = {}
         self._realloc: Dict[Tuple, ReallocReport] = {}
         self._traces: "OrderedDict[Tuple, Tuple[TraceRecord, ...]]" = OrderedDict()
         self._trace_resident_bytes = 0
         self._streams: "OrderedDict[Tuple, List[StreamEntry]]" = OrderedDict()
         self._stream_resident_bytes = 0
         self._batches: Dict[Tuple, Dict[str, Dict[str, object]]] = {}
+        self._timing: Dict[TimingKey, SimStats] = {}
 
     @staticmethod
     def _trace_cost(trace: Tuple[TraceRecord, ...]) -> int:
@@ -251,7 +318,31 @@ class SimSession:
         else:
             raise ValueError(f"unknown program variant {variant!r}")
         self._programs[key] = program
+        content = (program.instructions, program.procedures)
+        self._content[key] = self._content_ids.setdefault(content, len(self._content_ids))
         return program
+
+    def content_key(
+        self,
+        name: str,
+        scale: float,
+        max_instructions: int,
+        variant: str = "base",
+        threshold: Optional[float] = None,
+        default_threshold: float = 0.8,
+        input_name: str = "ref",
+    ) -> Tuple:
+        """``(name, scale, max_instructions, program-content key,
+        input_name)``: the key of one trace and of its stream.
+
+        Variants that compile to equal programs get equal keys.  Builds the
+        variant if it is not cached yet.
+        """
+        variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
+        variant_key = (name, scale, max_instructions, variant, eff_threshold)
+        if variant_key not in self._content:
+            self.program_variant(*variant_key, default_threshold)
+        return (name, scale, max_instructions, self._content[variant_key], input_name)
 
     def realloc_report(
         self,
@@ -280,10 +371,12 @@ class SimSession:
         """The committed trace of one program variant on one input.
 
         Returns an immutable tuple shared by every caller; repeated requests
-        for the same canonical key are cache hits and run no simulation.
+        for the same :meth:`content_key` — any variant that compiles to the
+        same program — are cache hits and run no simulation.
         """
-        variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
-        key = (name, scale, max_instructions, variant, eff_threshold, input_name)
+        key = self.content_key(
+            name, scale, max_instructions, variant, threshold, default_threshold, input_name
+        )
         metrics = get_metrics()
         trace = self._traces.get(key)
         if trace is not None:
@@ -291,7 +384,9 @@ class SimSession:
             metrics.inc("session.trace.hits")
             return trace
         metrics.inc("session.trace.misses")
-        program = self.program_variant(name, scale, max_instructions, variant, eff_threshold, default_threshold)
+        program = self.program_variant(
+            name, scale, max_instructions, variant, threshold, default_threshold
+        )
         memory = self.workload(name, scale).memory(input_name)
         sim = FunctionalSimulator(program, memory=memory)
         with metrics.timer("sim.wall"):
@@ -330,8 +425,8 @@ class SimSession:
         A stream is a pure function of its trace — no predictor state rides
         on it (each run builds its own
         :class:`~repro.uarch.stream.PredictionOverlay`) — so it is cached
-        under the canonical trace key alone: every predictor × recovery ×
-        machine cell of one trace shares one stream.
+        under the trace's :meth:`content_key` alone: every predictor ×
+        recovery × machine cell of one program shares one stream.
 
         Cached streams share the trace LRU's byte budget
         (``trace_bytes``): stream bytes count toward the same
@@ -339,8 +434,9 @@ class SimSession:
         resident estimate exceeds it.
         """
         metrics = get_metrics()
-        variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
-        key = (name, scale, max_instructions, variant, eff_threshold, input_name)
+        key = self.content_key(
+            name, scale, max_instructions, variant, threshold, default_threshold, input_name
+        )
         stream = self._streams.get(key)
         if stream is not None:
             self._streams.move_to_end(key)
@@ -348,7 +444,7 @@ class SimSession:
             return stream
         metrics.inc("session.stream.misses")
         trace = self.ref_trace(
-            name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
+            name, scale, max_instructions, variant, threshold, default_threshold, input_name
         )
         stream = prepare_stream(trace)
         self._streams[key] = stream
@@ -362,6 +458,33 @@ class SimSession:
             self._stream_resident_bytes -= self._stream_cost(evicted)
             metrics.inc("session.stream.evictions")
         return stream
+
+    # ------------------------------------------------------------------
+    # Timing runs
+    # ------------------------------------------------------------------
+    def timing_stats(
+        self, key: Optional[TimingKey], predictor_name: str, run: Callable[[], SimStats]
+    ) -> SimStats:
+        """The stats of ``run()``, memoized under ``key``.
+
+        A hit returns a copy of the stored stats, runs no engine and replays
+        the run's ``predictor.<name>.*`` metrics; ``pipeline.*`` keeps
+        counting real engine runs only.  ``key=None`` always runs and is not
+        counted as a lookup.
+        """
+        if key is None:
+            return run()
+        metrics = get_metrics()
+        stats = self._timing.get(key)
+        if stats is not None:
+            metrics.inc("session.timing.hits")
+            metrics.inc(f"predictor.{predictor_name}.predictions", stats.predictions)
+            metrics.inc(f"predictor.{predictor_name}.correct", stats.correct_predictions)
+            return replace(stats)
+        metrics.inc("session.timing.misses")
+        stats = run()
+        self._timing[key] = replace(stats)
+        return stats
 
     # ------------------------------------------------------------------
     # Final-state digests (one run per program input)
@@ -446,6 +569,7 @@ class SimSession:
             "streams": len(self._streams),
             "stream_bytes": self._stream_resident_bytes,
             "batch_digests": len(self._batches),
+            "timing_runs": len(self._timing),
         }
 
     def reset(self) -> None:
@@ -454,12 +578,15 @@ class SimSession:
         self._train.clear()
         self._lists.clear()
         self._programs.clear()
+        self._content.clear()
+        self._content_ids.clear()
         self._realloc.clear()
         self._traces.clear()
         self._trace_resident_bytes = 0
         self._streams.clear()
         self._stream_resident_bytes = 0
         self._batches.clear()
+        self._timing.clear()
 
 
 #: The process-wide session every ExperimentRunner shares by default.

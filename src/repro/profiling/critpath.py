@@ -14,7 +14,7 @@ reuses to abandon when the interference graph cannot be coloured.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.trace import TraceRecord
 from .deadness import NUM_REG_IDS, reg_id
@@ -34,34 +34,44 @@ class CriticalPathBuilder:
         self._pcs: List[int] = []
         self._reg_producer: List[Optional[int]] = [None] * NUM_REG_IDS
         self._mem_producer: Dict[int, int] = {}
+        #: pc -> (nonzero read ids, destination id or None, is_load, is_store)
+        self._static: Dict[int, Tuple[Tuple[int, ...], Optional[int], bool, bool]] = {}
 
     def feed(self, record: TraceRecord) -> None:
+        pc = record.pc
+        static = self._static.get(pc)
+        if static is None:
+            inst = record.inst
+            dst = inst.writes
+            static = self._static[pc] = (
+                tuple(reg_id(src) for src in inst.reads if not src.is_zero),
+                None if dst is None else reg_id(dst),
+                inst.is_load,
+                inst.is_store,
+            )
+        read_ids, dst_id, is_load, is_store = static
         depth = self._depth
         best_depth = 0
         best_parent: Optional[int] = None
-
-        def consider(producer: Optional[int]) -> None:
-            nonlocal best_depth, best_parent
+        # The first deepest producer wins: operands in order, then memory.
+        producers = [self._reg_producer[rid] for rid in read_ids]
+        addr = record.addr
+        if is_load and addr is not None:
+            producers.append(self._mem_producer.get(addr))
+        for producer in producers:
             if producer is not None and depth[producer] > best_depth:
                 best_depth = depth[producer]
                 best_parent = producer
 
-        for src in record.inst.reads:
-            if not src.is_zero:
-                consider(self._reg_producer[reg_id(src)])
-        if record.is_load and record.addr is not None:
-            consider(self._mem_producer.get(record.addr))
-
         i = len(depth)
         depth.append(best_depth + 1)
         self._parent.append(best_parent)
-        self._pcs.append(record.pc)
+        self._pcs.append(pc)
 
-        dst = record.inst.writes
-        if dst is not None and record.result is not None:
-            self._reg_producer[reg_id(dst)] = i
-        if record.inst.is_store and record.addr is not None:
-            self._mem_producer[record.addr] = i
+        if dst_id is not None and record.result is not None:
+            self._reg_producer[dst_id] = i
+        if is_store and addr is not None:
+            self._mem_producer[addr] = i
 
     def finish(self) -> Counter:
         """Walk the deepest chain backward, attributing instances to pcs."""

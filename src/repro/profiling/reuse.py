@@ -136,20 +136,33 @@ class ReuseProfileBuilder:
         self._last_result: Dict[int, int] = {}
         #: rid -> open queries [(site, producer pc, deferred fig1 event)]
         self._pending: Dict[int, List[Tuple[SiteStats, Optional[int], Optional[_DeadEvent]]]] = {}
+        #: pc -> (nonzero read ids, destination id or None, its register
+        #: class's id range, is_load)
+        self._static: Dict[int, Tuple[Tuple[int, ...], Optional[int], Tuple[int, int], bool]] = {}
 
     def feed(self, record: TraceRecord) -> None:
         result = record.result
-        dst = record.inst.writes
+        pc = record.pc
+        static = self._static.get(pc)
+        if static is None:
+            inst = record.inst
+            dst = inst.writes
+            static = self._static[pc] = (
+                tuple(reg_id(src) for src in inst.reads if not src.is_zero),
+                None if dst is None else reg_id(dst),
+                (0, 32) if dst is None or dst.is_int else (32, 64),
+                inst.is_load,
+            )
+        read_ids, dst_rid, (lo, hi), is_load = static
         pending = self._pending
 
         if result is not None:
-            pc = record.pc
             site = self._sites.get(pc)
             if site is None:
-                site = self._sites[pc] = SiteStats(pc, record.op_name, record.is_load)
+                site = self._sites[pc] = SiteStats(pc, record.op_name, is_load)
             site.count += 1
 
-            same = result == record.old_dest and dst is not None
+            same = result == record.old_dest and dst_rid is not None
             if same:
                 site.same_hits += 1
             lvp = self._last_result.get(pc) == result
@@ -159,11 +172,9 @@ class ReuseProfileBuilder:
 
             holders = self._value_to_regs.get(result)
             matched: Tuple[int, ...] = ()
-            if holders and dst is not None:
+            if holders and dst_rid is not None:
                 # Only same-class registers are usable prediction sources
                 # (an fp load cannot read its prediction from an int reg).
-                dst_rid = reg_id(dst)
-                lo, hi = (0, 32) if dst.is_int else (32, 64)
                 matched = tuple(
                     rid for rid in holders if lo <= rid < hi and rid != dst_rid and rid % 32 != 31
                 )[:MAX_MATCHES]
@@ -171,7 +182,7 @@ class ReuseProfileBuilder:
                 site.any_hits += 1
 
             event: Optional[_DeadEvent] = None
-            if record.is_load:
+            if is_load:
                 self._fig1.loads += 1
                 any_reg = bool(matched) or same
                 self._fig1.same += same
@@ -188,33 +199,29 @@ class ReuseProfileBuilder:
         # every query opened at-or-before it: a read keeps the register live
         # and takes precedence over the same instruction's write (the same
         # semantics as resolve_deadness's backward sweep).
-        for src in record.inst.reads:
-            if not src.is_zero:
-                waiting = pending.pop(reg_id(src), None)
-                if waiting:
-                    rid = reg_id(src)
-                    for site, _, _ in waiting:
-                        site.live_hits[rid] += 1
-        if dst is not None:
-            rid = reg_id(dst)
+        for rid in read_ids:
             waiting = pending.pop(rid, None)
             if waiting:
+                for site, _, _ in waiting:
+                    site.live_hits[rid] += 1
+        if dst_rid is not None:
+            waiting = pending.pop(dst_rid, None)
+            if waiting:
                 for site, producer, event in waiting:
-                    self._resolve_dead(site, rid, producer, event)
+                    self._resolve_dead(site, dst_rid, producer, event)
 
         # Apply the architectural write to the value mirrors.
-        if dst is not None and result is not None:
-            rid = reg_id(dst)
-            old = self._reg_values[rid]
+        if dst_rid is not None and result is not None:
+            old = self._reg_values[dst_rid]
             if old != result:
                 holders = self._value_to_regs.get(old)
                 if holders is not None:
-                    holders.discard(rid)
+                    holders.discard(dst_rid)
                     if not holders:
                         del self._value_to_regs[old]
-                self._reg_values[rid] = result
-                self._value_to_regs.setdefault(result, set()).add(rid)
-            self._last_writer[rid] = record.pc
+                self._reg_values[dst_rid] = result
+                self._value_to_regs.setdefault(result, set()).add(dst_rid)
+            self._last_writer[dst_rid] = pc
 
     @staticmethod
     def _resolve_dead(
@@ -222,7 +229,10 @@ class ReuseProfileBuilder:
     ) -> None:
         site.dead_hits[rid] += 1
         if producer is not None:
-            site.producers.setdefault(rid, Counter())[producer] += 1
+            producers = site.producers.get(rid)
+            if producers is None:
+                producers = site.producers[rid] = Counter()
+            producers[producer] += 1
         if event is not None and not event.counted:
             event.counted = True
             event.fig1.same_or_dead += 1

@@ -7,7 +7,7 @@ from .fast import FastDynInst, FastPipelineSimulator
 from .pipeline import PIPELINE_ENGINES, DynInst, PipelineSimulator, simulate
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import PredictionOverlay, StreamEntry, prepare_stream
+from .stream import PredictionOverlay, StreamEntry, predictor_routing, prepare_stream
 
 __all__ = [
     "BranchPredictor",
@@ -27,5 +27,6 @@ __all__ = [
     "SimStats",
     "PredictionOverlay",
     "StreamEntry",
+    "predictor_routing",
     "prepare_stream",
 ]

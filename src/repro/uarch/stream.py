@@ -16,9 +16,10 @@ instruction sequence.  It splits into two pieces:
   instance's result (``prev_same``);
 * the **prediction overlay** (:class:`PredictionOverlay`), built per run
   from ``(stream, predictor)``: which instructions are candidates and from
-  which source kind, asking ``predictor.source()`` once per static pc.
-  Same-register (DST) and previous-instance (STORED) candidates read the
-  base fields; correlated-register (REG, dead/live hint) candidates need a
+  which source kind.  Its routing (:func:`predictor_routing`) asks
+  ``predictor.source()`` once per static pc.  Same-register (DST) and
+  previous-instance (STORED) candidates read the base fields;
+  correlated-register (REG, dead/live hint) candidates need a
   register-mirror pass, which runs only when some pc has a REG source.
 
 Only *timing* and predictor state (confidence counters, LVP table contents)
@@ -30,10 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..isa.instructions import Instruction
 from ..isa.opcodes import FuClass, OpKind
 from ..profiling.deadness import reg_id
 from ..sim.trace import TraceRecord
 from ..vp.base import SourceKind, ValuePredictor
+
+#: One candidate pc's routing: ``(pc, source kind, REG register id or None)``.
+Route = Tuple[int, SourceKind, Optional[int]]
 
 
 @dataclass(slots=True)
@@ -171,37 +176,50 @@ def prepare_stream(trace: Iterable[TraceRecord]) -> List[StreamEntry]:
     return entries
 
 
+def predictor_routing(insts: Iterable[Instruction], predictor: ValuePredictor) -> Tuple[Route, ...]:
+    """The candidate pcs of ``insts`` under ``predictor``, in order.
+
+    A candidate is an instruction with a destination that
+    ``predictor.source()`` routes.  ``source()`` is called exactly once per
+    instruction, which also lets a predictor that routes state by pc
+    (Gabbay's register counters) fill its routing table.  The result is a
+    pure value, so it doubles as the routing part of a timing-memo key.
+    """
+    routing: List[Route] = []
+    for inst in insts:
+        source = predictor.source(inst)
+        if source is None or inst.writes is None:
+            continue
+        rid = reg_id(source.reg) if source.kind is SourceKind.REG else None
+        routing.append((inst.pc, source.kind, rid))
+    return tuple(routing)
+
+
 class PredictionOverlay:
     """One predictor's candidates over a base stream, built per run.
 
     ``kind[seq]`` is the prediction source kind of every candidate — an
-    instruction with a destination whose pc the predictor routes — and
-    ``None`` elsewhere.  :meth:`facts` gives a candidate's prediction-value
-    producer and whether a register-sourced (or ideal previous-instance)
-    prediction would be correct; table-backed STORED predictors read their
-    own table at rename instead.
+    instruction whose pc the routing lists — and ``None`` elsewhere.
+    :meth:`facts` gives a candidate's prediction-value producer and whether
+    a register-sourced (or ideal previous-instance) prediction would be
+    correct; table-backed STORED predictors read their own table at rename
+    instead.
 
-    ``predictor.source()`` is called exactly once per static pc, in order
-    of first appearance, which also lets a predictor that routes state by
-    pc (Gabbay's register counters) fill its routing table.
+    The routing is :func:`predictor_routing` over the stream's static
+    instructions in order of first appearance, so ``predictor.source()`` is
+    called exactly once per static pc of the trace.
     """
 
     __slots__ = ("kind", "_reg")
 
     def __init__(self, stream: Sequence[StreamEntry], predictor: ValuePredictor) -> None:
         insts = {entry.pc: entry.record.inst for entry in stream}
-        kind_of: Dict[int, Optional[SourceKind]] = {}
-        reg_source: Dict[int, int] = {}  # pc -> register id of a REG source
-        for pc, inst in insts.items():
-            source = predictor.source(inst)
-            if source is None or inst.writes is None:
-                kind_of[pc] = None
-                continue
-            kind_of[pc] = source.kind
-            if source.kind is SourceKind.REG:
-                reg_source[pc] = reg_id(source.reg)
+        routing = predictor_routing(insts.values(), predictor)
+        kind_of: Dict[int, SourceKind] = {pc: kind for pc, kind, _ in routing}
+        #: pc -> register id of a REG source
+        reg_source: Dict[int, int] = {pc: rid for pc, _, rid in routing if rid is not None}
         #: per seq: the candidate's source kind, or None
-        self.kind: List[Optional[SourceKind]] = [kind_of[entry.pc] for entry in stream]
+        self.kind: List[Optional[SourceKind]] = [kind_of.get(entry.pc) for entry in stream]
         #: seq -> (value_dep, correct) of every REG-sourced candidate
         self._reg: Dict[int, Tuple[Optional[int], bool]] = (
             _register_mirror(stream, reg_source) if reg_source else {}

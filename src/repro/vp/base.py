@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.registers import Reg
@@ -73,6 +73,20 @@ class ValuePredictor(abc.ABC):
     def reset(self) -> None:  # pragma: no cover - trivial default
         """Clear learned state (between runs)."""
 
+    def timing_key(self) -> Optional[Tuple]:
+        """The constructor arguments that shape this predictor's run-time
+        state, or ``None`` if its timing runs must never be memoized.
+
+        Two fresh instances of one class with equal keys must answer
+        ``confident``/``stored_value`` identically for every sequence of
+        ``update`` calls.  Everything that only decides *which* pcs are
+        candidates and from which source (load filters, hint lists) is left
+        out: the routing of :func:`repro.uarch.stream.predictor_routing`
+        carries it.  The default, ``None``, is the safe answer for any
+        predictor whose state has not been audited this way.
+        """
+        return None
+
 
 class NoPredictor(ValuePredictor):
     """The no-prediction baseline."""
@@ -80,6 +94,9 @@ class NoPredictor(ValuePredictor):
     __slots__ = ()
 
     name = "no_predict"
+
+    def timing_key(self) -> Optional[Tuple]:
+        return ()
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         return None

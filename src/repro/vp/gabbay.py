@@ -12,7 +12,7 @@ coverage column shows.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.registers import Reg
@@ -24,9 +24,10 @@ class GabbayRegisterPredictor(ValuePredictor):
     """Per-architectural-register confidence; prediction reads the register.
 
     ``source()`` fills the pc→register routing table as a side effect.  Each
-    run builds its own :class:`~repro.uarch.stream.PredictionOverlay`, which
-    calls ``source()`` once per static pc of the trace, so a fresh instance
-    is routed before its first ``confident()``/``update()``."""
+    run routes its predictor through
+    :func:`~repro.uarch.stream.predictor_routing`, which calls ``source()``
+    once per static pc, so a fresh instance is routed before its first
+    ``confident()``/``update()``."""
 
     __slots__ = ("threshold", "loads_only", "name", "_counters", "_reg_of_pc")
 
@@ -43,6 +44,9 @@ class GabbayRegisterPredictor(ValuePredictor):
     @staticmethod
     def _rid(reg: Reg) -> int:
         return reg.index + (0 if reg.is_int else 32)
+
+    def timing_key(self) -> Tuple[int]:
+        return (self.threshold,)
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         dst = inst.writes

@@ -12,7 +12,7 @@ hardware the paper's storageless scheme eliminates.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..isa.instructions import Instruction
 from .base import PredictionSource, SourceKind, ValuePredictor
@@ -50,6 +50,9 @@ class LastValuePredictor(ValuePredictor):
     def _hit(self, pc: int) -> bool:
         idx = pc & self._mask
         return not self.tagged or self._tags[idx] == pc
+
+    def timing_key(self) -> Tuple[int, int, bool]:
+        return (self.entries, self.threshold, self.tagged)
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         if inst.writes is None:

@@ -23,7 +23,7 @@ The prediction value is whatever is already in the register file:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..profiling.lists import HintKind, ProfileLists
@@ -69,6 +69,9 @@ class DynamicRVP(ValuePredictor):
         else:
             suffix = "".join(s for s, on in [("_dead", use_dead), ("_live", use_live), ("_lv", use_lv)] if on)
             self.name = ("drvp" if loads_only else "drvp_all") + suffix
+
+    def timing_key(self) -> Tuple[int, int, bool]:
+        return (self.counters.entries, self.counters.threshold, self.tagged)
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         if inst.writes is None:

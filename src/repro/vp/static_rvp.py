@@ -10,7 +10,7 @@ for dead/live/lv-marked loads exactly as for dynamic RVP.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..profiling.lists import HintKind, ProfileLists
@@ -40,6 +40,9 @@ class StaticRVP(ValuePredictor):
         else:
             level = "live_lv" if use_lv else ("live" if use_live else ("dead" if use_dead else "same"))
             self.name = f"srvp_{level}"
+
+    def timing_key(self) -> Tuple[()]:
+        return ()
 
     def source(self, inst: Instruction) -> Optional[PredictionSource]:
         if not inst.op.rvp_marked or inst.writes is None:
