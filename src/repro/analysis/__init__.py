@@ -1,4 +1,4 @@
-"""Static analysis: dataflow engine, program verifier/linter, reuse estimation.
+"""Static analysis: dataflow engine, per-procedure facts, program verifier/linter.
 
 Layers (see DESIGN.md, "Static verification"):
 
@@ -9,18 +9,11 @@ Layers (see DESIGN.md, "Static verification"):
   def-use/use-def chains, dominance, reachability, copies).
 * :mod:`repro.analysis.verifier` — the rule registry and the ``RVP###``
   rule catalog; compiler passes run it as an on-by-default postcondition.
-* :mod:`repro.analysis.absint` — abstract interpretation over the SSA IR:
-  interval value ranges, induction-variable recognition, and a symbolic
-  ``base + k*iv + offset`` address/alias domain.
-* :mod:`repro.analysis.reuse_static` — profile-free estimation of the
-  paper's reuse classes from dataflow and absint facts, and RVP candidate
-  selection for the marking pass.
 
 The engine (:mod:`.dataflow`) and the diagnostic types (:mod:`.diagnostics`)
 are dependency-free and imported eagerly; everything that depends on
-:mod:`repro.compiler` (facts, verifier, reuse estimation) is exported
-lazily via PEP 562 so that ``compiler.liveness`` can itself import the
-engine without a cycle.
+:mod:`repro.compiler` (facts, verifier) is exported lazily via PEP 562 so
+that ``compiler.liveness`` can itself import the engine without a cycle.
 """
 
 from .dataflow import (
@@ -30,9 +23,7 @@ from .dataflow import (
     UNION,
     DataflowProblem,
     DataflowResult,
-    NodeSolution,
     solve,
-    solve_nodes,
 )
 from .effects import (
     ALL_REGS,
@@ -71,20 +62,6 @@ _LAZY = {
     "rule_catalog": "verifier",
     "verification_enabled": "verifier",
     "verify_program": "verifier",
-    "ReuseClass": "reuse_static",
-    "StaticReuseEstimate": "reuse_static",
-    "StaticReuseEstimator": "reuse_static",
-    "compare_with_profile": "reuse_static",
-    "candidate_overlap": "reuse_static",
-    "select_rvp_candidates": "reuse_static",
-    "symbolic_reuse_by_depth": "reuse_static",
-    "AbsintError": "absint",
-    "AffineExpr": "absint",
-    "Alias": "absint",
-    "FunctionAbsint": "absint",
-    "InductionFact": "absint",
-    "Interval": "absint",
-    "ProgramAbsint": "absint",
 }
 
 __all__ = [
@@ -94,9 +71,7 @@ __all__ = [
     "UNION",
     "DataflowProblem",
     "DataflowResult",
-    "NodeSolution",
     "solve",
-    "solve_nodes",
     "ALL_REGS",
     "CALL_USES",
     "EXIT_USES",

@@ -25,7 +25,7 @@ for the final facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from ..isa.program import BasicBlock, Procedure, Program
 
@@ -35,7 +35,6 @@ UNION = "union"
 INTERSECT = "intersect"
 
 Fact = Hashable
-Node = Hashable
 
 
 class DataflowProblem:
@@ -89,62 +88,45 @@ def _block_gen_kill(
     return gen, kill
 
 
-@dataclass
-class NodeSolution:
-    """Fixpoint solution over abstract CFG nodes, in *solver orientation*.
+def solve(program: Program, proc: Procedure, problem: DataflowProblem) -> DataflowResult:
+    """Run the worklist fixpoint over basic blocks and lower to instruction grain.
 
-    ``input`` is the meet input of each node (facts at node entry for a
-    forward problem, at node exit for a backward one); ``output`` is the
-    transfer output on the opposite side.
+    Blocks are keyed by their start pc.  Boundary blocks (the entry block
+    forward, the exit blocks backward) receive ``problem.boundary()`` on
+    every meet; a boundary block with incoming edges — e.g. a loop back-edge
+    into the entry — unions them in.
     """
+    blocks = program.basic_blocks(proc)
+    forward = problem.direction == FORWARD
+    order = [b.start for b in blocks]
 
-    input: Dict[Node, Set[Fact]]
-    output: Dict[Node, Set[Fact]]
+    gen: Dict[int, Set[Fact]] = {}
+    kill: Dict[int, Set[Fact]] = {}
+    for block in blocks:
+        gen[block.start], kill[block.start] = _block_gen_kill(problem, block)
 
-
-def solve_nodes(
-    order: Sequence[Node],
-    successors: Callable[[Node], Sequence[Node]],
-    gen: Dict[Node, Set[Fact]],
-    kill: Dict[Node, Set[Fact]],
-    *,
-    direction: str = FORWARD,
-    meet: str = UNION,
-    boundary: Set[Fact] = frozenset(),
-    universe: Set[Fact] = frozenset(),
-    boundary_nodes: Set[Node] = frozenset(),
-) -> NodeSolution:
-    """The worklist fixpoint core, over arbitrary hashable CFG nodes.
-
-    ``order`` lists every node in a good iteration order (roughly topological
-    for forward problems; the solver reverses it for backward ones).
-    ``boundary_nodes`` receive the ``boundary`` facts on every meet (the
-    entry node forward, the exit nodes backward); a boundary node with
-    incoming edges — e.g. a loop back-edge into the entry — unions them in.
-    Both the flat-ISA :func:`solve` and SSA construction's block liveness
-    (:mod:`repro.ir.ssa`) are clients of this core.
-    """
-    if direction == FORWARD:
-        edges = {n: list(successors(n)) for n in order}
-    else:
-        edges = {n: [] for n in order}
-        for n in order:
-            for succ in successors(n):
-                edges[succ].append(n)
-    # ``sources[n]`` are the nodes whose solution meets into ``n``:
+    # ``sources[n]`` are the blocks whose solution meets into ``n``:
     # predecessors for a forward problem, successors for a backward one.
-    sources: Dict[Node, List[Node]] = {n: [] for n in order}
-    for start, outs in edges.items():
-        for out in outs:
-            sources[out].append(start)
+    sources: Dict[int, List[int]] = {n: [] for n in order}
+    for block in blocks:
+        for succ in block.successors:
+            if forward:
+                sources[succ].append(block.start)
+            else:
+                sources[block.start].append(succ)
+    if forward:
+        boundary_nodes = {proc.start} & set(order)
+    else:
+        boundary_nodes = {b.start for b in blocks if not b.successors}
 
-    is_intersect = meet == INTERSECT
-    boundary = set(boundary)
-    universe = set(universe) if is_intersect else set()
+    is_intersect = problem.meet == INTERSECT
+    boundary = set(problem.boundary())
+    universe = set(problem.universe()) if is_intersect else set()
 
-    # meet-input and transfer-output per node, in solver orientation.
-    state_in: Dict[Node, Set[Fact]] = {}
-    state_out: Dict[Node, Set[Fact]] = {}
+    # meet-input and transfer-output per block, in solver orientation (the
+    # input is the block entry forward, the block exit backward).
+    state_in: Dict[int, Set[Fact]] = {}
+    state_out: Dict[int, Set[Fact]] = {}
     for n in order:
         if n in boundary_nodes:
             state_in[n] = set(boundary)
@@ -152,7 +134,7 @@ def solve_nodes(
             state_in[n] = set(universe) if is_intersect else set()
         state_out[n] = gen[n] | (state_in[n] - kill[n])
 
-    sweep = list(order) if direction == FORWARD else list(reversed(list(order)))
+    sweep = order if forward else order[::-1]
     changed = True
     while changed:
         changed = False
@@ -172,42 +154,13 @@ def solve_nodes(
                     for p in preds:
                         merged |= state_out[p]
             else:
-                # Unreachable (forward) or exitless-loop (backward) node.
+                # Unreachable (forward) or exitless-loop (backward) block.
                 merged = set(universe) if is_intersect else set()
             new_out = gen[n] | (merged - kill[n])
             if merged != state_in[n] or new_out != state_out[n]:
                 state_in[n] = merged
                 state_out[n] = new_out
                 changed = True
-    return NodeSolution(input=state_in, output=state_out)
-
-
-def solve(program: Program, proc: Procedure, problem: DataflowProblem) -> DataflowResult:
-    """Run the fixpoint and lower to instruction grain."""
-    blocks = program.basic_blocks(proc)
-
-    gen: Dict[int, Set[Fact]] = {}
-    kill: Dict[int, Set[Fact]] = {}
-    for block in blocks:
-        gen[block.start], kill[block.start] = _block_gen_kill(problem, block)
-
-    by_start = {b.start: b for b in blocks}
-    if problem.direction == FORWARD:
-        boundary_nodes = {proc.start} & set(by_start)
-    else:
-        boundary_nodes = {b.start for b in blocks if not b.successors}
-    solution = solve_nodes(
-        [b.start for b in blocks],
-        lambda start: by_start[start].successors,
-        gen,
-        kill,
-        direction=problem.direction,
-        meet=problem.meet,
-        boundary=set(problem.boundary()),
-        universe=set(problem.universe()),
-        boundary_nodes=boundary_nodes,
-    )
-    state_in = solution.input
 
     # Lower to instruction grain by replaying per-instruction transfers.
     in_facts: Dict[int, FrozenSet[Fact]] = {}
@@ -216,7 +169,7 @@ def solve(program: Program, proc: Procedure, problem: DataflowProblem) -> Datafl
     block_out: Dict[int, FrozenSet[Fact]] = {}
     for block in blocks:
         entry_state = state_in[block.start]
-        if problem.direction == FORWARD:
+        if forward:
             block_in[block.start] = frozenset(entry_state)
             live = set(entry_state)
             for pc in block.pcs():

@@ -65,30 +65,25 @@ class RuleInfo:
     severity: Severity
     description: str
     check: Callable  # fn(ctx) -> Iterable[Diagnostic]
-    #: Heavy rules (whole-program abstract interpretation) are skipped by
-    #: pass postconditions and only run for explicit lint/analyze surfaces.
-    heavy: bool = False
 
 
 #: rule id -> RuleInfo, in registration order.
 _REGISTRY: Dict[str, RuleInfo] = {}
 
 
-def rule(rule_id: str, severity: Severity, description: str, *, heavy: bool = False):
+def rule(rule_id: str, severity: Severity, description: str):
     """Register a verifier rule: ``@rule("RVP001", Severity.ERROR, "...")``.
 
     The decorated function receives a verification context and yields
     :class:`Diagnostic` records.  ``severity`` is the rule's *default*
     severity; a rule may emit individual diagnostics at a different level
     (e.g. possibly-undefined-on-some-path downgraded to WARNING).
-    ``heavy`` marks rules too expensive for inline pass postconditions (see
-    :class:`RuleInfo.heavy`).
     """
 
     def decorate(fn: Callable) -> Callable:
         if rule_id in _REGISTRY:
             raise ValueError(f"duplicate rule id {rule_id}")
-        _REGISTRY[rule_id] = RuleInfo(rule_id, severity, description, fn, heavy=heavy)
+        _REGISTRY[rule_id] = RuleInfo(rule_id, severity, description, fn)
         return fn
 
     return decorate

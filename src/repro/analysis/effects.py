@@ -15,9 +15,7 @@ exit, and each procedure call uses all argument registers*.  Concretely:
 
 Both the compiler back end (:mod:`repro.compiler.liveness`, webs,
 reallocation) and the analysis layer (:mod:`repro.analysis.facts`, the
-verifier) import from here; SSA construction (:mod:`repro.ir.ssa`) applies
-the same effects when pinning boundary-crossing values to architectural
-registers.
+verifier) import from here.
 """
 
 from __future__ import annotations

@@ -21,10 +21,7 @@ RVP005   error     calling-convention violations (call/branch targets)
 RVP006   error     illegal ``rvp_*`` marking destination
 RVP007   error     allocation validity vs the interference graph
 RVP008   error     loop-exclusive (LVR) register shared within its loop
-RVP010   warning   rvp-marked invariant load provably clobbered in-loop
-RVP011   warning   dead stride mark: the proven shadow-add stride is 0
-RVP012   warning   code unreachable under interval-pruned branches
-RVP013   warning   load result provably dropped (zero dest / SSA-dead)
+RVP013   warning   unmarked load into a hardwired-zero register
 =======  ========  ====================================================
 
 RVP007 and RVP008 are *context* rules: they need artifacts only a compiler
@@ -33,14 +30,8 @@ LVR set), so they check nothing unless that context is supplied — the
 interference graph of :mod:`repro.compiler.webs` is built on per-register
 live ranges, deliberately conservative, and re-deriving it from the
 rewritten program alone would flag legal programs.  The reallocator passes
-its context in; ``verify_program`` on a bare program runs RVP001–RVP006.
-
-RVP010–RVP013 are *heavy* rules backed by the abstract-interpretation layer
-(:mod:`repro.analysis.absint`): they raise the program to SSA and run the
-interval/induction/alias domains, so inline pass postconditions skip them
-(``LintConfig.include_heavy``); the explicit ``repro lint`` and ``repro
-analyze`` surfaces run them.  Programs absint cannot raise (e.g. with
-unreachable blocks, which RVP004 already reports) skip these rules silently.
+its context in; ``verify_program`` on a bare program runs RVP001–RVP006
+and RVP013.
 """
 
 from __future__ import annotations
@@ -82,15 +73,10 @@ class LintConfig:
     disabled: Set[str] = field(default_factory=set)
     #: Treat warnings as errors (CI strict mode).
     strict: bool = False
-    #: Run the heavy absint-backed rules (RVP010–RVP013).  Lint surfaces
-    #: default to True; pass postconditions pass False (see check_program).
-    include_heavy: bool = True
 
     @classmethod
-    def parse(
-        cls, disabled: Iterable[str] = (), strict: bool = False, include_heavy: bool = True
-    ) -> "LintConfig":
-        return cls(disabled={r.upper() for r in disabled}, strict=strict, include_heavy=include_heavy)
+    def parse(cls, disabled: Iterable[str] = (), strict: bool = False) -> "LintConfig":
+        return cls(disabled={r.upper() for r in disabled}, strict=strict)
 
 
 @dataclass
@@ -120,32 +106,12 @@ class VerifyContext:
     lvr_pcs: Set[int] = field(default_factory=set)
     #: per-procedure (webs, interference, assignment) from a realloc pass.
     allocations: Sequence[AllocationCheck] = ()
-    #: lazy ProgramAbsint cache for the heavy rules (None until first use).
-    _absint: Optional[object] = field(default=None, repr=False, compare=False)
-    _absint_failed: bool = field(default=False, repr=False, compare=False)
 
     def procedures(self) -> Sequence[Procedure]:
         return self.program.procedures
 
     def proc_name(self, pc: int) -> str:
         return self.program.procedure_of(pc).name
-
-    def absint(self):
-        """The program's abstract interpretation, built once on demand.
-
-        Returns None when the program cannot be raised to SSA (e.g. it has
-        CFG-unreachable blocks, which RVP004 already reports) — heavy rules
-        then skip silently.
-        """
-        if self._absint is None and not self._absint_failed:
-            from ..ir.nodes import IRError
-            from .absint import ProgramAbsint
-
-            try:
-                self._absint = ProgramAbsint(self.program)
-            except IRError:
-                self._absint_failed = True
-        return self._absint
 
 
 # ----------------------------------------------------------------------
@@ -416,145 +382,10 @@ def _check_loop_exclusive(ctx: VerifyContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# RVP010 — rvp-marked "invariant" load provably clobbered in its loop
+# RVP013 — load into a hardwired-zero register
 # ----------------------------------------------------------------------
-@rule(
-    "RVP010",
-    Severity.WARNING,
-    "rvp-marked load whose loop-invariant address is must-alias overwritten in the loop",
-    heavy=True,
-)
-def _check_clobbered_invariant(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    absint = ctx.absint()
-    if absint is None:
-        return
-    from ..ir.nodes import Value
-    from .absint import Alias
-
-    for inst in ctx.program:
-        if not (inst.op.rvp_marked and inst.op.is_load):
-            continue
-        loop = ctx.program.innermost_loop(inst.pc)
-        if loop is None:
-            continue
-        entry = absint.lookup(inst.pc)
-        expr = absint.addr_expr_at(inst.pc)
-        if entry is None or expr is None:
-            continue
-        analysis = entry[0]
-        load_value = entry[1].defined
-        labels = absint.body_labels(inst.pc, loop.body)
-        if not analysis.invariant_in(expr, labels):
-            continue  # the mark bets on a varying address; not this rule's claim
-        for store_pc in sorted(loop.body):
-            store = ctx.program[store_pc]
-            if not store.is_store:
-                continue
-            s_entry = absint.lookup(store_pc)
-            s_expr = absint.addr_expr_at(store_pc)
-            if s_entry is None or s_expr is None or s_entry[0] is not analysis:
-                continue
-            if analysis.alias(expr, s_expr) is not Alias.MUST:
-                continue
-            stored = s_entry[1].src2
-            if (
-                isinstance(stored, Value)
-                and isinstance(load_value, Value)
-                and stored.vid == load_value.vid
-            ):
-                continue  # writes the load's own value back: not a clobber
-            yield _diag(
-                ctx, "RVP010", Severity.WARNING, inst.pc,
-                f"rvp-marked load's loop-invariant address is overwritten by the "
-                f"store at pc {store_pc} (must-alias): prior-value reuse cannot hold "
-                "across iterations that execute it",
-            )
-            break
-
-
-# ----------------------------------------------------------------------
-# RVP011 — dead stride mark: the shadow add provably adds 0
-# ----------------------------------------------------------------------
-@rule(
-    "RVP011",
-    Severity.WARNING,
-    "dead stride mark: the shadow add behind a dead-list hint provably adds 0",
-    heavy=True,
-)
-def _check_dead_stride(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    if ctx.lists is None:
-        return
-    dead = getattr(ctx.lists, "dead", None)
-    if not dead:
-        return
-    from ..ir.nodes import Value
-
-    absint = ctx.absint()
-    for load_pc in sorted(dead):
-        hint = dead[load_pc]
-        producer = getattr(hint, "producer_pc", None)
-        if producer is None or not 0 <= producer < len(ctx.program):
-            continue
-        add = ctx.program[producer]
-        if add.op.kind is not OpKind.ALU or add.op.name not in ("add", "sub"):
-            continue
-        if add.writes is None or add.writes != getattr(hint, "reg", None):
-            continue
-        zero = add.src2 is None and (add.imm or 0) == 0
-        if not zero and absint is not None:
-            entry = absint.lookup(producer)
-            if entry is not None:
-                analysis, ssa_add, _ = entry
-                if isinstance(ssa_add.defined, Value) and isinstance(ssa_add.src1, Value):
-                    # Delta provably 0 iff the add's value equals its input's.
-                    zero = analysis.expr_of(ssa_add.defined) == analysis.expr_of(ssa_add.src1)
-        if zero:
-            yield _diag(
-                ctx, "RVP011", Severity.WARNING, load_pc,
-                f"stride hint via {hint.reg.name} is dead: the shadow add at pc "
-                f"{producer} provably adds 0, so the mark degenerates to "
-                "last-value prediction at the cost of an extra instruction",
-            )
-
-
-# ----------------------------------------------------------------------
-# RVP012 — unreachable under interval-pruned branches
-# ----------------------------------------------------------------------
-@rule(
-    "RVP012",
-    Severity.WARNING,
-    "code unreachable once proven branch intervals prune infeasible edges",
-    heavy=True,
-)
-def _check_interval_unreachable(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    absint = ctx.absint()
-    if absint is None:
-        return
-    runs: List[List[int]] = []
-    for pc in sorted(absint.unreachable_pcs()):
-        if runs and pc == runs[-1][1] + 1:
-            runs[-1][1] = pc
-        else:
-            runs.append([pc, pc])
-    for start, end in runs:
-        span = f"pc {start}" if start == end else f"pcs [{start},{end}]"
-        yield _diag(
-            ctx, "RVP012", Severity.WARNING, start,
-            f"{span} unreachable: every path in is ruled out by a proven "
-            "branch-condition interval (CFG reachability alone cannot see this)",
-        )
-
-
-# ----------------------------------------------------------------------
-# RVP013 — load result provably dropped
-# ----------------------------------------------------------------------
-@rule(
-    "RVP013",
-    Severity.WARNING,
-    "load result provably dropped: zero destination or transitively unobserved value",
-    heavy=True,
-)
-def _check_dropped_loads(ctx: VerifyContext) -> Iterator[Diagnostic]:
+@rule("RVP013", Severity.WARNING, "unmarked load into a hardwired-zero register: the value is dropped")
+def _check_zero_dest_loads(ctx: VerifyContext) -> Iterator[Diagnostic]:
     for inst in ctx.program:
         # Marked zero-dest loads are an RVP006 error; unmarked ones only waste
         # a memory access, so they warn here.
@@ -564,30 +395,6 @@ def _check_dropped_loads(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 f"{inst.op.name} writes hardwired zero {inst.dst.name}: the loaded "
                 "value is dropped",
             )
-    absint = ctx.absint()
-    if absint is None:
-        return
-    from ..ir.nodes import Value
-
-    for analysis in absint.functions.values():
-        live = absint.live_values(analysis)
-        for block in analysis.func.blocks:
-            if block.label not in analysis.reachable:
-                continue  # RVP012 territory
-            for instr in block.instrs:
-                if not instr.op.is_load or instr.origin_pc is None:
-                    continue
-                value = instr.defined
-                if not isinstance(value, Value) or value.vid in live:
-                    continue
-                flat = ctx.program[instr.origin_pc]
-                if flat.writes is None:
-                    continue  # reported above
-                yield _diag(
-                    ctx, "RVP013", Severity.WARNING, instr.origin_pc,
-                    f"value loaded into {flat.dst.name} is never observed: no "
-                    "store, branch, call, or exit transitively uses it",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -617,8 +424,6 @@ def verify_program(
     diagnostics: List[Diagnostic] = []
     for info in registered_rules():
         if info.rule_id in config.disabled:
-            continue
-        if info.heavy and not config.include_heavy:
             continue
         diagnostics.extend(info.check(ctx))
     if config.strict:
@@ -650,11 +455,9 @@ def check_program(
     register — is the input's problem, not the pass's, and passes through as
     a finding.  ``pc_map`` translates baseline pcs for inserting passes.
     The baseline is only verified when the output has errors at all, so the
-    clean path costs one verification, not two.  The default config here
-    skips the heavy absint rules — pass postconditions run after every
-    transform and only gate on errors, which the heavy rules never emit.
+    clean path costs one verification, not two.
     """
-    config = config or LintConfig(include_heavy=False)
+    config = config or LintConfig()
     diagnostics = verify_program(
         program, lists=lists, lvr_pcs=lvr_pcs, config=config, allocations=allocations,
     )

@@ -61,18 +61,6 @@ Commands
                  python -m repro lint li --json
                  python -m repro lint --asm bad.s
 
-``analyze``  Abstract-interpretation facts (induction variables, decided
-             branches, unreachable code) plus the static reuse-class
-             report: per-load classes against the profiled lists,
-             profile-free RVP candidates and per-loop-depth buckets.
-             ``--max-gap`` bounds the static-vs-profiled gap (exit 3);
-             ``--dump-ssa`` prints each raised SSA module::
-
-                 python -m repro analyze turb3d
-                 python -m repro analyze --all --generated 50 --strict
-                 python -m repro analyze li --max-gap 0.5 --json
-                 python -m repro analyze stencil --dump-ssa
-
 ``fuzz``     Property-based differential fuzzing: generate random verifier-clean
              programs and judge them against the oracle families in
              :mod:`repro.testing.oracles`; failures are greedily shrunk and can
@@ -84,11 +72,10 @@ Commands
 
 ``list``     List available workloads and configuration names.
 
-Exit codes: 0 success, 1 lint/fuzz failures were found (or, with
-``analyze --strict``, a program failed to analyze), 2 usage/internal error
-or a *partial* campaign (some cells failed; the journal records which, and
-``--resume`` re-executes exactly those), 3 an ``analyze --max-gap`` bound
-was exceeded, 130 when a campaign was interrupted (resume hint printed).
+Exit codes: 0 success, 1 lint/fuzz failures were found, 2 usage/internal
+error or a *partial* campaign (some cells failed; the journal records which,
+and ``--resume`` re-executes exactly those), 130 when a campaign was
+interrupted (resume hint printed).
 """
 
 from __future__ import annotations
@@ -557,153 +544,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if any_errors else 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Abstract-interpretation facts plus the static reuse-class report."""
-    import json
-
-    from .analysis.absint import ProgramAbsint
-    from .analysis.reuse_static import (
-        StaticReuseEstimator,
-        candidate_overlap,
-        compare_with_profile,
-        select_rvp_candidates,
-        symbolic_reuse_by_depth,
-    )
-    from .core.session import get_session
-    from .ir.nodes import IRError
-    from .isa.opcodes import OpKind
-    from .testing import GeneratorConfig, generate_case
-
-    names = sorted(WORKLOAD_CLASSES) if args.all else list(args.workload)
-    unknown = [name for name in names if name not in WORKLOAD_CLASSES]
-    if unknown:
-        print(f"analyze: unknown workload(s) {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    if not names and not args.generated:
-        print("analyze: nothing to analyze (name workloads, or use --all / --generated N)", file=sys.stderr)
-        return 2
-
-    session = get_session() if names else None
-    # (label, program, workload name or None for a generated program)
-    targets = [(name, session.workload(name).program, name) for name in names]
-    for i in range(args.generated):
-        case = generate_case(args.seed + i, GeneratorConfig())
-        targets.append((f"gen[{case.seed}]", case.program, None))
-
-    failures: List[str] = []
-    gap_failures: List[str] = []
-    entries = []
-    for label, program, workload in targets:
-        entry: dict = {"target": label}
-        entries.append(entry)
-        try:
-            absint = ProgramAbsint(program)
-        except IRError as exc:
-            entry["error"] = str(exc)
-            failures.append(f"{label}: cannot analyze — {exc}")
-            continue
-        entry["induction"] = [
-            {
-                "function": fn,
-                "header": fact.header,
-                "stride": fact.stride,
-                "depth": fact.depth,
-                "trip": fact.trip,
-            }
-            for fn, fact in absint.induction_facts()
-        ]
-        entry["unreachable_pcs"] = sorted(absint.unreachable_pcs())
-        entry["decided_branches"] = sorted(
-            inst.pc
-            for inst in program
-            if inst.op.kind is OpKind.BRANCH and absint.branch_decision(inst.pc) is not None
-        )
-        if args.dump_ssa:
-            entry["ssa"] = absint.module.render()
-        if workload is None:
-            continue  # generated programs have no training input to profile
-
-        estimate = StaticReuseEstimator(program, absint=absint).estimate()
-        profile = session.train_artifacts(workload, 1.0, args.max_insts).profile
-        lists = session.profile_lists(workload, 1.0, args.max_insts, args.threshold, loads_only=True)
-        report = compare_with_profile(estimate, profile, lists)
-        del report["program"]
-        entry.update(report)
-        entry["candidate_overlap"] = candidate_overlap(select_rvp_candidates(program, estimate), lists)
-        entry["by_loop_depth"] = symbolic_reuse_by_depth(absint, estimate, lists)
-        if args.max_gap is not None:
-            weighted = report["weighted_static_fractions"]
-            fig1 = report["profiled_fig1_fractions"]
-            for cls in ("same", "dead", "last_value"):
-                gap = abs(weighted[cls] - fig1.get(cls, 0.0))
-                if gap > args.max_gap:
-                    gap_failures.append(f"{label}: {cls} gap {gap:.3f} > {args.max_gap}")
-
-    payload = {
-        "ok": not failures,
-        "targets": entries,
-        "failures": failures,
-        "max_gap_failures": gap_failures,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for entry in entries:
-            label = entry["target"]
-            if "error" in entry:
-                print(f"{label}: ANALYSIS FAILED — {entry['error']}")
-                continue
-            ivs = entry["induction"]
-            trips = [fact for fact in ivs if fact["trip"] is not None]
-            print(
-                f"{label}: {len(ivs)} induction variable(s) ({len(trips)} with proven trip), "
-                f"{len(entry['decided_branches'])} decided branch(es), "
-                f"{len(entry['unreachable_pcs'])} interval-unreachable pc(s)"
-            )
-            if "ssa" in entry:
-                print(entry["ssa"])
-            for fact in ivs:
-                trip = f", trip {fact['trip']}" if fact["trip"] is not None else ""
-                print(
-                    f"  iv {fact['function']}/{fact['header']}: stride {fact['stride']}, "
-                    f"depth {fact['depth']}{trip}"
-                )
-            if "static_counts" not in entry:
-                continue
-            counts = entry["static_counts"]
-            weighted = entry["weighted_static_fractions"]
-            fig1 = entry["profiled_fig1_fractions"]
-            cand = entry["candidate_overlap"]
-            print(
-                f"  classes: {entry['static_loads']} load(s) — same {counts['same']}, "
-                f"dead {counts['dead']}, lv {counts['last_value']}; "
-                f"weighted same {weighted['same']:.1%} (profiled {fig1['same']:.1%}), "
-                f"dead {weighted['dead']:.1%} (profiled {fig1['dead']:.1%}), "
-                f"lv {weighted['last_value']:.1%}"
-            )
-            print(
-                f"  candidates vs profiled: same {cand['same']['both']}/{cand['same']['profiled']}, "
-                f"dead {cand['dead']['both']}/{cand['dead']['profiled']}, "
-                f"lv {cand['last_value']['both']}/{cand['last_value']['profiled']}"
-            )
-            for depth, bucket in entry["by_loop_depth"].items():
-                reuse = bucket["trip_weighted_reuse"]
-                reuse_text = f", trip-weighted reuse {reuse:.1%}" if reuse is not None else ""
-                print(
-                    f"  depth {depth}: {bucket['loads']} load(s), same {bucket['same']}, "
-                    f"dead {bucket['dead']}, lv {bucket['last_value']}{reuse_text}"
-                )
-        if failures or gap_failures:
-            print()
-        for line in failures:
-            print(f"analyze: {line}")
-        for line in gap_failures:
-            print(f"analyze: reuse gap exceeded — {line}")
-    if failures and args.strict:
-        return 1
-    return 3 if gap_failures else 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     import os
@@ -807,11 +647,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _rule_id(text: str) -> str:
+    from .analysis.verifier import rule_catalog
+
+    known = [info.rule_id for info in rule_catalog()]
+    rule_id = text.upper()
+    if rule_id not in known:
+        raise argparse.ArgumentTypeError(f"unknown rule id {text!r} (known: {', '.join(known)})")
+    return rule_id
 
 
 def _fraction(text: str) -> float:
@@ -936,38 +779,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--asm", metavar="FILE", help="lint an assembler text file instead")
     lint_parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     lint_parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    lint_parser.add_argument("--disable", nargs="+", metavar="RULE", help="rule ids to skip (e.g. RVP004)")
+    lint_parser.add_argument(
+        "--disable", nargs="+", type=_rule_id, metavar="RULE", help="rule ids to skip (e.g. RVP004)"
+    )
     lint_parser.add_argument("--rules", action="store_true", help="print the rule catalog and exit")
     lint_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for variant construction")
     lint_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
     lint_parser.set_defaults(fn=_cmd_lint)
-
-    analyze_parser = sub.add_parser(
-        "analyze", help="abstract-interpretation facts and the static reuse-class report"
-    )
-    analyze_parser.add_argument(
-        "workload", nargs="*", metavar="WORKLOAD",
-        help="workloads to analyze (default: none; use --all for every workload)",
-    )
-    analyze_parser.add_argument("--all", action="store_true", help="analyze every registered workload")
-    analyze_parser.add_argument(
-        "--generated", type=_non_negative, default=0, metavar="N",
-        help="also analyze N generated programs (seeds SEED..SEED+N-1)",
-    )
-    analyze_parser.add_argument("--seed", type=int, default=0, help="first generator seed for --generated")
-    analyze_parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    analyze_parser.add_argument(
-        "--strict", action="store_true", help="exit 1 when any program fails to analyze"
-    )
-    analyze_parser.add_argument("--dump-ssa", action="store_true", help="print each program's raised SSA module")
-    analyze_parser.add_argument("--max-insts", type=_at_least_one, default=40_000, help="profiling budget for the reuse report")
-    analyze_parser.add_argument("--threshold", type=_fraction, default=0.8, help="profile predictability threshold")
-    analyze_parser.add_argument(
-        "--max-gap", type=_fraction, default=None, metavar="FRACTION",
-        help="exit 3 when any workload's |static - profiled| dynamic-weighted "
-        "reuse fraction (same/dead/last_value) exceeds FRACTION",
-    )
-    analyze_parser.set_defaults(fn=_cmd_analyze)
 
     from .testing.oracles import ORACLE_FAMILIES
 

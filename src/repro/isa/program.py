@@ -263,8 +263,7 @@ class Program:
 def natural_loops(graph: "nx.DiGraph", entry: Hashable) -> List[Tuple[Hashable, Set, int]]:
     """Natural loops of a CFG as ``(header, body nodes, depth)``, innermost-last.
 
-    The one loop finder for both the flat CFG (:meth:`Program.loops`) and the
-    SSA CFG (:meth:`repro.ir.IRFunction.loops`).  A back edge ``u -> v`` is
+    The loop finder behind :meth:`Program.loops`.  A back edge ``u -> v`` is
     one whose target dominates its source; loops sharing a header merge, and
     a loop's depth is 1 plus the number of loops whose bodies strictly
     contain it.

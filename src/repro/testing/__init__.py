@@ -5,9 +5,9 @@ Four layers, composed by :func:`run_fuzz` (the engine behind ``repro fuzz``):
 - :mod:`~repro.testing.generator` — seeded random RVP programs that pass the
   verifier clean (RVP001–RVP008), parameterised by loop depth, load density,
   register pressure and branch mix.
-- :mod:`~repro.testing.oracles` — the six differential oracle families:
+- :mod:`~repro.testing.oracles` — the five differential oracle families:
   trace-equivalence, pass-preservation, predictor-sanity, recovery-invariant,
-  pipeline-equivalence, absint-soundness.
+  pipeline-equivalence.
 - :mod:`~repro.testing.shrinker` — greedy block/instruction deletion while an
   oracle still fails.
 - :mod:`~repro.testing.faults` — the chaos harness that scripts worker

@@ -1,6 +1,6 @@
 """Differential oracles over generated programs.
 
-Six oracle families, each a callable ``oracle(case)`` registered in
+Five oracle families, each a callable ``oracle(case)`` registered in
 :data:`ORACLES` that raises :class:`OracleViolation` on failure:
 
 ``trace-equivalence``
@@ -46,17 +46,6 @@ Six oracle families, each a callable ``oracle(case)`` registered in
     skip-accounting defect the self-tests use to prove this family detects
     broken cycle skipping.
 
-``absint-soundness``
-    No verdict of the abstract interpreter (:mod:`repro.analysis.absint`) is
-    contradicted by the committed trace: every produced value lies in its
-    proven interval, proven-one-way branches go that way, interval-pruned
-    blocks never execute, constant address expressions match the effective
-    address, and the symbolic reuse classes (SAME / LAST_VALUE / sibling
-    DEAD) hold dynamically while execution stays inside the classified
-    loop.  This is the *only* soundness guarantee the absint layer claims —
-    in particular the allocation-site no-alias model is an assumption this
-    oracle exists to police.
-
 Helper entry points (``_eager_run`` / ``_streaming_run`` / ``_reference_run``
 / ``_engine_run`` / ``_simulate`` / ``_train_predictor``) are deliberate seams: the mutation self-tests
 monkeypatch them to seed defects and prove each family actually detects
@@ -75,7 +64,7 @@ from ..compiler.marking import MARKING_LEVELS, mark_static_rvp
 from ..compiler.realloc import reallocate
 from ..compiler.stride_pass import apply_stride_pass
 from ..isa.instructions import Instruction
-from ..isa.opcodes import MASK64, OpKind, opcode, to_signed
+from ..isa.opcodes import MASK64, OpKind, opcode
 from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.deadness import reg_id
@@ -682,7 +671,7 @@ def check_recovery_invariant(case: GeneratedCase) -> None:
 
 
 # ----------------------------------------------------------------------
-# Oracle family 6: fast-vs-reference pipeline stats equivalence
+# Oracle family 5: fast-vs-reference pipeline stats equivalence
 # ----------------------------------------------------------------------
 def _engine_stats(trace: Sequence[TraceRecord], predictor: ValuePredictor, recovery: RecoveryScheme, engine: str):
     """Seam: one timing-tier run (monkeypatched by the mutation self-tests;
@@ -725,136 +714,12 @@ def check_pipeline_equivalence(case: GeneratedCase) -> None:
                 )
 
 
-# ----------------------------------------------------------------------
-# Oracle family 5: abstract-interpretation soundness
-# ----------------------------------------------------------------------
-def _build_absint(program: Program):
-    """Seam: the analyses under test (monkeypatched/flag-mutated by self-tests)."""
-    from ..analysis.absint import ProgramAbsint
-    from ..analysis.reuse_static import StaticReuseEstimator
-
-    absint = ProgramAbsint(program)
-    estimator = StaticReuseEstimator(program, absint=absint)
-    return absint, estimator.estimate()
-
-
-def check_absint_soundness(case: GeneratedCase) -> None:
-    name = "absint-soundness"
-    from ..analysis.reuse_static import ReuseClass
-    from ..ir.nodes import IRError
-
-    program = case.program
-    try:
-        absint, estimate = _build_absint(program)
-    except IRError as exc:
-        raise CaseInvalid(f"program cannot be raised to SSA: {exc}") from None
-    # Unlike the differential families, a truncated run is still judgeable:
-    # every committed record is a fact the verdicts must agree with, so a
-    # long-running workload is checked on its committed prefix.
-    try:
-        base = _eager_run(program, case.memory())
-    except SimulationError as exc:
-        raise CaseInvalid(f"functional run failed: {exc}") from None
-    trace = base.trace
-    if not trace:
-        raise CaseInvalid("empty trace")
-
-    # -- interval-pruned blocks must never commit an instruction ---------
-    executed = {record.pc for record in trace}
-    dead = absint.unreachable_pcs() & executed
-    _require(not dead, name, f"absint-unreachable pcs executed: {sorted(dead)}")
-
-    # -- per-record facts: intervals, branch decisions, const addresses --
-    for record in trace:
-        if record.result is not None and program[record.pc].writes is not None:
-            interval = absint.interval_at(record.pc)
-            if interval is not None:
-                value = to_signed(record.result)
-                _require(
-                    interval.contains(value),
-                    name,
-                    f"pc {record.pc} produced {value}, outside proven interval "
-                    f"{interval.render()}",
-                )
-        if record.taken is not None:
-            decided = absint.branch_decision(record.pc)
-            if decided is not None:
-                _require(
-                    decided == record.taken,
-                    name,
-                    f"branch at pc {record.pc} proven always-{decided} but went {record.taken}",
-                )
-        if record.addr is not None:
-            expr = absint.addr_expr_at(record.pc)
-            if expr is not None and not expr.terms:
-                _require(
-                    (expr.offset & MASK64) == (record.addr & MASK64),
-                    name,
-                    f"pc {record.pc} accessed address {record.addr}, symbolic "
-                    f"expression proves constant {expr.offset}",
-                )
-
-    # -- reuse verdicts: values must repeat while inside the loop --------
-    # Watched state is cleared whenever control leaves the classified loop
-    # body (including into callees), which only *weakens* the check — it can
-    # never produce a false violation.
-    tracked: Dict[int, Tuple[object, frozenset]] = {}
-    bodies: Dict[int, frozenset] = {}
-    for pc, verdict in estimate.loads.items():
-        if verdict.reuse is ReuseClass.NONE:
-            continue
-        loop = program.innermost_loop(pc)
-        if loop is None:
-            continue
-        body = frozenset(loop.body)
-        tracked[pc] = (verdict, body)
-        bodies[pc] = body
-        if verdict.reuse is ReuseClass.DEAD and verdict.source_pc is not None:
-            bodies.setdefault(verdict.source_pc, body)
-    if tracked:
-        values: Dict[int, int] = {}  # watched pc -> last result this loop visit
-        for record in trace:
-            for pc in list(values):
-                if record.pc not in bodies[pc]:
-                    del values[pc]
-            entry = tracked.get(record.pc)
-            if entry is not None and record.result is not None:
-                verdict, _body = entry
-                prev = values.get(record.pc)
-                if prev is not None and verdict.reuse in (ReuseClass.SAME, ReuseClass.LAST_VALUE):
-                    _require(
-                        record.result == prev,
-                        name,
-                        f"load at pc {record.pc} classified {verdict.reuse.value} "
-                        f"reloaded {record.result}, previous iteration loaded {prev}",
-                    )
-                    if verdict.reuse is ReuseClass.SAME:
-                        _require(
-                            record.old_dest == prev,
-                            name,
-                            f"load at pc {record.pc} classified same-register, but the "
-                            f"destination held {record.old_dest}, not the prior value {prev}",
-                        )
-                if verdict.reuse is ReuseClass.DEAD and verdict.source_pc is not None:
-                    sibling = values.get(verdict.source_pc)
-                    if sibling is not None:
-                        _require(
-                            record.result == sibling,
-                            name,
-                            f"load at pc {record.pc} classified dead via sibling pc "
-                            f"{verdict.source_pc}, loaded {record.result} vs sibling's {sibling}",
-                        )
-            if record.pc in bodies and record.result is not None:
-                values[record.pc] = record.result
-
-
-#: The six oracle families, by CLI/report name.
+#: The five oracle families, by CLI/report name.
 ORACLES: Dict[str, Callable[[GeneratedCase], None]] = {
     "trace-equivalence": check_trace_equivalence,
     "pass-preservation": check_pass_preservation,
     "predictor-sanity": check_predictor_sanity,
     "recovery-invariant": check_recovery_invariant,
-    "absint-soundness": check_absint_soundness,
     "pipeline-equivalence": check_pipeline_equivalence,
 }
 

@@ -15,7 +15,6 @@ from repro.analysis.verifier import (
 from repro.compiler.webs import Web
 from repro.isa import F, R, assemble
 from repro.isa.builder import ProgramBuilder
-from repro.profiling.lists import DeadHint, ProfileLists
 
 
 def rules_fired(diagnostics, severity=None):
@@ -113,8 +112,7 @@ def test_rvp003_partial_path_is_warning():
         halt
         """
     )
-    # Heavy rules disabled: RVP012 would also flag the pruned branch arm.
-    diags = verify_program(program, config=LintConfig.parse(include_heavy=False))
+    diags = verify_program(program)
     assert not any(d.is_error for d in diags)
     assert rules_fired(diags, Severity.WARNING) == {"RVP003"}
 
@@ -326,150 +324,29 @@ def test_rvp008_exclusive_register_passes():
 
 
 # ----------------------------------------------------------------------
-# RVP010 — rvp-marked invariant load provably clobbered in its loop
+# RVP013 — unmarked load into a hardwired-zero register
 # ----------------------------------------------------------------------
-CLOBBERED_MARK = """
-    li r9, #16
+ZERO_DEST = """
     li r2, #64
-loop:
-    rvp_ld r3, 0(r2)
-    add r4, r3, #1
-    st r4, 0(r2)
-    sub r9, r9, #1
-    bne r9, loop
+    ld r31, 0(r2)   ; dropped on the spot: r31 is hardwired zero
+    ld r3, 0(r2)    ; unobserved, but not this rule's claim
+    ld r4, 0(r2)
+    st r4, 8(r2)
     halt
 """
 
 
-def test_rvp010_marked_invariant_load_must_clobbered():
-    diags = verify_program(assemble(CLOBBERED_MARK))
-    assert rules_fired(diags) == {"RVP010"}
-    (diag,) = diags
-    assert diag.pc == 2 and "pc 4" in diag.message
-
-
-def test_rvp010_storing_the_loaded_value_back_is_fine():
-    # Writing the load's own (SSA) value back preserves the reuse bet.
-    program = assemble(CLOBBERED_MARK.replace("st r4, 0(r2)", "st r3, 0(r2)"))
-    assert verify_program(program) == []
-
-
-# ----------------------------------------------------------------------
-# RVP011 — dead stride mark whose shadow add provably adds 0
-# ----------------------------------------------------------------------
-def _dead_hinted(shadow_add):
-    program = assemble(
-        f"""
-        li r9, #16
-        li r2, #64
-    loop:
-        ld r3, 0(r2)
-        ld r4, 0(r2)
-        {shadow_add}
-        st r5, 8(r2)
-        st r3, 16(r2)
-        sub r9, r9, #1
-        bne r9, loop
-        halt
-        """
-    )
-    lists = ProfileLists(threshold=0.8)
-    lists.dead[2] = DeadHint(reg=R[5], producer_pc=4)
-    return program, lists
-
-
-def test_rvp011_zero_immediate_stride_is_dead():
-    program, lists = _dead_hinted("add r5, r4, #0")
-    diags = verify_program(program, lists=lists)
-    assert rules_fired(diags) == {"RVP011"}
-    (diag,) = diags
-    assert diag.pc == 2 and "pc 4" in diag.message
-
-
-def test_rvp011_nonzero_stride_is_kept():
-    program, lists = _dead_hinted("add r5, r4, #8")
-    assert verify_program(program, lists=lists) == []
-
-
-def test_rvp011_register_zero_stride_proven_by_absint():
-    # The delta rides in a register; only the interval domain can prove the
-    # shadow add is a no-op (add.imm alone looks like a real stride source).
-    program = assemble(
-        """
-        li r7, #0
-        li r9, #16
-        li r2, #64
-    loop:
-        ld r3, 0(r2)
-        ld r4, 0(r2)
-        add r5, r4, r7
-        st r5, 8(r2)
-        st r3, 16(r2)
-        sub r9, r9, #1
-        bne r9, loop
-        halt
-        """
-    )
-    lists = ProfileLists(threshold=0.8)
-    lists.dead[3] = DeadHint(reg=R[5], producer_pc=5)
-    diags = verify_program(program, lists=lists)
-    assert rules_fired(diags) == {"RVP011"}
-
-
-# ----------------------------------------------------------------------
-# RVP012 — unreachable under interval-pruned branches
-# ----------------------------------------------------------------------
-PRUNED = """
-    li r4, #0
-    beq r4, skip
-    li r1, #1
-skip:
-    halt
-"""
-
-
-def test_rvp012_interval_pruned_arm_warns():
-    diags = verify_program(assemble(PRUNED))
-    assert rules_fired(diags) == {"RVP012"}
-    (diag,) = diags
-    assert diag.pc == 2 and not diag.is_error
-
-
-# ----------------------------------------------------------------------
-# RVP013 — load result provably dropped
-# ----------------------------------------------------------------------
-def test_rvp013_zero_dest_and_ssa_dead_loads():
-    program = assemble(
-        """
-        li r2, #64
-        ld r31, 0(r2)   ; dropped on the spot: r31 is hardwired zero
-        ld r3, 0(r2)    ; SSA-dead: feeds nothing observable
-        ld r4, 0(r2)    ; observed via the store
-        st r4, 8(r2)
-        halt
-        """
-    )
-    diags = verify_program(program)
+def test_rvp013_zero_dest_load():
+    diags = verify_program(assemble(ZERO_DEST))
     assert rules_fired(diags) == {"RVP013"}
-    assert {d.pc for d in diags} == {1, 2}
+    (diag,) = diags
+    assert diag.pc == 1 and not diag.is_error
 
 
-# ----------------------------------------------------------------------
-# Heavy-rule gating
-# ----------------------------------------------------------------------
-def test_include_heavy_false_suppresses_absint_rules():
-    config = LintConfig.parse(include_heavy=False)
-    assert verify_program(assemble(PRUNED), config=config) == []
-    assert verify_program(assemble(CLOBBERED_MARK), config=config) == []
-
-
-def test_check_program_defaults_to_cheap_rules():
-    # Pass/session call sites use check_program with no config: heavy rules
-    # must stay out of the hot path unless explicitly requested.
-    program = assemble(PRUNED)
-    assert check_program(program, source="gate") == []
-    diags = check_program(program, source="gate", config=LintConfig.parse())
-    assert rules_fired(diags) == {"RVP012"}
+def test_check_program_returns_warnings_without_raising():
+    # Pass postconditions run every rule but gate only on errors.
+    diags = check_program(assemble(ZERO_DEST), source="gate")
+    assert rules_fired(diags) == {"RVP013"}
 
 
 # ----------------------------------------------------------------------
@@ -536,9 +413,6 @@ def test_verification_enabled_env_gate(monkeypatch):
 def test_rule_catalog_is_complete():
     catalog = rule_catalog()
     ids = [info.rule_id for info in catalog]
-    # RVP009 (colourer spills) was retired with the colourer; ids are not reused.
-    assert ids == [f"RVP{n:03d}" for n in range(1, 14) if n != 9]
-    # RVP010-RVP013 need the abstract interpreter and are gated as heavy.
-    assert [info.rule_id for info in catalog if info.heavy] == [
-        "RVP010", "RVP011", "RVP012", "RVP013",
-    ]
+    # RVP009 (colourer spills) was retired with the colourer and RVP010-RVP012
+    # with the abstract interpreter; ids are not reused.
+    assert ids == [f"RVP{n:03d}" for n in range(1, 9)] + ["RVP013"]

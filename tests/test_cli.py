@@ -165,90 +165,8 @@ def test_lint_json_output(capsys):
 def test_lint_rules_catalog(capsys):
     code, out = run_cli(capsys, "lint", "--rules")
     assert code == 0
-    for rule_id in ("RVP001", "RVP005", "RVP013"):
-        assert rule_id in out
-
-
-def test_analyze_workload(capsys):
-    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000")
-    assert code == 0
-    assert "li" in out
-
-
-def test_analyze_json_payload(capsys):
-    import json
-
-    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ok"] is True and payload["failures"] == []
-    (target,) = payload["targets"]
-    assert target["target"] == "li"
-    for key in ("induction", "unreachable_pcs", "decided_branches", "candidate_overlap", "by_loop_depth"):
-        assert key in target
-
-
-def test_analyze_reuse_report(capsys):
-    import json
-
-    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    (target,) = payload["targets"]
-    assert target["target"] == "li"
-    for key in ("static_counts", "overlap", "weighted_static_fractions", "profiled_fig1_fractions"):
-        assert key in target
-    assert set(target["static_counts"]) == {"same", "dead", "last_value", "none"}
-    assert payload["max_gap_failures"] == []
-
-
-def test_analyze_max_gap_exit_three(capsys):
-    import json
-
-    # A zero tolerance always trips on real workloads: static weighted
-    # fractions never match the profiled Figure-1 fractions exactly.
-    code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--max-gap", "0.0", "--json")
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["ok"] is True  # the analysis itself succeeded: the gap alone caused exit 3
-    assert any("gap" in line for line in payload["max_gap_failures"])
-
-
-def test_analyze_max_gap_within_tolerance(capsys):
-    code, _ = run_cli(capsys, "analyze", "li", "--max-insts", "4000", "--max-gap", "1.0")
-    assert code == 0
-
-
-def test_analyze_dump_ssa_and_generated_programs(capsys):
-    code, out = run_cli(capsys, "analyze", "stencil", "--max-insts", "4000", "--dump-ssa")
-    assert code == 0
-    assert "func main:" in out and "phi " in out
-    code, out = run_cli(capsys, "analyze", "--all", "--generated", "2", "--strict", "--max-insts", "4000")
-    assert code == 0
-    summaries = [line for line in out.splitlines() if "induction variable(s)" in line]
-    assert len(summaries) == 11 + 2
-
-
-def test_analyze_generated_programs(capsys):
-    import json
-
-    code, out = run_cli(capsys, "analyze", "--generated", "2", "--seed", "3", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["targets"]) == 2
-    for target in payload["targets"]:
-        assert {"induction", "unreachable_pcs", "decided_branches"} <= set(target)
-
-
-def test_analyze_unknown_workload_exits_two(capsys):
-    code, out, err = run_cli_err(capsys, "analyze", "gcc")
-    assert code == 2
-    assert "gcc" in err
-
-
-def test_analyze_nothing_exits_two(capsys):
-    code, out, err = run_cli_err(capsys, "analyze")
-    assert code == 2
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == [f"RVP00{n}" for n in range(1, 9)] + ["RVP013"]
 
 
 def test_bad_workload_rejected():
@@ -262,9 +180,8 @@ def test_bad_workload_rejected():
     [
         ["run", "--workload", "li", "--config", "no_predict"],
         ["lint", "li"],
-        ["analyze", "li"],
     ],
-    ids=["run", "lint", "analyze"],
+    ids=["run", "lint"],
 )
 @pytest.mark.parametrize(
     "flag,value",
@@ -282,15 +199,14 @@ def test_out_of_range_budget_and_threshold_rejected(capsys, argv, flag, value):
     "argv",
     [
         ["fuzz", "--runs", "0"],
-        ["analyze", "--generated", "-1"],
-        ["analyze", "li", "--max-gap", "-1"],
+        ["lint", "li", "--disable", "RVP999"],
         ["run", "--workload", "li", "--config", "bogus"],
         ["suite", "--config", "bogus"],
         ["metrics", "--config", "bogus"],
         ["serve", "--spool", "spool", "--out-dir", "runs", "--poll", "-1"],
     ],
     ids=[
-        "fuzz-runs", "analyze-generated", "analyze-max-gap",
+        "fuzz-runs", "lint-disable",
         "run-config", "suite-config", "metrics-config", "serve-poll",
     ],
 )
@@ -303,9 +219,15 @@ def test_out_of_range_counts_rejected(capsys, argv):
 
 
 def test_ir_command_is_gone(capsys):
-    # `repro analyze --dump-ssa` prints the raised SSA module instead.
     with pytest.raises(SystemExit) as excinfo:
         main(["ir", "li"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_analyze_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "li"])
     assert excinfo.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
@@ -331,8 +253,7 @@ def test_fuzz_command_json(capsys):
     assert payload["ok"] is True
     assert payload["checked"] == 3
     assert payload["failures"] == []
-    assert len(payload["oracles"]) == 6
-    assert "absint-soundness" in payload["oracles"]
+    assert len(payload["oracles"]) == 5
     assert "pipeline-equivalence" in payload["oracles"]
 
 

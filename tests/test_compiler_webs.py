@@ -154,17 +154,11 @@ def test_join_webs_in_multi_procedure_program():
     assert not (main_pcs & helper_pcs)
 
 
-def test_multi_procedure_join_webs_match_ssa_phi_webs():
-    """The SSA raiser must agree with the flat join-path webs on a
-    two-procedure program sharing register names: in each function one join
-    phi merges exactly that function's two r2 defs, which the flat pass puts
-    in one web."""
-    from repro.ir import raise_program
-
+def test_multi_procedure_join_r2_defs_share_one_web():
+    """In each procedure of a two-procedure program sharing register names,
+    both defs of r2 reach the join and land in one web."""
     program = assemble(MULTI_PROC_JOIN)
-    module = raise_program(program)
     for proc in program.procedures:
-        func = module.function(proc.name)
         r2_defs = {
             pc
             for pc in range(proc.start, proc.end)
@@ -173,14 +167,6 @@ def test_multi_procedure_join_webs_match_ssa_phi_webs():
         assert len(r2_defs) == 2
         analysis = build_webs(program, proc)
         assert len({analysis.web_of_def(pc).index for pc in r2_defs}) == 1
-        def_vids = {
-            instr.dst.vid
-            for block in func.blocks
-            for instr in block.instrs
-            if instr.origin_pc in r2_defs
-        }
-        phi_args = [{v.vid for v in phi.args.values()} for block in func.blocks for phi in block.phis]
-        assert phi_args.count(def_vids) == 1
 
 
 def test_live_pcs_cover_definition_points():

@@ -85,6 +85,37 @@ def test_nested_loop_depths():
     assert inner is not None and inner.depth == 2
 
 
+#: Each workload procedure's natural loops as (header, depth, len(body)) at
+#: the default scale.  Realloc's loop-exclusive registers read
+#: ``innermost_loop``, so Figure 7 depends on these nests.
+WORKLOAD_LOOPS = {
+    "go": {"main": [(4, 1, 34), (6, 2, 30)]},
+    "ijpeg": {"main": [(12, 1, 35)]},
+    "li": {"main": [(5, 1, 5)], "sum_list": [(20, 1, 25)]},
+    "m88ksim": {"main": [(7, 1, 47)]},
+    "perl": {"main": [(7, 1, 23), (11, 2, 8)]},
+    "hydro2d": {"main": [(4, 1, 18), (6, 2, 14)]},
+    "mgrid": {"main": [(5, 1, 28), (8, 2, 23)]},
+    "su2cor": {"main": [(3, 1, 25), (7, 2, 19)]},
+    "turb3d": {"main": [(3, 1, 27), (7, 2, 21), (8, 3, 14)]},
+    "dotprod": {"main": [(6, 1, 16), (10, 2, 9)]},
+    "stencil": {"main": [(7, 1, 19), (10, 2, 11)]},
+}
+
+
+def test_workload_loop_nests_pinned():
+    from repro.workloads import all_workloads
+
+    found = {}
+    for workload in all_workloads():
+        program = workload.program
+        found[workload.name] = {
+            proc.name: sorted((loop.header, loop.depth, len(loop.body)) for loop in program.loops(proc))
+            for proc in program.procedures
+        }
+    assert found == WORKLOAD_LOOPS
+
+
 def test_rewrite_preserves_structure():
     p = build_simple()
     q = p.rewrite(lambda inst: inst.rewrite_registers({R[1]: R[5]}), name="renamed")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.verifier import LintConfig, verify_program
+from repro.analysis.verifier import verify_program
 from repro.sim.functional import run_program
 from repro.testing import GeneratorConfig, generate_case
 
@@ -12,15 +12,10 @@ SEEDS = range(40)
 
 
 def test_generated_programs_are_verifier_clean():
-    """Every generated program passes RVP001..RVP008 with zero diagnostics.
-
-    Heavy absint rules are excluded: generated control flow legitimately
-    contains interval-dead arms (RVP012-style findings are advisory there).
-    """
-    config = LintConfig.parse(include_heavy=False)
+    """Every generated program passes the whole rule catalog with zero diagnostics."""
     for seed in SEEDS:
         case = generate_case(seed)
-        diagnostics = verify_program(case.program, config=config)
+        diagnostics = verify_program(case.program)
         assert not diagnostics, f"seed {seed}: {[d.render() for d in diagnostics]}"
 
 

@@ -1,4 +1,4 @@
-"""The six oracle families: clean on generated programs, and each one
+"""The five oracle families: clean on generated programs, and each one
 provably detects a seeded defect (mutation self-tests)."""
 
 from __future__ import annotations
@@ -176,43 +176,6 @@ def test_trace_equivalence_detects_perturbed_fault_divergence(monkeypatch):
     monkeypatch.setattr(oracles_mod, "_engine_run", misreporting)
     with pytest.raises(OracleViolation, match="perturbed memory"):
         ORACLES["trace-equivalence"](generate_case(0))
-
-
-def test_absint_soundness_clean_on_counted_loop():
-    ORACLES["absint-soundness"](_counted_loop_case())
-
-
-def _counted_loop_case():
-    import dataclasses as dc
-
-    from repro.isa import assemble
-
-    case = generate_case(0)
-    program = assemble(
-        """
-        .proc main
-            li r1, #0
-        loop:
-            add r1, r1, #1
-            sub r3, r1, #10
-            bne r3, loop
-            halt
-        """,
-        name="counted",
-    )
-    return dc.replace(case, program=program)
-
-
-def test_absint_soundness_detects_frozen_widening(monkeypatch):
-    """Defect: loop phis stop widening (the test-only freeze switch in
-    repro.analysis.absint), so the counter's interval stays stuck at its
-    first value and branch/unreachability verdicts turn unsound."""
-    from repro.analysis import absint as absint_mod
-
-    monkeypatch.setattr(absint_mod, "_TEST_FREEZE_PHIS", True)
-    with pytest.raises(OracleViolation) as excinfo:
-        ORACLES["absint-soundness"](_counted_loop_case())
-    assert excinfo.value.oracle == "absint-soundness"
 
 
 def test_recovery_invariant_detects_phantom_recovery(monkeypatch):
