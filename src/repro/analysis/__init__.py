@@ -3,10 +3,9 @@
 Layers (see DESIGN.md, "Static verification"):
 
 * :mod:`repro.analysis.dataflow` — generic forward/backward fixpoint solver
-  over basic blocks; liveness, reaching definitions and available copies are
-  instances.
+  over basic blocks; liveness and reaching definitions are instances.
 * :mod:`repro.analysis.facts` — per-procedure fact bundles (reaching defs,
-  def-use/use-def chains, dominance, reachability, copies).
+  use-def chains, reachability).
 * :mod:`repro.analysis.verifier` — the rule registry and the ``RVP###``
   rule catalog; compiler passes run it as an on-by-default postcondition.
 
@@ -19,8 +18,6 @@ that ``compiler.liveness`` can itself import the engine without a cycle.
 from .dataflow import (
     BACKWARD,
     FORWARD,
-    INTERSECT,
-    UNION,
     DataflowProblem,
     DataflowResult,
     solve,
@@ -50,7 +47,6 @@ from .diagnostics import (
 
 #: Lazily resolved name -> defining submodule (all depend on repro.compiler).
 _LAZY = {
-    "AvailableCopiesProblem": "facts",
     "ProcedureFacts": "facts",
     "ProgramFacts": "facts",
     "ReachingDefsProblem": "facts",
@@ -67,8 +63,6 @@ _LAZY = {
 __all__ = [
     "BACKWARD",
     "FORWARD",
-    "INTERSECT",
-    "UNION",
     "DataflowProblem",
     "DataflowResult",
     "solve",

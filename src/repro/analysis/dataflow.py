@@ -1,20 +1,18 @@
 """Generic CFG dataflow engine (fixpoint solver over basic blocks).
 
 One engine, many analyses: an analysis is a :class:`DataflowProblem` with a
-direction (forward/backward), a meet operator (union for *may* analyses,
-intersection for *must* analyses), and per-instruction ``gen``/``kill`` sets
-over an arbitrary hashable fact domain.  :func:`solve` runs a worklist
-fixpoint at block granularity over :meth:`Program.basic_blocks`, then lowers
-the solution to instruction grain in a single pass per block.
+direction (forward/backward) and per-instruction ``gen``/``kill`` sets over
+an arbitrary hashable fact domain.  Every analysis here is a *may* analysis,
+so paths meet by union.  :func:`solve` runs a worklist fixpoint at block
+granularity over :meth:`Program.basic_blocks`, then lowers the solution to
+instruction grain in a single pass per block.
 
 Concrete instances in this repo:
 
-* liveness (:mod:`repro.compiler.liveness`) — backward, union,
+* liveness (:mod:`repro.compiler.liveness`) — backward,
   gen = uses, kill = defs;
-* reaching definitions (:mod:`repro.analysis.facts`) — forward, union,
-  gen = defs at pc, kill = other defs of the same registers;
-* available copies (:mod:`repro.analysis.facts`) — forward, intersection,
-  gen = the copy made by a ``mov``, kill = copies touching defined registers.
+* reaching definitions (:mod:`repro.analysis.facts`) — forward,
+  gen = defs at pc, kill = other defs of the same registers.
 
 The transfer function is the standard gen/kill form:
 ``out = gen ∪ (in − kill)`` (forward) or ``in = gen ∪ (out − kill)``
@@ -31,8 +29,6 @@ from ..isa.program import BasicBlock, Procedure, Program
 
 FORWARD = "forward"
 BACKWARD = "backward"
-UNION = "union"
-INTERSECT = "intersect"
 
 Fact = Hashable
 
@@ -40,15 +36,12 @@ Fact = Hashable
 class DataflowProblem:
     """Base class for gen/kill dataflow problems.
 
-    Subclasses set :attr:`direction` and :attr:`meet`, and implement
-    :meth:`gen` and :meth:`kill`.  ``boundary()`` provides the facts flowing
-    in at the procedure entry (forward) or at every procedure exit
-    (backward); ``universe()`` is required for intersection problems (the
-    optimistic initial value for unvisited blocks).
+    Subclasses set :attr:`direction` and implement :meth:`gen` and
+    :meth:`kill`.  ``boundary()`` provides the facts flowing in at the
+    procedure entry (forward) or at every procedure exit (backward).
     """
 
     direction: str = FORWARD
-    meet: str = UNION
 
     def gen(self, pc: int) -> Set[Fact]:
         raise NotImplementedError
@@ -57,9 +50,6 @@ class DataflowProblem:
         raise NotImplementedError
 
     def boundary(self) -> Set[Fact]:
-        return set()
-
-    def universe(self) -> Set[Fact]:
         return set()
 
 
@@ -119,19 +109,14 @@ def solve(program: Program, proc: Procedure, problem: DataflowProblem) -> Datafl
     else:
         boundary_nodes = {b.start for b in blocks if not b.successors}
 
-    is_intersect = problem.meet == INTERSECT
     boundary = set(problem.boundary())
-    universe = set(problem.universe()) if is_intersect else set()
 
     # meet-input and transfer-output per block, in solver orientation (the
     # input is the block entry forward, the block exit backward).
     state_in: Dict[int, Set[Fact]] = {}
     state_out: Dict[int, Set[Fact]] = {}
     for n in order:
-        if n in boundary_nodes:
-            state_in[n] = set(boundary)
-        else:
-            state_in[n] = set(universe) if is_intersect else set()
+        state_in[n] = set(boundary) if n in boundary_nodes else set()
         state_out[n] = gen[n] | (state_in[n] - kill[n])
 
     sweep = order if forward else order[::-1]
@@ -139,23 +124,12 @@ def solve(program: Program, proc: Procedure, problem: DataflowProblem) -> Datafl
     while changed:
         changed = False
         for n in sweep:
-            preds = sources[n]
-            if n in boundary_nodes:
-                merged = set(boundary)
-                for p in preds:
-                    merged |= state_out[p]  # e.g. loop back-edges into the entry block
-            elif preds:
-                if is_intersect:
-                    merged = set(state_out[preds[0]])
-                    for p in preds[1:]:
-                        merged &= state_out[p]
-                else:
-                    merged = set()
-                    for p in preds:
-                        merged |= state_out[p]
-            else:
-                # Unreachable (forward) or exitless-loop (backward) block.
-                merged = set(universe) if is_intersect else set()
+            # A boundary block also unions in its sources (e.g. loop
+            # back-edges into the entry block); a block with no sources
+            # (unreachable forward, exitless loop backward) meets to empty.
+            merged = set(boundary) if n in boundary_nodes else set()
+            for p in sources[n]:
+                merged |= state_out[p]
             new_out = gen[n] | (merged - kill[n])
             if merged != state_in[n] or new_out != state_out[n]:
                 state_in[n] = merged

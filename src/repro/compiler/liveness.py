@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
-from ..analysis.dataflow import BACKWARD, UNION, DataflowProblem, solve
+from ..analysis.dataflow import BACKWARD, DataflowProblem, solve
 from ..analysis.effects import (
     ALL_REGS as _ALL_REGS,
     CALL_USES as _CALL_USES,
@@ -37,7 +37,6 @@ class LivenessProblem(DataflowProblem):
     """Backward may-liveness: gen = uses, kill = defs, empty exit boundary."""
 
     direction = BACKWARD
-    meet = UNION
 
     def __init__(self, program: Program, proc: Procedure) -> None:
         self._effects: Dict[int, Tuple[Set[Reg], Set[Reg]]] = {

@@ -41,10 +41,10 @@ Five oracle families, each a callable ``oracle(case)`` registered in
     The event-driven fast timing tier (``engine="fast"``) must reproduce the
     reference per-cycle pipeline loop's complete ``SimStats`` — every
     counter, including stall attribution and summed IQ occupancy — across
-    {lvp, rvp, stride} × all three recovery schemes.  The fast tier's
-    test-only switch (``repro.uarch.fast._TEST_SKIP_EVENT``) seeds a
-    skip-accounting defect the self-tests use to prove this family detects
-    broken cycle skipping.
+    {lvp, rvp, stride, rvp on a one-prediction-port machine} × all three
+    recovery schemes.  The fast tier's test-only switch
+    (``repro.uarch.fast._TEST_SKIP_EVENT``) seeds a skip-accounting defect
+    the self-tests use to prove this family detects broken cycle skipping.
 
 Helper entry points (``_eager_run`` / ``_streaming_run`` / ``_reference_run``
 / ``_engine_run`` / ``_simulate`` / ``_train_predictor``) are deliberate seams: the mutation self-tests
@@ -55,6 +55,7 @@ something.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.diagnostics import VerificationError
@@ -71,7 +72,7 @@ from ..profiling.deadness import reg_id
 from ..profiling.reuse import ReuseProfile
 from ..sim.functional import FunctionalSimulator, RunResult, SimulationError, run_program, stream_program
 from ..sim.trace import TraceRecord
-from ..uarch.config import table1_config
+from ..uarch.config import MachineConfig, table1_config
 from ..uarch.recovery import RecoveryScheme
 from ..uarch.pipeline import simulate
 from ..uarch.stream import PredictionOverlay, prepare_stream
@@ -673,10 +674,17 @@ def check_recovery_invariant(case: GeneratedCase) -> None:
 # ----------------------------------------------------------------------
 # Oracle family 5: fast-vs-reference pipeline stats equivalence
 # ----------------------------------------------------------------------
-def _engine_stats(trace: Sequence[TraceRecord], predictor: ValuePredictor, recovery: RecoveryScheme, engine: str):
-    """Seam: one timing-tier run (monkeypatched by the mutation self-tests;
-    the fast tier's own seam is ``repro.uarch.fast._TEST_SKIP_EVENT``)."""
-    return simulate(trace, predictor, table1_config(), recovery, engine=engine)
+def _engine_stats(
+    trace: Sequence[TraceRecord],
+    predictor: ValuePredictor,
+    recovery: RecoveryScheme,
+    engine: str,
+    machine: Optional[MachineConfig] = None,
+):
+    """Seam: one timing-tier run on ``machine`` (default: the Table 1
+    machine), monkeypatched by the mutation self-tests; the fast tier's
+    own seam is ``repro.uarch.fast._TEST_SKIP_EVENT``."""
+    return simulate(trace, predictor, machine or table1_config(), recovery, engine=engine)
 
 
 def check_pipeline_equivalence(case: GeneratedCase) -> None:
@@ -687,19 +695,24 @@ def check_pipeline_equivalence(case: GeneratedCase) -> None:
     Predictors run with a low confidence threshold so small generated loops
     actually speculate; each engine gets a fresh predictor instance (the
     tiers train identical state, but sharing one instance would let the
-    first run's training leak into the second)."""
+    first run's training leak into the second).  The ``rvp/ports1`` leg
+    runs register-based prediction on a Table 1 machine with a single
+    prediction read port, so non-load predictions compete for it and
+    port exhaustion is exercised."""
     name = "pipeline-equivalence"
     base = _base_run(case)
     trace = tuple(base.trace)
-    predictors = (
-        ("lvp", lambda: LastValuePredictor(threshold=2)),
-        ("rvp", lambda: DynamicRVP(threshold=2)),
-        ("stride", lambda: StridePredictor(threshold=2)),
+    one_port = replace(table1_config(), pred_ports=1)
+    legs = (
+        ("lvp", lambda: LastValuePredictor(threshold=2), None),
+        ("rvp", lambda: DynamicRVP(threshold=2), None),
+        ("stride", lambda: StridePredictor(threshold=2), None),
+        ("rvp/ports1", lambda: DynamicRVP(threshold=2), one_port),
     )
-    for label, make in predictors:
+    for label, make, machine in legs:
         for scheme in RecoveryScheme:
-            reference = _engine_stats(trace, make(), scheme, "reference").counters()
-            fast = _engine_stats(trace, make(), scheme, "fast").counters()
+            reference = _engine_stats(trace, make(), scheme, "reference", machine).counters()
+            fast = _engine_stats(trace, make(), scheme, "fast", machine).counters()
             if fast != reference:
                 diff = {
                     key: (reference[key], fast[key])

@@ -52,23 +52,29 @@ over the reset), so a completion event — ``(inst, gen)``, validated by
 ``inst.gen == gen and state == _ISSUED`` exactly as in the reference — can
 never be claimed by a later incarnation or a later issue of the same one;
 (2) an instruction that never touched speculative state (renamed on the
-fast path below, committed normally) is returned to the pool with every
-other field already at its post-reset default, so acquire only rewrites the
-handful of fields the plain lifecycle dirties — the ``dirty`` flag marks the
-exceptions (full rename, squash victims) that need a complete reset.
+speculation-free path below, committed normally) is returned to the pool
+with every other field already at its post-reset default, so acquire only
+rewrites the handful of fields the plain lifecycle dirties — the ``dirty``
+flag marks the exceptions (speculative rename, squash victims) that need a
+complete reset.
 
-**Speculation-free rename fast path.**  While no prediction is unresolved,
-no in-flight instruction carries speculative state (every ``spec_on`` entry
-is discarded when its prediction resolves, and refetch squashes filter
-survivors), so renaming a non-candidate instruction reduces to copying the
-precomputed producer seqs — no closures, no inheritance walk.
+**Two rename paths.**  A non-candidate (``overlay.kind[seq] is None``)
+none of whose in-flight producers is an unresolved prediction or carries a
+non-empty ``spec_on`` gets exactly what the reference rename would give it:
+its dependences are the stream's precomputed producer seqs, with no
+``dep_fix`` and no ``spec_on``.  It aliases that tuple and stays clean.
+Every other instruction (a prediction candidate, or a consumer of
+speculative state) goes through :meth:`_spec_rename`, a flat, closure-free
+form of the reference ``PipelineSimulator._rename`` that builds the
+filtered dependences, ``dep_fix`` and ``spec_on`` directly and decides the
+prediction; it marks the instruction dirty.
 
 The five pipeline stages are inlined into one loop in :meth:`_run` with
 every run-invariant hoisted out; the inherited per-stage methods of the
-reference class are *not* used by this tier (only the recovery callbacks —
-``_try_resolve``/``_resolve``/``_repair_deps``/``_release_iq`` — are shared,
-with :meth:`_reset_inst` and :meth:`_squash_from` overridden to maintain the
-wakeup structures).
+reference class, ``_rename`` included, are *not* used by this tier (only
+the recovery callbacks — ``_try_resolve``/``_resolve``/``_repair_deps``/
+``_release_iq`` — are shared, with :meth:`_reset_inst` and
+:meth:`_squash_from` overridden to maintain the wakeup structures).
 
 ``_TEST_SKIP_EVENT`` is the mutation seam for the ``pipeline-equivalence``
 fuzz oracle's self-test: setting it True suppresses the closed-form IQ
@@ -81,10 +87,10 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..sim.trace import TraceRecord
-from ..vp.base import ValuePredictor
+from ..vp.base import SourceKind, ValuePredictor
 from .config import MachineConfig
 from .pipeline import _DONE, _ISSUED, _WAIT, DynInst, PipelineSimulator
 from .recovery import RecoveryScheme
@@ -101,8 +107,8 @@ class FastDynInst(DynInst):
     ``waiters`` holds the _WAIT consumers parked on this (non-DONE) producer;
     ``in_cand`` mirrors membership in the simulator's sorted candidate list;
     ``dirty`` records that this incarnation touched state outside the plain
-    fetch/dispatch/issue/commit lifecycle (full rename or squash) and must be
-    fully reset before reuse.  All are cleared by :meth:`reset`.
+    fetch/dispatch/issue/commit lifecycle (speculative rename or squash) and
+    must be fully reset before reuse.  All are cleared by :meth:`reset`.
     """
 
     __slots__ = ("waiters", "in_cand", "dirty")
@@ -189,7 +195,7 @@ class FastPipelineSimulator(PipelineSimulator):
         update_load = self._update_load
         observe_store = self._observe_store
         trained = self._trained
-        unresolved = self.unresolved_preds
+        spec_rename = self._spec_rename
         resolution_waiters = self._resolution_waiters
         recovery = self.recovery
         refetch = recovery is RecoveryScheme.REFETCH
@@ -415,35 +421,45 @@ class FastPipelineSimulator(PipelineSimulator):
                         stats.iq_stall_cycles += 1
                         break
                     fq.popleft()
-                    # Speculation-free rename fast path (module docstring):
-                    # alias the stream's prebuilt producer-seq tuple (never
-                    # mutated: dep_fix repairs only touch slow-path renames)
-                    # and park on any in-flight producer — its completion
-                    # re-enters this inst into the candidates, where all
-                    # operands are re-verified.
+                    # Speculation-free rename (module docstring): a
+                    # non-candidate none of whose in-flight producers is
+                    # an unresolved prediction or carries spec_on aliases
+                    # the stream's prebuilt producer-seq tuple (never
+                    # mutated: dep_fix repairs only touch speculative
+                    # renames).  Either way the inst parks on its first
+                    # in-flight producer; that producer's completion
+                    # re-enters it into the candidates, where all operands
+                    # are re-verified.
                     blocker = None
                     seq = entry.seq
-                    if not unresolved and kinds[seq] is None:
-                        deps = entry.dep_seqs
-                        inst.deps = deps
+                    deps = entry.dep_seqs
+                    speculative = kinds[seq] is not None
+                    if not speculative:
                         for dep in deps:
                             producer = wget(dep)
-                            if producer is not None and producer.state != _DONE:
-                                blocker = producer
-                                break
-                        if entry.is_store and observe_store is not None:
-                            record = entry.record
-                            if record.addr is not None:
-                                observe_store(entry.pc, record.addr, record.store_value)
-                    else:
+                            if producer is not None:
+                                # Only a prediction is ever unresolved.
+                                if producer.spec_on or not producer.resolved:
+                                    speculative = True
+                                    break
+                                if blocker is None and producer.state != _DONE:
+                                    blocker = producer
+                    if speculative:
                         inst.dirty = True
-                        if self._rename(inst, pred_ports > 0):
+                        if spec_rename(inst, pred_ports > 0):
                             pred_ports -= 1
+                        blocker = None
                         for dep in inst.deps:
                             producer = wget(dep)
                             if producer is not None and producer.state != _DONE:
                                 blocker = producer
                                 break
+                    else:
+                        inst.deps = deps
+                        if entry.is_store and observe_store is not None:
+                            record = entry.record
+                            if record.addr is not None:
+                                observe_store(entry.pc, record.addr, record.store_value)
                     iq_used[iq] += 1
                     inst.iq_released = False
                     window[seq] = inst
@@ -587,6 +603,110 @@ class FastPipelineSimulator(PipelineSimulator):
         self.stats.l1d_misses = memory.l1d.misses
         self.stats.l1i_misses = memory.l1i.misses
         return self.stats
+
+    # ==================================================================
+    # Speculative rename
+    # ==================================================================
+    def _spec_rename(self, inst: FastDynInst, port_available: bool) -> bool:
+        """Rename an instruction that may touch speculative state; returns
+        True if it consumed a prediction read port.
+
+        Stats-exact flat form of the reference ``PipelineSimulator._rename``
+        (the spec): the producers are walked in ``entry.dep_seqs`` order
+        (the reference's ``add_dep`` order), ``deps`` and ``dep_fix`` are
+        built already filtered (a prediction with no value producer
+        contributes no operand, where the reference appends a ``-1``
+        placeholder and re-indexes), and ``spec_on`` doubles as the
+        reference's ``attached`` set (the two always hold the same seqs).
+        ``spec_consumers`` appends keep the reference's order, inheritance
+        walks over the producer's ``spec_on`` set included: ``_resolve``
+        visits consumers in that order.
+        """
+        entry = inst.entry
+        seq = entry.seq
+        wget = self.window.get
+        deps: List[int] = []
+        dep_fix: List[Tuple[int, int]] = []
+        spec_on: Set[int] = set()
+        for pseq in entry.dep_seqs:
+            producer = wget(pseq)
+            if producer is None:
+                deps.append(pseq)
+                continue
+            if not producer.resolved:
+                # An unresolved prediction: read its predicted value, the
+                # old mapping (the previous writer's actual output).
+                value_dep = producer.pred_value_dep
+                if value_dep is not None:
+                    dep_fix.append((len(deps), pseq))
+                    deps.append(value_dep)
+                if pseq not in spec_on:
+                    spec_on.add(pseq)
+                    producer.spec_consumers.append(inst)
+                if producer.first_use is None:
+                    producer.first_use = seq
+                # Inherit the old value's own input-speculation.
+                if value_dep is None:
+                    continue
+                producer = wget(value_dep)
+                if producer is None:
+                    continue
+            else:
+                deps.append(pseq)
+            if producer.spec_on:
+                self._inherit(inst, spec_on, producer)
+
+        # Memory-renaming predictors snoop stores at rename.
+        if entry.is_store and self._observe_store is not None:
+            record = entry.record
+            if record.addr is not None:
+                self._observe_store(entry.pc, record.addr, record.store_value)
+
+        # ---- value prediction decision ----
+        used_port = False
+        overlay = self.overlay
+        kind = overlay.kind[seq]
+        if kind is not None:
+            value_dep, inst.train = overlay.facts(entry)
+            predictor = self.predictor
+            predictable = predictor.confident(entry.pc)
+            stored_ok = True
+            table_backed = self._table_backed
+            if kind is SourceKind.STORED:
+                if table_backed:
+                    stored = predictor.stored_value(entry.pc)
+                    stored_ok = stored is not None
+                    inst.train = stored_ok and stored == entry.record.result
+                    value_dep = None
+                else:
+                    stored_ok = value_dep is not None
+            needs_port = not entry.is_load and not table_backed
+            if predictable and stored_ok and (port_available or not needs_port):
+                inst.predicted = True
+                inst.resolved = False
+                inst.pred_correct = inst.train
+                used_port = needs_port
+                inst.pred_value_dep = value_dep
+                producer = wget(value_dep) if value_dep is not None else None
+                if producer is not None and producer.spec_on:
+                    self._inherit(inst, spec_on, producer)
+                self.unresolved_preds[seq] = inst
+
+        inst.deps = deps
+        inst.dep_fix = dep_fix
+        inst.spec_on = spec_on
+        return used_port
+
+    def _inherit(self, inst: FastDynInst, spec_on: Set[int], producer: DynInst) -> None:
+        """Add ``producer``'s still-unresolved input speculation to
+        ``spec_on``, registering ``inst`` as a consumer of each newly added
+        prediction (the reference rename's ``_inherit``)."""
+        unresolved = self.unresolved_preds
+        for pending_seq in producer.spec_on:
+            pending = unresolved.get(pending_seq)
+            if pending is not None and pending_seq not in spec_on:
+                spec_on.add(pending_seq)
+                pending.spec_consumers.append(inst)
 
     # ==================================================================
     # Wake-up computation and closed-form skip accounting

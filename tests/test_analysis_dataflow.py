@@ -1,4 +1,5 @@
-"""Shared CFG dataflow engine: directions, meets, chains, dominance."""
+"""Shared CFG dataflow engine: directions, reaching definitions, liveness,
+reachability."""
 
 from repro.analysis import solve
 from repro.analysis.facts import ProcedureFacts, ProgramFacts
@@ -73,48 +74,6 @@ def test_loop_def_reaches_around_back_edge():
 
 
 # ----------------------------------------------------------------------
-# Available copies (forward / intersection)
-# ----------------------------------------------------------------------
-def test_copy_available_on_every_path_only():
-    program, facts = facts_of(
-        """
-        li r1, #7
-        li r4, #0
-        beq r4, skip
-        mov r2, r1
-    skip:
-        add r5, r1, #0
-        halt
-        """
-    )
-    # The mov happens on one path only -> not available at the join.
-    assert (R[2], R[1]) not in facts.available_copies_at(4)
-
-    program, facts = facts_of(
-        """
-        li r1, #7
-        mov r2, r1
-        add r5, r1, #0
-        halt
-        """
-    )
-    assert (R[2], R[1]) in facts.available_copies_at(2)
-
-
-def test_copy_killed_by_redefinition_of_either_side():
-    program, facts = facts_of(
-        """
-        li r1, #7
-        mov r2, r1
-        li r1, #8
-        halt
-        """
-    )
-    assert (R[2], R[1]) in facts.available_copies_at(2)
-    assert (R[2], R[1]) not in facts.copies.out_facts[2]
-
-
-# ----------------------------------------------------------------------
 # Liveness expressed through the shared engine
 # ----------------------------------------------------------------------
 def test_liveness_satisfies_dataflow_equations_on_workload():
@@ -139,22 +98,8 @@ def test_liveness_satisfies_dataflow_equations_on_workload():
 
 
 # ----------------------------------------------------------------------
-# Chains, reachability
+# Reachability
 # ----------------------------------------------------------------------
-def test_du_chains_invert_ud_chains():
-    program, facts = facts_of(
-        """
-        li r1, #1
-        add r2, r1, #1
-        add r3, r1, r2
-        halt
-        """
-    )
-    du = facts.du_chains()
-    assert du[(0, R[1])] == {(1, "src1"), (2, "src1")}
-    assert du[(1, R[2])] == {(2, "src2")}
-
-
 def test_unreachable_blocks():
     program, facts = facts_of(
         """

@@ -1,8 +1,10 @@
 """Fast timing tier: golden fast==reference stats matrix over the full
-workload suite, event-heap ordering/validity, FastDynInst pool hygiene, and
-the pipeline-equivalence oracle's mutation self-test."""
+workload suite with its rename mutation self-test, event-heap
+ordering/validity, FastDynInst pool hygiene, and the pipeline-equivalence
+oracle's mutation self-test."""
 
 import heapq
+from dataclasses import replace
 
 import pytest
 
@@ -25,10 +27,27 @@ WORKLOADS = tuple(w.name for w in all_workloads())
 #: prepared streams are built once per workload, not once per matrix cell.
 SESSION = SimSession()
 
-# The no-predictor baseline, one table-backed config, one profile-guided
-# static config (marked program variant), one reallocated-program config —
-# the stream-preparation shapes the fast tier must reproduce bit-for-bit.
-MATRIX_CONFIGS = ("no_predict", "drvp", "srvp_dead", "drvp_all_realloc")
+# The stream-preparation shapes and rename branches the fast tier must
+# reproduce bit-for-bit: the no-predictor baseline, same-register RVP on
+# the base program, a profile-marked static variant, a reallocated
+# variant, register-sourced and ideal last-value (non-table STORED) hints,
+# table-backed STORED predictions of non-loads, and memory renaming's
+# store snooping at rename.
+MATRIX_CONFIGS = (
+    "no_predict",
+    "drvp",
+    "srvp_dead",
+    "drvp_all_realloc",
+    "drvp_all_dead_lv",
+    "lvp_all",
+    "memren",
+)
+
+#: A Table 1 machine with one prediction read port: register-based
+#: predictions of non-loads compete for it.  One config that makes such
+#: predictions also runs on it.
+ONE_PORT = replace(CFG, pred_ports=1)
+PORT_LIMITED_CONFIGS = ("drvp_all_dead_lv",)
 
 
 def trace_of(program, memory=None, budget=50_000):
@@ -53,18 +72,77 @@ def test_fast_matches_reference_matrix(workload):
     # is degenerate below that).
     runner = ExperimentRunner(workload, max_instructions=3_000, session=SESSION)
     for config in MATRIX_CONFIGS:
-        variant, _ = runner._build(config, None)
-        trace = runner.ref_trace(variant)
-        for scheme in RecoveryScheme:
-            reference = simulate(
-                trace, runner._build(config, None)[1], runner.machine, scheme, engine="reference"
-            )
-            fast = simulate(
-                trace, runner._build(config, None)[1], runner.machine, scheme, engine="fast"
-            )
-            assert fast.counters() == reference.counters(), (
-                f"{workload}/{config}/{scheme.value}: fast tier diverged"
-            )
+        machines = (CFG, ONE_PORT) if config in PORT_LIMITED_CONFIGS else (CFG,)
+        for machine in machines:
+            for scheme in RecoveryScheme:
+                counters = _cell_counters(runner, config, machine, scheme)
+                assert counters["fast"] == counters["reference"], (
+                    f"{workload}/{config}/pred_ports={machine.pred_ports}/"
+                    f"{scheme.value}: fast tier diverged"
+                )
+
+
+def _cell_counters(runner, config, machine, scheme):
+    """Both engines' counters for one matrix cell, each on a fresh
+    predictor over the session's shared stream."""
+    counters = {}
+    for engine in ("reference", "fast"):
+        stream, predictor = runner.pipeline_stream(config)
+        counters[engine] = simulate(
+            None, predictor, machine, scheme, engine=engine, stream=stream
+        ).counters()
+    return counters
+
+
+# ----------------------------------------------------------------------
+# Rename mutation self-test: each seeded rename bug fails a matrix cell
+# ----------------------------------------------------------------------
+_REAL_SPEC_RENAME = FastPipelineSimulator._spec_rename
+
+
+def _clear_dep_fix(self, inst, port_available):
+    used = _REAL_SPEC_RENAME(self, inst, port_available)
+    inst.dep_fix = []
+    return used
+
+
+def _keep_direct_spec_on(self, inst, port_available):
+    used = _REAL_SPEC_RENAME(self, inst, port_available)
+    inst.spec_on = {seq for seq in inst.spec_on if seq in inst.entry.dep_seqs}
+    return used
+
+
+def _ignore_port_limit(self, inst, port_available):
+    return _REAL_SPEC_RENAME(self, inst, True)
+
+
+#: mutant -> (wrapper of the real rename, the matrix cell it must break:
+#: workload, config, machine, recovery scheme)
+RENAME_MUTANTS = {
+    "dep_fix cleared": (_clear_dep_fix, ("hydro2d", "drvp", CFG, RecoveryScheme.REISSUE)),
+    "inherited spec_on dropped": (
+        _keep_direct_spec_on,
+        ("m88ksim", "lvp_all", CFG, RecoveryScheme.SELECTIVE),
+    ),
+    "port limit ignored": (
+        _ignore_port_limit,
+        ("go", "drvp_all_dead_lv", ONE_PORT, RecoveryScheme.SELECTIVE),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", RENAME_MUTANTS)
+def test_matrix_detects_rename_mutant(monkeypatch, mutant):
+    wrapper, (workload, config, machine, scheme) = RENAME_MUTANTS[mutant]
+    assert config in MATRIX_CONFIGS
+    assert machine is CFG or config in PORT_LIMITED_CONFIGS
+    monkeypatch.setattr(FastPipelineSimulator, "_spec_rename", wrapper)
+    runner = ExperimentRunner(workload, max_instructions=3_000, session=SESSION)
+    counters = _cell_counters(runner, config, machine, scheme)
+    assert counters["fast"] != counters["reference"], (
+        f"{mutant}: {workload}/{config}/pred_ports={machine.pred_ports}/"
+        f"{scheme.value} did not diverge"
+    )
 
 
 #: Cells where a selectively reset instruction reissues and completes in
