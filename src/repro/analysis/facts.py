@@ -110,14 +110,6 @@ class ProcedureFacts:
             (def_pc, reg) for def_pc, reg in self.reaching.in_facts[use.pc] if reg == use.reg
         )
 
-    def ud_chains(self) -> Dict[Tuple[int, str], FrozenSet[DefId]]:
-        """(pc, slot) -> reaching definitions, for every explicit use."""
-        chains: Dict[Tuple[int, str], FrozenSet[DefId]] = {}
-        for pc in range(self.proc.start, self.proc.end):
-            for use in self.use_sites(pc):
-                chains[(pc, use.slot)] = self.reaching_defs_of_use(use)
-        return chains
-
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------

@@ -198,7 +198,7 @@ class SimSession:
         self._trace_resident_bytes = 0
         self._streams: "OrderedDict[Tuple, List[StreamEntry]]" = OrderedDict()
         self._stream_resident_bytes = 0
-        self._batches: Dict[Tuple, Dict[str, Dict[str, object]]] = {}
+        self._batches: Dict[Tuple, Dict[str, str]] = {}
         self._timing: Dict[TimingKey, SimStats] = {}
 
     @staticmethod
@@ -487,69 +487,35 @@ class SimSession:
         return stats
 
     # ------------------------------------------------------------------
-    # Final-state digests (one run per program input)
+    # Content digests (the campaign's drift sidecar)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lane_digest(result) -> str:
-        """Canonical hash of one run's final architectural outcome.
-
-        ``result`` is a :class:`~repro.sim.functional.RunResult`.  Covers pc,
-        both register files, commit count, halt status and every nonzero
-        memory word (:class:`~repro.sim.memory.Memory` equality is modulo
-        zero words, so the digest must be too).  The payload is frozen:
-        ``<run>.batches.json`` sidecars written by earlier versions verify
-        against it on resume.
-        """
-        hasher = hashlib.sha256()
-        state = result.state
-        words = sorted(
-            (index, value)
-            for index, value in getattr(result.memory, "_words", {}).items()
-            if value
-        )
-        payload = (state.pc, result.instructions, result.halted, tuple(state.int_regs), tuple(state.fp_regs), tuple(words))
-        hasher.update(repr(payload).encode())
-        return hasher.hexdigest()
-
     def batch_digests(
-        self,
-        name: str,
-        scale: float,
-        max_instructions: int,
-        input_names: Sequence[str] = ("ref", "train"),
-        variant: str = "base",
-        threshold: Optional[float] = None,
-        default_threshold: float = 0.8,
-    ) -> Dict[str, Dict[str, object]]:
-        """Per-input final-state digests of one program variant.
+        self, name: str, scale: float, input_names: Sequence[str] = ("ref", "train")
+    ) -> Dict[str, str]:
+        """Per-input content digests of one workload; nothing is simulated.
 
-        One no-record run per input; the decode itself is memoized per
-        program, so the inputs share it.  Keys follow the same canonical
-        value-key rules as every other session cache, so campaign cells that
-        share a program share the digests.
+        Each is a sha256 over the base program's canonical text
+        (:meth:`~repro.isa.program.Program.render`) and the input image's
+        sorted nonzero words (:meth:`~repro.sim.memory.Memory.image_bytes`),
+        so any change to the program or an input shows in the digest.  The
+        base program is read from the workload directly, unverified: nothing
+        runs here, and every program a cell simulates is verified when
+        :meth:`program_variant` fills its cache.
         """
-        variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
-        key = (name, scale, max_instructions, variant, eff_threshold, tuple(input_names))
+        key = (name, scale, tuple(input_names))
         metrics = get_metrics()
         cached = self._batches.get(key)
         if cached is not None:
             metrics.inc("session.batch.hits")
             return cached
         metrics.inc("session.batch.misses")
-        program = self.program_variant(
-            name, scale, max_instructions, variant, eff_threshold, default_threshold
-        )
         workload = self.workload(name, scale)
-        digests: Dict[str, Dict[str, object]] = {}
+        text = workload.program.render().encode()
+        digests: Dict[str, str] = {}
         for input_name in input_names:
-            sim = FunctionalSimulator(program, memory=workload.memory(input_name))
-            with metrics.timer("sim.wall"):
-                result = sim.run(max_instructions=max_instructions)
-            digests[input_name] = {
-                "digest": self._lane_digest(result),
-                "instructions": result.instructions,
-                "halted": result.halted,
-            }
+            hasher = hashlib.sha256(text)
+            hasher.update(workload.memory(input_name).image_bytes())
+            digests[input_name] = hasher.hexdigest()
         self._batches[key] = digests
         return digests
 

@@ -5,8 +5,8 @@ A *campaign* is one (workload × config × recovery) grid executed by
 cell-by-cell into a :class:`~repro.runtime.journal.RunJournal`.  This module
 holds the parts that do not depend on how cells execute: the fingerprintable
 :class:`CampaignSpec`, the :class:`SuiteCell` unit of work, the
-functional-digest sidecar, and the :class:`CampaignReport` assembled from the
-journal.  The contract:
+content-digest drift sidecar, and the :class:`CampaignReport` assembled from
+the journal.  The contract:
 
 * **Crash-safe.**  Every terminal cell state (``ok`` with the serialized
   result, ``failed``/``timeout`` with the diagnostic and its taxonomy kind)
@@ -154,64 +154,68 @@ class CampaignSpec:
         return replace(self, jobs=jobs)
 
 
+#: Schema tag of the drift sidecar.  Untagged sidecars hold the older
+#: final-state digests, which came from simulating every input.
+BATCH_SCHEMA = "repro-batches/2"
+
+
 def batch_sidecar_path(out_dir: str, run_id: str) -> str:
-    """Path of the functional-digest sidecar for one campaign run."""
+    """Path of the drift sidecar for one campaign run."""
     return os.path.join(out_dir, f"{run_id}.batches.json")
 
 
-def compute_batch_digests(spec: CampaignSpec) -> Dict[str, Dict[str, Dict[str, object]]]:
-    """Per-workload functional digests for every workload in the grid.
+def compute_batch_digests(spec: CampaignSpec) -> Dict[str, Dict[str, str]]:
+    """Per-workload content digests for every workload in the grid.
 
-    All of a campaign's cells for one workload share the same base program
-    and inputs — only the predictor/recovery configuration varies — so their
-    functional outcome is one shared artifact, computed once per workload by
-    :meth:`~repro.core.session.SimSession.batch_digests`.  The digests pin
-    the workload's architectural behaviour for the run's lifetime: a resume
-    recomputes them and refuses to continue into a grid whose programs or
-    inputs no longer produce the journaled results.
+    All of a campaign's cells for one workload derive their programs from
+    one base program and run on the same inputs, so one
+    :meth:`~repro.core.session.SimSession.batch_digests` per workload pins
+    them.  A resume recomputes the digests and refuses to continue into a
+    grid whose programs or inputs changed.  The digests read content only:
+    a change to the simulator's semantics between run and resume is not
+    caught here (the golden counter snapshot and the engine matrix guard
+    the simulators).
     """
     session = get_session()
-    return {
-        workload: session.batch_digests(
-            workload,
-            spec.scale,
-            spec.max_instructions,
-            threshold=spec.threshold,
-        )
-        for workload in spec.workloads
-    }
+    return {workload: session.batch_digests(workload, spec.scale) for workload in spec.workloads}
 
 
-def _write_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec) -> Dict:
-    digests = compute_batch_digests(spec)
-    atomic_write_json(batch_sidecar_path(out_dir, run_id), digests)
-    return digests
+def _write_batch_sidecar(out_dir: str, run_id: str, digests: Dict) -> None:
+    atomic_write_json(
+        batch_sidecar_path(out_dir, run_id), {"schema": BATCH_SCHEMA, "digests": digests}
+    )
 
 
-def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec) -> Dict:
+def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec, journal: RunJournal) -> Dict:
     """On resume: recompute the digests and compare with the sidecar.
 
-    A missing sidecar (campaign predates the feature, or was killed before
-    the write) is backfilled silently; a *divergent* one means the programs
-    or inputs drifted between run and resume, which would silently mix
-    incompatible results — that is a :class:`JournalError`, exactly like the
-    journal's config fingerprint check.
+    A missing sidecar (killed before the write) or an untagged one (written
+    in the older final-state format, which nothing can recompute without
+    simulating) is rewritten, with a journal note; a tagged sidecar that
+    differs means the programs or inputs drifted between run and resume,
+    which would silently mix incompatible results — that is a
+    :class:`JournalError`, exactly like the journal's config fingerprint
+    check.
     """
     digests = compute_batch_digests(spec)
     path = batch_sidecar_path(out_dir, run_id)
-    if not os.path.exists(path):
-        atomic_write_json(path, digests)
+    stored = None
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as handle:
+            stored = json.load(handle)
+    if stored is None or "schema" not in stored:
+        journal.note("batch_sidecar_rewritten", was="missing" if stored is None else "untagged")
+        _write_batch_sidecar(out_dir, run_id, digests)
         return digests
-    with open(path, "r", encoding="utf-8") as handle:
-        stored = json.load(handle)
-    if stored != digests:
-        drifted = sorted(
-            name for name in set(stored) | set(digests) if stored.get(name) != digests.get(name)
-        )
+    if stored["schema"] != BATCH_SCHEMA:
+        raise JournalError(f"batch sidecar of run {run_id!r} has unknown schema {stored['schema']!r}")
+    old = stored.get("digests", {})
+    if old != digests:
+        drifted = sorted(name for name in set(old) | set(digests) if old.get(name) != digests.get(name))
         raise JournalError(
-            f"batch digest mismatch on resume of run {run_id!r}: workload(s) "
-            f"{', '.join(drifted)} no longer reproduce the journaled functional "
-            f"state; refusing to mix incompatible results"
+            f"batch digest mismatch on resume of run {run_id!r}: the program or "
+            f"inputs of workload(s) {', '.join(drifted)} changed since the run "
+            f"started; refusing to mix incompatible results"
         )
     return digests
 
@@ -235,9 +239,8 @@ class CampaignReport:
     executed: int = 0
     resumed: bool = False
     used_processes: bool = False
-    #: workload -> input -> functional digest record (see
-    #: :func:`compute_batch_digests`).
-    batch_digests: Dict[str, Dict[str, Dict[str, object]]] = field(default_factory=dict)
+    #: workload -> input -> content digest (see :func:`compute_batch_digests`).
+    batch_digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Cells satisfied by the shared content-addressed result store without
     #: any simulation (distinct from ``restored``, which replays the journal).
     store_hits: int = 0

@@ -60,6 +60,7 @@ from .campaign import (
     _verify_batch_sidecar,
     _write_batch_sidecar,
     build_report,
+    compute_batch_digests,
     deliver_sigterm_as_interrupt,
 )
 from .errors import DETERMINISTIC, WorkerCrashed, classify_failure, is_timeout
@@ -222,6 +223,11 @@ class CampaignSupervisor:
         self.workers = max(1, spec.jobs)
         self.store = store
         self.machine = machine if machine is not None else spec.build_machine()
+        #: The machine's canonical store-key payload, encoded once.
+        self._machine_payload = asdict(self.machine)
+        #: workload -> input -> content digest, pinned by :meth:`run` or
+        #: :meth:`resume` from the drift sidecar; part of every store key.
+        self.batch_digests: Dict[str, Dict[str, str]] = {}
         self.retries = max(0, retries)
         self.cell_timeout = (
             derive_cell_timeout(spec.max_instructions) if cell_timeout is None else cell_timeout
@@ -245,9 +251,10 @@ class CampaignSupervisor:
         journal = RunJournal.create(
             self.out_dir, run_id, self.spec.config_dict(), self.spec.cell_ids()
         )
-        digests = _write_batch_sidecar(self.out_dir, run_id, self.spec)
+        self.batch_digests = compute_batch_digests(self.spec)
+        _write_batch_sidecar(self.out_dir, run_id, self.batch_digests)
         report = self._supervise(journal, self.spec.cells(), restored={}, resumed=False)
-        report.batch_digests = digests
+        report.batch_digests = self.batch_digests
         return report
 
     def resume(self, run_id: str) -> CampaignReport:
@@ -266,21 +273,24 @@ class CampaignSupervisor:
                 restored[cell_id] = ExperimentResult.from_dict(entry["result"])
         pending_ids = set(journal.pending_cells())
         cells = [cell for cell in self.spec.cells() if cell.cell_id in pending_ids]
-        digests = _verify_batch_sidecar(self.out_dir, run_id, self.spec)
+        self.batch_digests = _verify_batch_sidecar(self.out_dir, run_id, self.spec, journal)
         report = self._supervise(journal, cells, restored=restored, resumed=True)
-        report.batch_digests = digests
+        report.batch_digests = self.batch_digests
         return report
 
     # ------------------------------------------------------------------
     # Store addressing
     # ------------------------------------------------------------------
     def store_key(self, cell: SuiteCell) -> str:
+        """The cell's store address (once :meth:`run` or :meth:`resume` has
+        pinned the workload content digests it includes)."""
         return cell_store_key(
             cell.cell_id,
-            self.machine,
+            self._machine_payload,
             self.spec.max_instructions,
             self.spec.threshold,
             self.spec.scale,
+            self.batch_digests[cell.workload],
         )
 
     # ------------------------------------------------------------------

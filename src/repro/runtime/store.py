@@ -18,7 +18,9 @@ does not (mirroring the journal's config-fingerprint rules):
   the journal uses),
 * the full machine configuration (as a dict, so custom machines key
   correctly, not just the named ``table1``/``aggressive`` presets),
-* ``max_instructions``, ``threshold``, ``scale``.
+* ``max_instructions``, ``threshold``, ``scale``,
+* the workload's content digests (its base program text and input images),
+  so a store never serves a result computed from an older program or input.
 
 ``jobs``, deadlines, worker counts and journal ids are excluded —
 parallelism and supervision never change results.  The canonical-JSON +
@@ -84,13 +86,17 @@ def cell_store_key(
     max_instructions: int,
     threshold: float,
     scale: float,
+    workload_digests: Dict[str, str],
 ) -> str:
     """The content address of one cell's result.
 
     ``machine`` may be a :class:`~repro.uarch.config.MachineConfig` (encoded
-    field-by-field) or an already-canonical dict.
+    field-by-field) or an already-canonical dict.  ``workload_digests`` are
+    the cell's workload content digests (input -> digest, see
+    :meth:`~repro.core.session.SimSession.batch_digests`), so a changed
+    program or input image addresses new entries.
     """
-    machine_payload = asdict(machine) if not isinstance(machine, dict) else dict(machine)
+    machine_payload = machine if isinstance(machine, dict) else asdict(machine)
     identity = {
         "schema": STORE_SCHEMA,
         "cell": cell_id,
@@ -98,6 +104,7 @@ def cell_store_key(
         "max_instructions": int(max_instructions),
         "threshold": float(threshold),
         "scale": float(scale),
+        "workload": workload_digests,
     }
     return hashlib.sha256(_canonical(identity).encode("utf-8")).hexdigest()
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
+import numpy as np
+
 from ..isa.opcodes import MASK64
 
 WORD_BYTES = 8
@@ -69,6 +71,18 @@ class Memory:
         """Iterate ``(byte_address, value)`` for words ever written."""
         for index, value in self._words.items():
             yield index * WORD_BYTES, value
+
+    def image_bytes(self) -> bytes:
+        """Canonical bytes of the nonzero words, for content digests.
+
+        The sorted word indices, then their values, as little-endian 64-bit
+        integers: memories equal under ``==`` (modulo zero words) give equal
+        bytes, on every host.
+        """
+        words = self._words
+        indices = sorted(index for index, value in words.items() if value)
+        values = [words[index] for index in indices]
+        return np.array(indices, dtype="<u8").tobytes() + np.array(values, dtype="<u8").tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):

@@ -99,7 +99,7 @@ def smooth_field(
     level = int(rng.integers(levels))
     for _ in range(count):
         if rng.random() < step_prob:
-            level = int(np.clip(level + int(rng.integers(-1, 2)), 0, levels - 1))
+            level = min(max(level + int(rng.integers(-1, 2)), 0), levels - 1)
         out.append(level * 1000 + 7)  # distinctive nonzero encodings
     if zero_frac > 0:
         zero_run = max(1, int(count * zero_frac / max(1, int(count * zero_frac / 8))))

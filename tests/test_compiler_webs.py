@@ -182,6 +182,15 @@ def _web_invariant_programs():
     return [w.program for w in all_workloads()] + [generate_case(seed).program for seed in range(50)]
 
 
+def _ud_chains(facts):
+    """(pc, slot) -> reaching definitions, for every explicit use."""
+    return {
+        (pc, use.slot): facts.reaching_defs_of_use(use)
+        for pc in range(facts.proc.start, facts.proc.end)
+        for use in facts.use_sites(pc)
+    }
+
+
 def test_web_invariants_on_workloads_and_generated_programs():
     """Every explicit def and use slot lies in exactly one web of its own
     register, and every web reached by an entry or implicit (convention)
@@ -210,6 +219,6 @@ def test_web_invariants_on_workloads_and_generated_programs():
                     else:
                         owners = [w for w in analysis.webs if (pc, slot) in w.use_sites]
                     assert owners == [web], (where, pc, slot)
-            for (pc, slot), defs in ProcedureFacts(program, proc).ud_chains().items():
+            for (pc, slot), defs in _ud_chains(ProcedureFacts(program, proc)).items():
                 if any(d_pc is None or program[d_pc].writes != reg for d_pc, reg in defs):
                     assert analysis.web_of_use(pc, slot).fixed, (where, pc, slot)

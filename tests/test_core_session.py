@@ -221,11 +221,11 @@ def test_suite_cell_is_hashable():
 
 
 # ----------------------------------------------------------------------
-# Functional digests (the campaign's .batches.json sidecar)
+# Content digests (the campaign's .batches.json drift sidecar)
 # ----------------------------------------------------------------------
-#: ``li`` at MAX_INSTS, as written into sidecars by earlier versions (which
-#: computed them on a since-removed engine).  Resume compares against stored
-#: sidecars, so these values must never change.
+#: ``li``'s per-input sidecar entries in the older, untagged format: final-state
+#: digests of MAX_INSTS-instruction runs.  Sidecars like this one are still
+#: on disk, and a resume rewrites them.
 LI_GOLDEN_DIGESTS = {
     "ref": {
         "digest": "d33e00fb44acbc69729d81166ef57da7ec23d7dbab62689fb597a50c1c55bf42",
@@ -239,33 +239,65 @@ LI_GOLDEN_DIGESTS = {
     },
 }
 
+#: ``li``'s content digests (base program text and input image) at scale 1.
+#: Tagged sidecars hold these, so they change only with the program or inputs.
+LI_CONTENT_DIGESTS = {
+    "ref": "5f3b1e9d7db6b5f3a453d13e0d4efda38b08189382ac0bd66747f27834f32bfc",
+    "train": "788a005c8553a3fc3c9c372dbc30ca90da6d93efa86f608b19c048a611937bdb",
+}
+
 
 def test_batch_digests_cached_and_scalar_consistent():
     session = SimSession()
     metrics = get_metrics()
     misses = metrics.get("session.batch.misses")
-    digests = session.batch_digests("li", 1.0, MAX_INSTS)
+    runs = metrics.get("sim.runs")
+    digests = session.batch_digests("li", 1.0)
     assert sorted(digests) == ["ref", "train"]
     assert metrics.get("session.batch.misses") == misses + 1
     assert session.cache_stats()["batch_digests"] == 1
+    assert metrics.get("sim.runs") == runs  # content only: nothing simulated
 
     # Identity-cached on the canonical key.
     hits = metrics.get("session.batch.hits")
-    assert session.batch_digests("li", 1.0, MAX_INSTS) is digests
+    assert session.batch_digests("li", 1.0) is digests
     assert metrics.get("session.batch.hits") == hits + 1
 
-    assert digests == LI_GOLDEN_DIGESTS
+    assert digests == LI_CONTENT_DIGESTS
 
 
-def test_batch_digests_key_includes_inputs_and_variant():
+def test_batch_digests_key_includes_inputs():
     session = SimSession()
-    base = session.batch_digests("li", 1.0, MAX_INSTS)
-    ref_only = session.batch_digests("li", 1.0, MAX_INSTS, input_names=("ref",))
+    base = session.batch_digests("li", 1.0)
+    ref_only = session.batch_digests("li", 1.0, input_names=("ref",))
     assert ref_only is not base
-    assert ref_only["ref"] == base["ref"]  # same run outcome either way
+    assert ref_only["ref"] == base["ref"]  # same content either way
     assert session.cache_stats()["batch_digests"] == 2
     session.reset()
     assert session.cache_stats()["batch_digests"] == 0
+
+
+def test_resume_rewrites_untagged_batch_sidecar(tmp_path):
+    from repro.core.session import reset_session
+    from repro.runtime import RunJournal, journal_path, resume_campaign
+    from repro.runtime.campaign import BATCH_SCHEMA, batch_sidecar_path
+
+    spec = CampaignSpec(workloads=("li",), configs=("no_predict",), max_instructions=MAX_INSTS)
+    run_campaign(spec, str(tmp_path), run_id="old")
+    path = batch_sidecar_path(str(tmp_path), "old")
+    with open(path, "w") as handle:
+        json.dump({"li": LI_GOLDEN_DIGESTS}, handle)
+
+    reset_session()
+    runs = get_metrics().get("sim.runs")
+    report = resume_campaign(str(tmp_path), "old", jobs=1)
+    assert report.complete and report.restored == 1
+    assert get_metrics().get("sim.runs") == runs
+    with open(path) as handle:
+        assert json.load(handle) == {"schema": BATCH_SCHEMA, "digests": {"li": LI_CONTENT_DIGESTS}}
+    events = RunJournal.open(journal_path(str(tmp_path), "old")).events()
+    notes = [e["was"] for e in events if e["event"] == "batch_sidecar_rewritten"]
+    assert notes == ["untagged"]
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +305,6 @@ def test_batch_digests_key_includes_inputs_and_variant():
 # ----------------------------------------------------------------------
 def test_suite_runner_restores_from_store_without_resimulating(tmp_path):
     from repro.core.session import reset_session
-    from repro.runtime.campaign import compute_batch_digests
     from repro.runtime.store import ResultStore
 
     store = ResultStore(str(tmp_path / "store"))
@@ -283,16 +314,42 @@ def test_suite_runner_restores_from_store_without_resimulating(tmp_path):
     assert len(store) == 4  # every fresh result was published
 
     # Drop the in-process session L1 so only the persistent L2 can explain
-    # a zero-simulation warm run; the run's functional-digest sidecar is
-    # recomputed up front, since it simulates whatever the cells do.
+    # a zero-simulation warm run, drift sidecar included.
     reset_session()
-    compute_batch_digests(SUITE_SPEC)
     runs_before = get_metrics().get("sim.runs")
     warm = run_campaign(SUITE_SPEC, str(tmp_path), run_id="warm", store=store)
     _check_report(warm)
     assert warm.store_hits == 4
     assert get_metrics().get("sim.runs") == runs_before  # zero re-simulation
     assert _payloads(warm) == _payloads(report)
+
+
+def test_store_misses_after_a_workload_input_changes(tmp_path, monkeypatch):
+    from repro.core.session import reset_session
+    from repro.runtime.store import ResultStore
+    from repro.workloads.suite import WORKLOAD_CLASSES
+
+    store = ResultStore(str(tmp_path / "store"))
+    run_campaign(SUITE_SPEC, str(tmp_path), run_id="before", store=store)
+
+    li = WORKLOAD_CLASSES["li"]
+    populate = li._populate_memory
+
+    def populate_changed(self, memory, rng):
+        populate(self, memory, rng)
+        memory.store(0x8, 1)  # one word nothing else writes
+
+    monkeypatch.setattr(li, "_populate_memory", populate_changed)
+    reset_session()
+    try:
+        after = run_campaign(SUITE_SPEC, str(tmp_path), run_id="after", store=store)
+    finally:
+        reset_session()
+    _check_report(after)
+    # Only m88ksim's two cells are served; li's ran on the new input and
+    # were published under new keys.
+    assert after.store_hits == 2
+    assert len(store) == 6
 
 
 def test_suite_runner_retry_deadline_defaults_to_cell_timeout(tmp_path):

@@ -9,6 +9,7 @@ import signal
 import pytest
 
 from repro.cli import main
+from repro.core.session import reset_session
 from repro.runtime import (
     CampaignSpec,
     CampaignSupervisor,
@@ -20,6 +21,7 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.testing import CHAOS_INTERRUPT, CHAOS_SIM_FAULT, ChaosHarness, ChaosPolicy
+from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
 
 MAX_INSTS = 1_500
 
@@ -217,21 +219,30 @@ def test_cli_resume_unknown_run_id_exits_two(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Functional-digest sidecar (same-program cells share one set of digests)
+# Drift sidecar (one set of content digests per workload)
 # ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_session():
+    """A clean process-wide session before and after a test that patches a
+    workload class, so no cached program or image outlives the patch."""
+    reset_session()
+    yield
+    reset_session()
+
+
 def test_fresh_campaign_writes_batch_sidecar(tmp_path):
-    from repro.runtime.campaign import batch_sidecar_path
+    from repro.runtime.campaign import BATCH_SCHEMA, batch_sidecar_path
 
     report = run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="fused")
     assert sorted(report.batch_digests) == ["go", "li"]
     path = batch_sidecar_path(str(tmp_path), "fused")
     with open(path) as handle:
         stored = json.load(handle)
-    assert stored == report.batch_digests
-    for per_input in stored.values():
-        for entry in per_input.values():
-            assert entry["halted"] is True or entry["instructions"] > 0
-            assert len(entry["digest"]) == 64  # sha256 hex
+    assert stored == {"schema": BATCH_SCHEMA, "digests": report.batch_digests}
+    for per_input in stored["digests"].values():
+        assert sorted(per_input) == ["ref", "train"]
+        for digest in per_input.values():
+            assert len(digest) == 64  # sha256 hex
 
 
 def test_resume_verifies_batch_sidecar_without_reruns(tmp_path):
@@ -249,10 +260,12 @@ def test_resume_backfills_missing_batch_sidecar(tmp_path):
 
     run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="old")
     path = batch_sidecar_path(str(tmp_path), "old")
-    os.remove(path)  # simulate a campaign that predates the sidecar
+    os.remove(path)  # simulate a campaign killed before the sidecar write
     report = resume_campaign(str(tmp_path), "old", jobs=1)
     assert report.complete
     assert os.path.exists(path)
+    events = RunJournal.open(journal_path(str(tmp_path), "old")).events()
+    assert [e["was"] for e in events if e["event"] == "batch_sidecar_rewritten"] == ["missing"]
 
 
 def _drift_sidecar(out_dir, run_id):
@@ -261,7 +274,7 @@ def _drift_sidecar(out_dir, run_id):
     path = batch_sidecar_path(str(out_dir), run_id)
     with open(path) as handle:
         stored = json.load(handle)
-    stored["li"]["ref"]["digest"] = "0" * 64
+    stored["digests"]["li"]["ref"] = "0" * 64
     with open(path, "w") as handle:
         json.dump(stored, handle)
 
@@ -271,6 +284,43 @@ def test_resume_refuses_drifted_batch_digest(tmp_path):
     _drift_sidecar(tmp_path, "drift")
     with pytest.raises(JournalError, match="batch digest mismatch.*li"):
         resume_campaign(str(tmp_path), "drift", jobs=2)
+
+
+def test_resume_refuses_changed_program(tmp_path, monkeypatch, fresh_session):
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="drift")
+    reset_session()
+    # li now builds go's program: same inputs, other text.
+    monkeypatch.setattr(WORKLOAD_CLASSES["li"], "_build_program", lambda self: make_workload("go").program)
+    with pytest.raises(JournalError, match="batch digest mismatch.*workload\\(s\\) li changed"):
+        resume_campaign(str(tmp_path), "drift", jobs=1)
+
+
+def test_resume_refuses_changed_input(tmp_path, monkeypatch, fresh_session):
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="drift")
+    reset_session()
+    li = WORKLOAD_CLASSES["li"]
+    populate = li._populate_memory
+
+    def populate_changed(self, memory, rng):
+        populate(self, memory, rng)
+        memory.store(0x8, 1)  # one word nothing else writes
+
+    monkeypatch.setattr(li, "_populate_memory", populate_changed)
+    with pytest.raises(JournalError, match="batch digest mismatch.*workload\\(s\\) li changed"):
+        resume_campaign(str(tmp_path), "drift", jobs=1)
+
+
+def test_resume_refuses_unknown_sidecar_schema(tmp_path):
+    from repro.runtime.campaign import batch_sidecar_path
+
+    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="future")
+    path = batch_sidecar_path(str(tmp_path), "future")
+    with open(path) as handle:
+        stored = json.load(handle)
+    with open(path, "w") as handle:
+        json.dump({**stored, "schema": "repro-batches/99"}, handle)
+    with pytest.raises(JournalError, match="unknown schema"):
+        resume_campaign(str(tmp_path), "future", jobs=1)
 
 
 def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):

@@ -17,6 +17,8 @@ from repro.uarch.config import table1_config
 
 
 RESULT = {"ipc": 1.25, "workload": "li", "config": "lvp"}
+#: A workload's content digests, input -> sha256 hex.
+CONTENT = {"ref": "a" * 64, "train": "b" * 64}
 
 
 @pytest.fixture(autouse=True)
@@ -33,19 +35,21 @@ def test_cell_store_key_is_stable_across_machine_encodings():
     machine = table1_config()
     from dataclasses import asdict
 
-    key_obj = cell_store_key("li/lvp/selective", machine, 1500, 0.5, 1.0)
-    key_dict = cell_store_key("li/lvp/selective", asdict(machine), 1500, 0.5, 1.0)
+    key_obj = cell_store_key("li/lvp/selective", machine, 1500, 0.5, 1.0, CONTENT)
+    key_dict = cell_store_key("li/lvp/selective", asdict(machine), 1500, 0.5, 1.0, CONTENT)
     assert key_obj == key_dict
     assert len(key_obj) == 64  # sha256 hex
 
 
 def test_cell_store_key_varies_with_every_identity_field():
     machine = table1_config()
-    base = cell_store_key("li/lvp/selective", machine, 1500, 0.5, 1.0)
-    assert cell_store_key("go/lvp/selective", machine, 1500, 0.5, 1.0) != base
-    assert cell_store_key("li/lvp/selective", machine, 2000, 0.5, 1.0) != base
-    assert cell_store_key("li/lvp/selective", machine, 1500, 0.6, 1.0) != base
-    assert cell_store_key("li/lvp/selective", machine, 1500, 0.5, 2.0) != base
+    base = cell_store_key("li/lvp/selective", machine, 1500, 0.5, 1.0, CONTENT)
+    assert cell_store_key("go/lvp/selective", machine, 1500, 0.5, 1.0, CONTENT) != base
+    assert cell_store_key("li/lvp/selective", machine, 2000, 0.5, 1.0, CONTENT) != base
+    assert cell_store_key("li/lvp/selective", machine, 1500, 0.6, 1.0, CONTENT) != base
+    assert cell_store_key("li/lvp/selective", machine, 1500, 0.5, 2.0, CONTENT) != base
+    changed = {**CONTENT, "train": "c" * 64}
+    assert cell_store_key("li/lvp/selective", machine, 1500, 0.5, 1.0, changed) != base
 
 
 def test_result_digest_is_order_insensitive():
@@ -58,7 +62,7 @@ def test_result_digest_is_order_insensitive():
 # ----------------------------------------------------------------------
 def test_put_get_roundtrip(tmp_path):
     store = ResultStore(str(tmp_path / "store"), writer="t1")
-    key = cell_store_key("li/lvp/selective", table1_config(), 1500, 0.5, 1.0)
+    key = cell_store_key("li/lvp/selective", table1_config(), 1500, 0.5, 1.0, CONTENT)
     path = store.put(key, RESULT, cell_id="li/lvp/selective")
     assert os.path.exists(path)
     assert key in store
@@ -100,7 +104,7 @@ def test_get_miss_counts_metric(tmp_path):
 )
 def test_corrupt_entry_is_miss_and_unlinked(tmp_path, corruptor):
     store = ResultStore(str(tmp_path / "store"))
-    key = cell_store_key("li/lvp/selective", table1_config(), 1500, 0.5, 1.0)
+    key = cell_store_key("li/lvp/selective", table1_config(), 1500, 0.5, 1.0, CONTENT)
     path = store.put(key, RESULT)
     entry = json.loads(open(path).read())
     with open(path, "w") as handle:

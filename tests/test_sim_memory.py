@@ -66,6 +66,21 @@ def test_nonzero_words_iteration():
     assert entries[0x40] == 1 and entries[0x50] == 3
 
 
+def test_image_bytes_follow_equality():
+    a, b = Memory(), Memory()
+    a.store(0x8, 0)  # an explicit zero is no content
+    a.store(0x18, MASK64)
+    a.store(0x10, 7)
+    b.store(0x10, 7)
+    b.store(0x18, MASK64)  # other write order, same image
+    assert a == b and a.image_bytes() == b.image_bytes()
+    # Word indices 2 and 3, then their values, little-endian.
+    expected = b"".join(v.to_bytes(8, "little") for v in (2, 3, 7, MASK64))
+    assert a.image_bytes() == expected
+    b.store(0x10, 8)
+    assert a.image_bytes() != b.image_bytes()
+
+
 @given(st.dictionaries(aligned, words, max_size=20))
 def test_memory_behaves_like_dict(model):
     m = Memory()

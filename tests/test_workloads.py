@@ -1,6 +1,8 @@
 """Workload suite tests: every model runs, halts, is deterministic, and has
 the structural properties the experiments rely on."""
 
+import hashlib
+
 import pytest
 
 from repro.profiling import ReuseProfile
@@ -82,6 +84,23 @@ def test_program_is_input_independent():
     # Same binary regardless of input: only memory differs.
     text = workload.program.render()
     assert text == make_workload("perl").program.render()
+
+
+#: sha256 over every input image of every workload at scales 1 and 4,
+#: recorded before ``smooth_field`` dropped its per-element ``np.clip``.  The
+#: generators must keep drawing the same words in the same places.
+INPUT_IMAGES_DIGEST = "94aac6d797796fb86f9e330688dac0948cc28e2d2a1d8b20f5459b585a249815"
+
+
+def test_input_images_are_pinned():
+    hasher = hashlib.sha256()
+    for name in sorted(WORKLOAD_CLASSES):
+        for scale in (1.0, 4.0):
+            workload = make_workload(name, scale=scale)
+            for input_name in ("ref", "train"):
+                words = sorted(workload.memory(input_name).nonzero_words())
+                hasher.update(repr((name, scale, input_name, words)).encode())
+    assert hasher.hexdigest() == INPUT_IMAGES_DIGEST
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
