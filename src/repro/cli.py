@@ -32,13 +32,6 @@ Commands
 
                  python -m repro suite --out-dir runs --jobs 4 --store /var/cache/repro
 
-``serve``    Long-running campaign service: watch a spool directory for
-             campaign spec JSON files, run each under the supervisor,
-             journal + report under ``--out-dir``, resuming any campaign a
-             killed service left unfinished::
-
-                 python -m repro serve --spool spool/ --out-dir runs --jobs 4 --store store/
-
 ``metrics``  Run configurations, then emit results + execution metrics
              (session-cache hit rates, sim wall time, campaign dispatches) as
              structured JSON::
@@ -187,23 +180,18 @@ def _campaign_spec(args: argparse.Namespace, workloads):
     )
 
 
-def _supervisor_kwargs(args: argparse.Namespace) -> dict:
-    """``--store`` as a campaign supervisor argument."""
-    return {"store": _campaign_store(args)}
-
-
 def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
     from .runtime import JournalError, resume_campaign, run_campaign
 
     try:
         if args.resume:
             report = resume_campaign(
-                args.out_dir, args.resume, jobs=args.jobs, **_supervisor_kwargs(args)
+                args.out_dir, args.resume, jobs=args.jobs, store=_campaign_store(args)
             )
         else:
             report = run_campaign(
                 _campaign_spec(args, workloads), args.out_dir, run_id=args.run_id,
-                **_supervisor_kwargs(args),
+                store=_campaign_store(args),
             )
     except JournalError as exc:
         print(f"repro: {exc}", file=sys.stderr)
@@ -261,7 +249,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         # scratch directory that is gone once the table is printed.
         with tempfile.TemporaryDirectory() as out_dir:
             report = run_campaign(
-                _campaign_spec(args, WORKLOAD_CLASSES), out_dir, **_supervisor_kwargs(args)
+                _campaign_spec(args, WORKLOAD_CLASSES), out_dir, store=_campaign_store(args)
             )
         for result in report.results:
             table.add(result)
@@ -280,111 +268,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     print(table.render_coverage("coverage/accuracy"))
     _maybe_profile(args)
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Campaign service: drain spooled campaign specs through the supervisor.
-
-    Each ``<name>.json`` dropped into ``--spool`` is a campaign config (the
-    same canonical payload ``CampaignSpec.config_dict`` produces); the
-    service runs it under supervision (worker pool, per-cell deadline, shared
-    ``--store``), writes ``<run-id>.report.json`` next to the journal, and
-    moves the spec file to ``done/`` (or ``failed/`` with a ``.error`` note).
-    A service killed mid-campaign resumes that campaign's journal on restart
-    before taking new specs.
-    """
-    import json
-    import os
-    import time as _time
-
-    from .runtime import CampaignSpec, JournalError, list_run_ids, resume_campaign, run_campaign
-
-    supervisor_kwargs = _supervisor_kwargs(args)
-    os.makedirs(args.spool, exist_ok=True)
-    os.makedirs(args.out_dir, exist_ok=True)
-    done_dir = os.path.join(args.spool, "done")
-    failed_dir = os.path.join(args.spool, "failed")
-    os.makedirs(done_dir, exist_ok=True)
-    os.makedirs(failed_dir, exist_ok=True)
-
-    def _report_payload(report) -> dict:
-        return {
-            "run_id": report.run_id,
-            "complete": report.complete,
-            "counts": report.counts(),
-            "statuses": report.statuses,
-            "failures": report.failures,
-            "restored": report.restored,
-            "store_hits": report.store_hits,
-        }
-
-    def _finish(report) -> bool:
-        from .runtime import atomic_write_json
-
-        atomic_write_json(
-            os.path.join(args.out_dir, f"{report.run_id}.report.json"), _report_payload(report)
-        )
-        print(
-            f"serve: campaign {report.run_id}: {report.counts().get('ok', 0)}"
-            f"/{len(report.statuses)} ok"
-            + (f", {report.store_hits} from store" if report.store_hits else "")
-        )
-        return report.complete
-
-    all_ok = True
-    # Crash recovery first: any journal under out_dir with pending cells is a
-    # campaign a previous service instance never finished.
-    for run_id in list_run_ids(args.out_dir):
-        try:
-            from .runtime import RunJournal, journal_path
-
-            journal = RunJournal.open(journal_path(args.out_dir, run_id))
-            pending = journal.pending_cells()
-            journal.close()
-            if not pending:
-                continue
-            print(f"serve: resuming interrupted campaign {run_id} ({len(pending)} cells left)")
-            report = resume_campaign(args.out_dir, run_id, jobs=args.jobs, **supervisor_kwargs)
-            all_ok = _finish(report) and all_ok
-        except (JournalError, ValueError) as exc:
-            print(f"serve: cannot resume {run_id}: {exc}", file=sys.stderr)
-            all_ok = False
-
-    try:
-        while True:
-            specs = sorted(
-                name
-                for name in os.listdir(args.spool)
-                if name.endswith(".json") and os.path.isfile(os.path.join(args.spool, name))
-            )
-            for name in specs:
-                path = os.path.join(args.spool, name)
-                stem = name[: -len(".json")]
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    spec = CampaignSpec.from_config(payload, jobs=args.jobs)
-                    report = run_campaign(spec, args.out_dir, run_id=stem, **supervisor_kwargs)
-                except (JournalError, KeyError, TypeError, ValueError) as exc:
-                    os.replace(path, os.path.join(failed_dir, name))
-                    with open(os.path.join(failed_dir, f"{stem}.error"), "w", encoding="utf-8") as handle:
-                        handle.write(f"{exc!r}\n")
-                    print(f"serve: spec {name} failed: {exc}", file=sys.stderr)
-                    all_ok = False
-                    continue
-                os.replace(path, os.path.join(done_dir, name))
-                all_ok = _finish(report) and all_ok
-            if args.once:
-                break
-            if not specs:
-                _time.sleep(args.poll)
-    except KeyboardInterrupt:
-        print(
-            "\nserve: interrupted; unfinished campaigns resume on the next start",
-            file=sys.stderr,
-        )
-        return 130
-    return 0 if all_ok else 2
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -664,13 +547,6 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _positive_seconds(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -724,29 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign(suite_parser)
     _add_common(suite_parser)
     suite_parser.set_defaults(fn=_cmd_suite)
-
-    serve_parser = sub.add_parser(
-        "serve", help="campaign service: drain spooled campaign specs through the supervisor"
-    )
-    serve_parser.add_argument(
-        "--spool", required=True, metavar="DIR",
-        help="directory watched for <name>.json campaign specs (CampaignSpec.config_dict payloads)",
-    )
-    serve_parser.add_argument(
-        "--out-dir", required=True, metavar="DIR", help="journal + report directory for campaigns"
-    )
-    _add_jobs(serve_parser, 2, "worker pool size")
-    serve_parser.add_argument(
-        "--store", metavar="DIR", help="shared content-addressed result store directory"
-    )
-    serve_parser.add_argument(
-        "--poll", type=_positive_seconds, default=2.0, metavar="SECONDS", help="spool scan interval"
-    )
-    serve_parser.add_argument(
-        "--once", action="store_true",
-        help="process the current spool (after resuming interrupted campaigns) and exit",
-    )
-    serve_parser.set_defaults(fn=_cmd_serve)
 
     metrics_parser = sub.add_parser("metrics", help="run configurations and emit results + metrics JSON")
     metrics_parser.add_argument("--workload", default="m88ksim", choices=sorted(WORKLOAD_CLASSES))

@@ -118,20 +118,15 @@ class CampaignSpec:
 
     @classmethod
     def from_config(cls, config: Dict[str, object], jobs: int = 1) -> "CampaignSpec":
-        """Rebuild a spec from a journal header or a spooled spec file.
-
-        Journal headers (written by :meth:`config_dict`) always carry every
-        key; hand-written spool specs may omit anything with a dataclass
-        default, so only the grid axes are required.
-        """
+        """Rebuild a spec from a journal header (every :meth:`config_dict` key)."""
         return cls(
             workloads=tuple(config["workloads"]),
             configs=tuple(config["configs"]),
-            recoveries=tuple(config.get("recoveries", ("selective",))),
-            machine=str(config.get("machine", "table1")),
-            max_instructions=int(config.get("max_instructions", 40_000)),
-            threshold=float(config.get("threshold", 0.8)),
-            scale=float(config.get("scale", 1.0)),
+            recoveries=tuple(config["recoveries"]),
+            machine=str(config["machine"]),
+            max_instructions=int(config["max_instructions"]),
+            threshold=float(config["threshold"]),
+            scale=float(config["scale"]),
             jobs=jobs,
         )
 
@@ -191,7 +186,8 @@ def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec, journal
 
     A missing sidecar (killed before the write) or an untagged one (written
     in the older final-state format, which nothing can recompute without
-    simulating) is rewritten, with a journal note; a tagged sidecar that
+    simulating) is rewritten, with a journal note.  A sidecar that is not a
+    JSON object is a :class:`JournalError` naming the file.  A tagged sidecar that
     differs means the programs or inputs drifted between run and resume,
     which would silently mix incompatible results — that is a
     :class:`JournalError`, exactly like the journal's config fingerprint
@@ -201,8 +197,13 @@ def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec, journal
     path = batch_sidecar_path(out_dir, run_id)
     stored = None
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                stored = json.load(handle)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise JournalError(f"batch sidecar {path} is unreadable: {exc}") from exc
+        if not isinstance(stored, dict):
+            raise JournalError(f"batch sidecar {path} is not a JSON object")
     if stored is None or "schema" not in stored:
         journal.note("batch_sidecar_rewritten", was="missing" if stored is None else "untagged")
         _write_batch_sidecar(out_dir, run_id, digests)
@@ -315,10 +316,6 @@ def build_report(
         entry = states.get(cell_id)
         report.statuses[cell_id] = str(entry["status"]) if entry else PENDING
         result = fresh.get(cell_id) or restored.get(cell_id)
-        if result is None and entry and entry.get("status") == OK and entry.get("result"):
-            # Journal has a committed payload the caller never materialized
-            # (e.g. a store hit committed straight to the journal).
-            result = ExperimentResult.from_dict(entry["result"])
         if result is not None:
             report.results.append(result)
         elif entry and entry.get("error"):

@@ -35,7 +35,7 @@ import json
 import os
 import time
 from collections import Counter
-from typing import Dict, IO, Iterable, List, Optional, Sequence
+from typing import Dict, IO, List, Optional, Sequence
 
 from .atomic import atomic_write_text
 from .errors import CampaignError
@@ -278,14 +278,6 @@ class RunJournal:
     def events(self) -> List[Dict[str, object]]:
         """Replayed event records, in append order (never affects resume)."""
         return list(self._events)
-
-    def mark_pending(self, cell_ids: Iterable[str]) -> None:
-        """Batch-record ``pending`` for cells about to execute (single fsync)."""
-        cell_ids = [cid for cid in cell_ids if self._states.get(cid, {}).get("status") != OK]
-        for cell_id in cell_ids[:-1]:
-            self.record(cell_id, PENDING, fsync=False)
-        if cell_ids:
-            self.record(cell_ids[-1], PENDING, fsync=True)
 
     def flush(self) -> None:
         """Flush + fsync any buffered appends (interrupt path)."""

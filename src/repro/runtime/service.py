@@ -32,7 +32,10 @@ the journal's crash safety:
   the supervisor's decisions; supervisor SIGKILL is therefore just another
   resume (:func:`resume_campaign`).  The pool is always torn down by killing
   its workers, never by waiting on them, so a stopped worker cannot hang
-  the supervisor.
+  the supervisor;
+* with a :class:`~repro.runtime.store.ResultStore` the supervisor alone
+  touches it: one pre-pass read per cell before anything is dispatched,
+  one write per freshly committed result.  Workers only simulate.
 
 All time flows through an injectable clock and all waiting through an
 injectable ``sleep``, so the chaos harness (:mod:`repro.testing.faults`)
@@ -47,7 +50,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, process
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.experiment import ExperimentResult, ExperimentRunner
 from ..core.metrics import get_metrics
@@ -64,7 +67,7 @@ from .campaign import (
     deliver_sigterm_as_interrupt,
 )
 from .errors import DETERMINISTIC, WorkerCrashed, classify_failure, is_timeout
-from .journal import OK, RunJournal, new_run_id
+from .journal import OK, JournalError, RunJournal, new_run_id
 from .retry import backoff_delays
 from .store import ResultStore, cell_store_key
 
@@ -88,12 +91,16 @@ def derive_cell_timeout(max_instructions: int) -> float:
 
 def _run_cell(
     cell: SuiteCell,
-    machine: Optional[MachineConfig],
+    machine: MachineConfig,
     max_instructions: int,
     threshold: float,
     scale: float,
 ) -> ExperimentResult:
-    """Run one cell in this process's session (picklable, top-level)."""
+    """Run one cell in this process's session.
+
+    Top-level so it pickles: pool workers run it directly, and serial mode
+    calls it in the supervisor's process.
+    """
     runner = ExperimentRunner(
         cell.workload,
         scale=scale,
@@ -117,38 +124,6 @@ def _restore_default_sigterm() -> None:
     a SIGKILLed one and the pool-rebuild path re-runs its cell.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _service_cell_worker(
-    cell: SuiteCell,
-    machine: Optional[MachineConfig],
-    max_instructions: int,
-    threshold: float,
-    scale: float,
-    worker_tag: str,
-    store_root: Optional[str],
-    store_key: Optional[str],
-) -> Tuple[str, object]:
-    """Top-level (picklable) pool worker: L2 check + run one cell.
-
-    Consults the shared result store (the L2 under this process's
-    :class:`~repro.core.session.SimSession` L1) before simulating, and
-    publishes fresh results back.  Returns a tagged pair so the supervisor
-    can count store traffic: ``("store", payload)`` for an L2 hit,
-    ``("ran", ExperimentResult)`` for fresh work.
-    """
-    store = ResultStore(store_root, writer=worker_tag) if store_root else None
-    if store is not None and store_key:
-        payload = store.get(store_key)
-        if payload is not None:
-            return ("store", payload)
-    result = _run_cell(cell, machine, max_instructions, threshold, scale)
-    if store is not None and store_key:
-        try:
-            store.put(store_key, result.to_dict(), cell_id=cell.cell_id)
-        except OSError:
-            pass  # the store accelerates; it never fails a cell
-    return ("ran", result)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +185,6 @@ class CampaignSupervisor:
         spec: CampaignSpec,
         out_dir: str,
         store: Optional[ResultStore] = None,
-        machine: Optional[MachineConfig] = None,
         retries: int = 2,
         cell_timeout: Optional[float] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
@@ -222,7 +196,7 @@ class CampaignSupervisor:
         self.out_dir = out_dir
         self.workers = max(1, spec.jobs)
         self.store = store
-        self.machine = machine if machine is not None else spec.build_machine()
+        self.machine = spec.build_machine()
         #: The machine's canonical store-key payload, encoded once.
         self._machine_payload = asdict(self.machine)
         #: workload -> input -> content digest, pinned by :meth:`run` or
@@ -320,7 +294,8 @@ class CampaignSupervisor:
         rebuilds = 0
         used_processes = False
 
-        # Store pre-pass: hit cells never enter the queue at all.
+        # Store pre-pass, the store's only read: hit cells never enter the
+        # queue, and every other cell's result is written once, on commit.
         if self.store is not None:
             for cell_id in list(pending):
                 payload = self.store.get(self.store_key(pending[cell_id].cell))
@@ -439,15 +414,12 @@ class CampaignSupervisor:
                 continue
             tag = self._next_tag()
             future = pool.submit(
-                _service_cell_worker,
+                _run_cell,
                 entry.cell,
                 self.machine,
                 self.spec.max_instructions,
                 self.spec.threshold,
                 self.spec.scale,
-                tag,
-                self.store.root if self.store is not None else None,
-                self.store_key(entry.cell) if self.store is not None else None,
             )
             del pending[cell_id]
             inflight[cell_id] = _Dispatch(
@@ -467,7 +439,7 @@ class CampaignSupervisor:
                 continue
             del inflight[cell_id]
             try:
-                outcome = future.result()
+                result = future.result()
             except process.BrokenProcessPool:
                 inflight[cell_id] = dispatch  # reclaimed by the rebuild path
                 raise
@@ -476,38 +448,21 @@ class CampaignSupervisor:
             except Exception as exc:
                 self._handle_failure(journal, pending, dispatch, exc)
                 continue
-            self._commit_outcome(journal, fresh, dispatch, outcome, pending=pending)
+            self._commit_outcome(journal, fresh, dispatch, result)
 
-    def _commit_outcome(self, journal, fresh, dispatch: _Dispatch, outcome, pending=None) -> None:
+    def _commit_outcome(self, journal, fresh, dispatch: _Dispatch, result) -> None:
+        """Journal one cell's result as ``ok``, then write it to the store (its one writer)."""
         cell = dispatch.cell
-        if isinstance(outcome, tuple) and len(outcome) == 2:
-            origin, value = outcome
-        else:  # plain result (chaos executors may skip the worker wrapper)
-            origin, value = "ran", outcome
-        if origin == "store":
-            try:
-                result = ExperimentResult.from_dict(value)
-            except (KeyError, TypeError, ValueError):
-                # Corrupt hit surfaced by a worker: treat as transient miss
-                # and re-run rather than committing garbage.
-                self._handle_failure(
-                    journal, pending if pending is not None else {}, dispatch,
-                    WorkerCrashed("store payload undecodable"),
-                )
-                return
-            self.stats.store_hits += 1
-        else:
-            result = value
-        payload = result.to_dict() if hasattr(result, "to_dict") else None
+        payload = result.to_dict()
         elapsed = self.now() - dispatch.started
         journal.record(cell.cell_id, "ok", attempts=dispatch.attempts, elapsed_s=elapsed, result=payload)
         fresh[cell.cell_id] = result
         self.stats.completed += 1
-        if self.store is not None and origin == "ran" and payload is not None:
+        if self.store is not None:
             try:
                 self.store.put(self.store_key(cell), payload, cell_id=cell.cell_id)
             except OSError:
-                pass
+                pass  # the store accelerates; it never fails a cell
 
     def _handle_failure(self, journal, pending, dispatch: _Dispatch, exc: Exception) -> None:
         """Route one failed attempt through the taxonomy: retry or commit.
@@ -621,11 +576,6 @@ class CampaignSupervisor:
                 cell=entry.cell, future=None, worker_tag="serial", started=started, attempts=entry.attempts + 1, entry=entry,
             )
             try:
-                if self.store is not None:
-                    payload = self.store.get(self.store_key(entry.cell))
-                    if payload is not None:
-                        self._commit_outcome(journal, fresh, dispatch, ("store", payload), pending=pending)
-                        continue
                 result = _run_cell(
                     entry.cell, self.machine, self.spec.max_instructions,
                     self.spec.threshold, self.spec.scale,
@@ -636,7 +586,7 @@ class CampaignSupervisor:
             except Exception as exc:
                 self._handle_failure(journal, pending, dispatch, exc)
                 continue
-            self._commit_outcome(journal, fresh, dispatch, ("ran", result))
+            self._commit_outcome(journal, fresh, dispatch, result)
 
 
 # ----------------------------------------------------------------------
@@ -674,6 +624,10 @@ def resume_campaign(
         journal = RunJournal.find(out_dir, run_id)
         try:
             spec = CampaignSpec.from_config(journal.config)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JournalError(
+                f"journal of run {run_id!r} does not describe a campaign grid: {exc!r}"
+            ) from exc
         finally:
             journal.close()
     if jobs is not None:

@@ -4,9 +4,11 @@
 *per process* (the L1); this module adds the layer below it — a directory of
 completed :class:`~repro.core.experiment.ExperimentResult` payloads keyed by
 the SHA-256 of the cell's *complete effective configuration*, shared by every
-campaign, supervisor and user that points at the same ``--store DIR``.  A
-cell whose key is present is **never re-simulated**: the supervisor commits the
-stored payload as ``ok`` without constructing an ``ExperimentRunner`` at all.
+campaign that points at the same ``--store DIR``.  A cell whose key is
+present when its campaign starts is **never re-simulated**: the supervisor's
+pre-pass commits the stored payload as ``ok`` without constructing an
+``ExperimentRunner`` at all, and the supervisor writes every result it
+commits, so the store has one reader and one writer per campaign.
 
 Key discipline
 --------------
@@ -37,12 +39,11 @@ torn entry *at the filesystem level*.  Defence in depth for everything else:
   its ``result`` payload — verified on read; a corrupt or truncated entry
   (e.g. hand-edited, or torn by a non-atomic copy between machines) is
   treated as a **miss** and deleted best-effort, never returned;
-* concurrent supervisors may race on the same key; writes take a
-  best-effort advisory ``flock`` on ``<root>/.lock`` and the rename makes
-  the race benign — last writer wins, and both writers' payloads are
-  byte-identical by construction (same key ⇒ same deterministic result);
-* :meth:`ResultStore.prune` evicts oldest-first (entry mtime) so a
-  long-lived service can bound the store.
+* two campaigns sharing a store may both miss, simulate and write the same
+  key; writes take a best-effort advisory ``flock`` on ``<root>/.lock`` and
+  the rename makes the race benign — last writer wins, and both writers'
+  payloads are byte-identical by construction (same key ⇒ same
+  deterministic result).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.metrics import get_metrics
 from .atomic import atomic_write_text, ensure_durable_directory
@@ -137,11 +138,10 @@ def _advisory_lock(lock_path: str):
 class ResultStore:
     """A directory of digest-verified, content-addressed cell results."""
 
-    def __init__(self, root: str, writer: Optional[str] = None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = ensure_durable_directory(root)
         if not os.path.isdir(self.root):
             raise StoreError(f"store root {root!r} is not a directory")
-        self.writer = writer if writer is not None else f"pid{os.getpid()}"
         self._lock_path = os.path.join(self.root, ".lock")
 
     # ------------------------------------------------------------------
@@ -220,78 +220,19 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Write path (atomic, advisory-locked, last-writer-wins)
     # ------------------------------------------------------------------
-    def put(
-        self,
-        key: str,
-        result: Dict[str, object],
-        cell_id: Optional[str] = None,
-        meta: Optional[Dict[str, object]] = None,
-    ) -> str:
+    def put(self, key: str, result: Dict[str, object], cell_id: Optional[str] = None) -> str:
         """Persist one result under ``key``; returns the entry path."""
         entry: Dict[str, object] = {
             "schema": STORE_SCHEMA,
             "key": key,
             "digest": result_digest(result),
-            "writer": self.writer,
             "result": result,
         }
         if cell_id is not None:
             entry["cell"] = cell_id
-        if meta:
-            entry["meta"] = dict(meta)
         path = self.path_for(key)
         ensure_durable_directory(os.path.dirname(path))
         with _advisory_lock(self._lock_path):
             atomic_write_text(path, json.dumps(entry, sort_keys=True, indent=2) + "\n")
         get_metrics().inc("store.puts")
         return path
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Process-wide store traffic counters (shared metrics registry)."""
-        metrics = get_metrics()
-        return {
-            "hits": metrics.get("store.hits"),
-            "misses": metrics.get("store.misses"),
-            "puts": metrics.get("store.puts"),
-            "corrupt": metrics.get("store.corrupt"),
-            "entries": len(self),
-        }
-
-    def _entries_by_age(self) -> Iterator[tuple]:
-        for key in self.keys():
-            path = self.path_for(key)
-            try:
-                mtime = os.stat(path).st_mtime
-            except OSError:
-                continue
-            yield mtime, key, path
-
-    def prune(self, max_entries: Optional[int] = None, max_age_s: Optional[float] = None) -> int:
-        """Evict entries oldest-first; returns how many were removed.
-
-        ``max_entries`` keeps at most that many newest entries;
-        ``max_age_s`` removes entries older than the cutoff (entry mtime vs
-        the filesystem's clock).  Both may be combined.
-        """
-        import time as _time
-
-        entries = sorted(self._entries_by_age())
-        removed = 0
-        if max_age_s is not None:
-            cutoff = _time.time() - max_age_s
-            for mtime, _key, path in list(entries):
-                if mtime < cutoff:
-                    self._discard(path)
-                    entries.remove((mtime, _key, path))
-                    removed += 1
-        if max_entries is not None and len(entries) > max_entries:
-            excess = len(entries) - max_entries
-            for _mtime, _key, path in entries[:excess]:
-                self._discard(path)
-                removed += 1
-        if removed:
-            get_metrics().inc("store.evictions", removed)
-        return removed

@@ -11,7 +11,7 @@ Four layers, composed by :func:`run_fuzz` (the engine behind ``repro fuzz``):
 - :mod:`~repro.testing.shrinker` — greedy block/instruction deletion while an
   oracle still fails.
 - :mod:`~repro.testing.faults` — the chaos harness that scripts worker
-  kills, stalls, torn store writes and faults against
+  kills, stalls and faults against
   :class:`~repro.runtime.service.CampaignSupervisor`, and
   :class:`~repro.core.session.SimSession` cache eviction.
 """
@@ -24,7 +24,6 @@ from .faults import (
     CHAOS_SIM_FAULT,
     CHAOS_SLOW,
     CHAOS_STALL,
-    CHAOS_TORN_STORE,
     ChaosExecutor,
     ChaosHarness,
     ChaosPolicy,
@@ -55,7 +54,6 @@ __all__ = [
     "CHAOS_SIM_FAULT",
     "CHAOS_SLOW",
     "CHAOS_STALL",
-    "CHAOS_TORN_STORE",
     "ChaosExecutor",
     "ChaosHarness",
     "ChaosPolicy",

@@ -6,8 +6,8 @@ Two targets, matching the production fault paths that must keep working:
     The real supervisor is kept; only its executor boundary and clock are
     faked.  A :class:`ChaosPolicy` scripts worker lifecycle events by
     dispatch slot or by cell (kills that break the pool, stalls that run
-    into the per-cell deadline, torn store writes, slow cells, deterministic
-    simulator faults, supervisor interrupts) and a :class:`ChaosHarness`
+    into the per-cell deadline, slow cells, deterministic simulator faults,
+    supervisor interrupts) and a :class:`ChaosHarness`
     replays the script on a :class:`ManualClock`, so every retry, timeout,
     pool recycle, rebuild and serial-degradation path is exercised on
     purpose.
@@ -51,7 +51,6 @@ CHAOS_KILL = "kill"            # worker SIGKILL: the pool breaks (POSIX semantic
 CHAOS_CRASH = "crash"          # single worker death without pool collapse
 CHAOS_STALL = "stall"          # wedged worker: never completes
 CHAOS_SLOW = "slow"            # completes after ``slow_ticks`` ticks
-CHAOS_TORN_STORE = "torn-store"  # tears its store entry mid-write, then dies
 CHAOS_SIM_FAULT = "sim-fault"  # the cell raises a deterministic simulator fault
 CHAOS_INTERRUPT = "chaos-interrupt"  # supervisor-side interrupt (models its death)
 
@@ -78,7 +77,7 @@ class ChaosPolicy:
 
     Scripts *worker lifecycle* events against the campaign supervisor —
     kills that break the pool, stalls and slow cells that meet the per-cell
-    deadline, torn store writes, and simulator faults that must fail fast.
+    deadline, and simulator faults that must fail fast.
     An ``int`` key scripts one dispatch slot; a ``str`` key names a cell id
     and scripts every dispatch of that cell (a cell that always hangs).
     Unscripted dispatches behave (``ok``).
@@ -107,11 +106,6 @@ class _ChaosFuture:
         self._args = args
         self.action = action
         self.harness = harness
-        # Service worker signature: (cell, machine, max_instructions,
-        # threshold, scale, worker_tag, store_root, store_key).
-        self.cell = args[0]
-        self.store_root = args[6] if len(args) > 6 else None
-        self.store_key = args[7] if len(args) > 7 else None
         self.cancelled = False
         if action == CHAOS_SLOW:
             self.ticks_left = harness.policy.slow_ticks
@@ -142,29 +136,11 @@ class _ChaosFuture:
             raise KeyboardInterrupt("chaos: supervisor interrupted")
         if self.action == CHAOS_SIM_FAULT:
             raise SimulationError("chaos: deterministic simulator fault")
-        if self.action == CHAOS_TORN_STORE:
-            self._tear_store_entry()
-            from ..runtime.errors import WorkerCrashed
-
-            raise WorkerCrashed("chaos: died mid store write (entry torn)")
         return self._fn(*self._args)
 
     def cancel(self) -> bool:
         self.cancelled = True
         return True
-
-    def _tear_store_entry(self) -> None:
-        """Leave a half-written entry where the result should have gone."""
-        if not (self.store_root and self.store_key):
-            return
-        import os
-
-        from ..runtime.store import ResultStore
-
-        path = ResultStore(self.store_root).path_for(self.store_key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-store/1", "key": "' + self.store_key[:16])
 
 
 class ChaosExecutor:

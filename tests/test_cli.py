@@ -203,12 +203,8 @@ def test_out_of_range_budget_and_threshold_rejected(capsys, argv, flag, value):
         ["run", "--workload", "li", "--config", "bogus"],
         ["suite", "--config", "bogus"],
         ["metrics", "--config", "bogus"],
-        ["serve", "--spool", "spool", "--out-dir", "runs", "--poll", "-1"],
     ],
-    ids=[
-        "fuzz-runs", "lint-disable",
-        "run-config", "suite-config", "metrics-config", "serve-poll",
-    ],
+    ids=["fuzz-runs", "lint-disable", "run-config", "suite-config", "metrics-config"],
 )
 def test_out_of_range_counts_rejected(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -216,6 +212,14 @@ def test_out_of_range_counts_rejected(capsys, argv):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}" in err and "internal error" not in err
+
+
+def test_serve_command_is_gone(capsys):
+    # Campaigns start with `run`/`suite --out-dir` and finish with `run --resume`.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--spool", "spool", "--out-dir", "runs"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_ir_command_is_gone(capsys):

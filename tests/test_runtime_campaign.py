@@ -65,15 +65,30 @@ def test_spec_config_dict_excludes_jobs():
     assert rebuilt.jobs == 3
 
 
-def test_spec_from_config_defaults_optional_fields():
-    # Hand-written spool specs (`repro serve`) may omit anything with a
-    # dataclass default; only the grid axes are required.
-    spec = CampaignSpec.from_config({"workloads": ["li"], "configs": ["lvp"]})
-    assert spec.recoveries == ("selective",)
-    assert spec.machine == "table1"
-    assert spec.max_instructions == 40_000
-    assert spec.threshold == 0.8
-    assert spec.scale == 1.0
+def test_spec_from_config_requires_every_field():
+    # Every journal header carries every config_dict key, so a header
+    # missing one is not silently filled with defaults.
+    config = SPEC.config_dict()
+    for key in config:
+        partial = {name: value for name, value in config.items() if name != key}
+        with pytest.raises(KeyError, match=key):
+            CampaignSpec.from_config(partial)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_instructions", 0),
+        ("threshold", 1.5),
+        ("workloads", ("nope",)),
+        ("configs", ("bogus",)),
+        ("recoveries", ("sideways",)),
+    ],
+)
+def test_spec_rejects_out_of_range_fields(field, value):
+    fields = {"workloads": ("li",), "configs": ("no_predict",), field: value}
+    with pytest.raises(ValueError, match=field):
+        CampaignSpec(**fields)
 
 
 def test_spec_cell_ids_are_grid_ordered():
@@ -335,8 +350,37 @@ def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"schema": "repro-batches/2", "dig', "[1, 2]"], ids=["truncated", "not-an-object"]
+)
+def test_cli_resume_reports_unreadable_batch_sidecar(tmp_path, capsys, text):
+    from repro.runtime.campaign import batch_sidecar_path
+
+    argv = ["run", "--workload", "li", "--config", "no_predict", "--max-insts", str(MAX_INSTS),
+            "--out-dir", str(tmp_path), "--run-id", "torn"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path = batch_sidecar_path(str(tmp_path), "torn")
+    with open(path, "w") as handle:
+        handle.write(text)
+    assert main(["run", "--resume", "torn", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: batch sidecar {path} ")
+    assert "internal error" not in err
+    with open(path) as handle:
+        assert handle.read() == text  # refused, not rewritten
+
+
+def test_cli_resume_of_a_journal_without_a_grid_exits_two(tmp_path, capsys):
+    # `repro fuzz --out-dir` journals share the directory layout but not the grid.
+    RunJournal.create(str(tmp_path), "fuzz-seed0", {"kind": "fuzz", "seed": 0}, ["seed0"]).close()
+    assert main(["run", "--resume", "fuzz-seed0", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "does not describe a campaign grid" in err and "internal error" not in err
+
+
 # ----------------------------------------------------------------------
-# Service CLI surface (--jobs / --store / serve)
+# Service CLI surface (--jobs / --store)
 # ----------------------------------------------------------------------
 def test_cli_run_with_workers_uses_supervised_service(tmp_path, capsys):
     store_dir = tmp_path / "store"
@@ -359,66 +403,10 @@ def test_cli_run_with_workers_uses_supervised_service(tmp_path, capsys):
     assert "campaign svc2 (run): 2/2 cells ok, 2 from store" in out
 
 
-def test_cli_serve_once_drains_spool(tmp_path, capsys):
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    spec = CampaignSpec(
-        workloads=("li",), configs=("no_predict", "lvp"), max_instructions=MAX_INSTS
-    )
-    (spool / "demo.json").write_text(json.dumps(spec.config_dict()))
-
-    argv = [
-        "serve", "--spool", str(spool), "--out-dir", str(tmp_path / "runs"),
-        "--jobs", "1", "--store", str(tmp_path / "store"), "--once",
-    ]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "serve: campaign demo: 2/2 ok" in out
-    assert (spool / "done" / "demo.json").exists()
-    report = json.loads((tmp_path / "runs" / "demo.report.json").read_text())
-    assert report["complete"] is True
-    assert report["counts"] == {"ok": 2}
-
-
-def test_cli_serve_moves_bad_spec_to_failed(tmp_path, capsys):
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    (spool / "broken.json").write_text('{"workloads": ["li"]}')  # missing fields
-    argv = ["serve", "--spool", str(spool), "--out-dir", str(tmp_path / "runs"), "--once"]
-    assert main(argv) == 2
-    assert (spool / "failed" / "broken.json").exists()
-    assert (spool / "failed" / "broken.error").exists()
-
-
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("max_instructions", 0),
-        ("threshold", 1.5),
-        ("workloads", ["nope"]),
-        ("configs", ["bogus"]),
-        ("recoveries", ["sideways"]),
-    ],
-)
-def test_cli_serve_moves_out_of_range_spec_to_failed(tmp_path, capsys, field, value):
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    (spool / "bad.json").write_text(
-        json.dumps({"workloads": ["li"], "configs": ["no_predict"], field: value})
-    )
-    argv = ["serve", "--spool", str(spool), "--out-dir", str(tmp_path / "runs"), "--once"]
-    assert main(argv) == 2
-    assert (spool / "failed" / "bad.json").exists()
-    assert field in (spool / "failed" / "bad.error").read_text()
-    assert not list((tmp_path / "runs").glob("*.journal.jsonl"))
-
-
-@pytest.mark.parametrize("command", ["run", "suite", "serve"])
+@pytest.mark.parametrize("command", ["run", "suite"])
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3")])
 def test_cli_rejects_nonpositive_jobs(tmp_path, capsys, command, flag, value):
     argv = [command, flag, value, "--out-dir", str(tmp_path / "runs")]
-    if command == "serve":
-        argv += ["--spool", str(tmp_path / "spool")]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

@@ -109,15 +109,6 @@ def test_counts_and_pending_cells(tmp_path):
         assert journal.counts() == {"ok": 1, "timeout": 1}
 
 
-def test_mark_pending_skips_ok_cells(tmp_path):
-    with _make(tmp_path) as journal:
-        journal.record(CELLS[0], "ok", result={})
-        journal.mark_pending(CELLS)
-    replayed = RunJournal.open(journal.path)
-    assert replayed.status_of(CELLS[0]) == "ok"
-    assert replayed.status_of(CELLS[1]) == "pending"
-
-
 def test_find_unknown_run_id_names_known_runs(tmp_path):
     _make(tmp_path, "known").close()
     with pytest.raises(JournalError, match="known"):

@@ -2,8 +2,8 @@
 
 Every scenario runs the real simulator under a scripted
 :class:`~repro.testing.faults.ChaosHarness`: worker kills, stalls and slow
-cells against the per-cell deadline, torn store writes, pool collapse and
-supervisor death are dispatch scripts on a :class:`ManualClock`, so each race
+cells against the per-cell deadline, pool collapse and supervisor death are
+dispatch scripts on a :class:`ManualClock`, so each race
 replays identically on every run.  The common acceptance bar is
 *exactly-once*: every cell reaches exactly one terminal ``ok`` journal
 record, and the result set is byte-identical to a fault-free serial campaign
@@ -11,11 +11,12 @@ over the same grid.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.core.metrics import get_metrics, reset_metrics
-from repro.runtime.campaign import CampaignSpec
+from repro.runtime.campaign import CampaignSpec, compute_batch_digests
 from repro.runtime.journal import RunJournal, journal_path
 from repro.runtime.service import CampaignSupervisor, resume_campaign, run_campaign
 from repro.runtime.store import ResultStore
@@ -24,7 +25,6 @@ from repro.testing.faults import (
     CHAOS_KILL,
     CHAOS_SLOW,
     CHAOS_STALL,
-    CHAOS_TORN_STORE,
     ChaosHarness,
     ChaosPolicy,
 )
@@ -213,18 +213,30 @@ def test_cell_that_always_stalls_commits_timeout_and_the_rest_finish(tmp_path, s
 
 
 # ----------------------------------------------------------------------
-# Torn store write: the half-written entry is detected, discarded, re-run
+# Torn store entry: the pre-pass discards it, the cell runs, the commit heals
 # ----------------------------------------------------------------------
 def test_torn_store_write_is_detected_and_healed(tmp_path, serial_payloads):
     store = ResultStore(str(tmp_path / "store"))
-    harness = ChaosHarness(ChaosPolicy(script={0: CHAOS_TORN_STORE}))
+    harness = ChaosHarness(ChaosPolicy())
     supervisor = _supervised(tmp_path, harness, store=store)
+    # A writer that died mid-write (or a non-atomic copy) left half an entry.
+    supervisor.batch_digests = compute_batch_digests(SPEC)
+    key = supervisor.store_key(SPEC.cells()[0])
+    torn = store.path_for(key)
+    os.makedirs(os.path.dirname(torn), exist_ok=True)
+    with open(torn, "w", encoding="utf-8") as handle:
+        handle.write('{"schema": "repro-store/1", "key": "' + key[:16])
+
     report = supervisor.run(run_id="r1")
 
     assert report.complete
     assert _payloads(report) == serial_payloads
     _assert_exactly_once(supervisor)
-    assert get_metrics().get("store.corrupt") >= 1  # the torn entry was caught
+    metrics = get_metrics()
+    assert metrics.get("store.corrupt") == 1  # the pre-pass caught the torn entry
+    assert supervisor.stats.store_hits == 0
+    assert supervisor.stats.dispatched == len(SPEC.cell_ids())  # so its cell ran
+    assert metrics.get("store.puts") == len(SPEC.cell_ids())
     # The slot healed: every cell's entry now reads back clean.
     for cell in SPEC.cells():
         assert store.get(supervisor.store_key(cell)) is not None
@@ -274,7 +286,7 @@ def test_resume_campaign_rebuilds_spec_from_journal(tmp_path, serial_payloads):
         supervisor.run(run_id="r1")
 
     # jobs=1 takes the serial path: no pool, no harness needed — this is
-    # exactly what `repro serve --jobs 1` does after a supervisor host restart.
+    # exactly what `repro run --resume r1 --jobs 1` does after a host restart.
     report = resume_campaign(str(tmp_path / "runs"), "r1", jobs=1)
     assert report.complete
     assert _payloads(report) == serial_payloads
@@ -283,6 +295,27 @@ def test_resume_campaign_rebuilds_spec_from_journal(tmp_path, serial_payloads):
 # ----------------------------------------------------------------------
 # Shared store: identical cells are never simulated twice
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+def test_cold_store_is_read_and_written_once_per_cell(tmp_path, jobs):
+    """The pre-pass is the store's only reader and the commit its only writer."""
+    store = ResultStore(str(tmp_path / "store"))
+    harness = ChaosHarness(ChaosPolicy())
+    supervisor = CampaignSupervisor(
+        SPEC.with_jobs(jobs), str(tmp_path / "runs"), store=store, **harness.supervisor_kwargs()
+    )
+    harness.attach(supervisor)
+    report = supervisor.run(run_id="r1")
+
+    assert report.complete
+    cells = len(SPEC.cell_ids())
+    metrics = get_metrics()
+    assert metrics.get("store.misses") == cells
+    assert metrics.get("store.puts") == cells
+    assert metrics.get("store.hits") == 0
+    assert len(store) == cells
+    assert len(harness.executors) == (1 if jobs > 1 else 0)
+
+
 def test_warm_store_runs_zero_simulations(tmp_path, serial_payloads):
     store = ResultStore(str(tmp_path / "store"))
     harness = ChaosHarness(ChaosPolicy())

@@ -61,7 +61,7 @@ def test_result_digest_is_order_insensitive():
 # Round trip and sharding
 # ----------------------------------------------------------------------
 def test_put_get_roundtrip(tmp_path):
-    store = ResultStore(str(tmp_path / "store"), writer="t1")
+    store = ResultStore(str(tmp_path / "store"))
     key = cell_store_key("li/lvp/selective", table1_config(), 1500, 0.5, 1.0, CONTENT)
     path = store.put(key, RESULT, cell_id="li/lvp/selective")
     assert os.path.exists(path)
@@ -69,7 +69,7 @@ def test_put_get_roundtrip(tmp_path):
     assert store.get(key) == RESULT
     entry = json.loads(open(path).read())
     assert entry["schema"] == STORE_SCHEMA
-    assert entry["writer"] == "t1"
+    assert entry["cell"] == "li/lvp/selective"
     assert entry["digest"] == result_digest(RESULT)
 
 
@@ -119,8 +119,8 @@ def test_corrupt_entry_is_miss_and_unlinked(tmp_path, corruptor):
 
 
 def test_last_writer_wins(tmp_path):
-    store_a = ResultStore(str(tmp_path / "store"), writer="a")
-    store_b = ResultStore(str(tmp_path / "store"), writer="b")
+    store_a = ResultStore(str(tmp_path / "store"))
+    store_b = ResultStore(str(tmp_path / "store"))
     key = "cd" + "0" * 62
     store_a.put(key, {"ipc": 1.0})
     store_b.put(key, {"ipc": 2.0})
@@ -132,39 +132,3 @@ def test_store_root_must_be_a_directory(tmp_path):
     blocker.write_text("x")
     with pytest.raises((StoreError, OSError)):
         ResultStore(str(blocker))
-
-
-# ----------------------------------------------------------------------
-# Maintenance
-# ----------------------------------------------------------------------
-def test_prune_max_entries_evicts_oldest_first(tmp_path):
-    store = ResultStore(str(tmp_path / "store"))
-    keys = [f"{i:02x}" + "0" * 62 for i in range(4)]
-    for i, key in enumerate(keys):
-        path = store.put(key, {"ipc": float(i)})
-        os.utime(path, (1000 + i, 1000 + i))  # deterministic age ordering
-    removed = store.prune(max_entries=2)
-    assert removed == 2
-    assert store.keys() == sorted(keys[2:])
-    assert get_metrics().get("store.evictions") == 2
-
-
-def test_prune_max_age_removes_stale_entries(tmp_path):
-    store = ResultStore(str(tmp_path / "store"))
-    old_key, new_key = "aa" + "0" * 62, "bb" + "0" * 62
-    old_path = store.put(old_key, {"ipc": 1.0})
-    store.put(new_key, {"ipc": 2.0})
-    os.utime(old_path, (0, 0))  # epoch-old
-    removed = store.prune(max_age_s=3600.0)
-    assert removed == 1
-    assert store.keys() == [new_key]
-
-
-def test_stats_reports_traffic_and_size(tmp_path):
-    store = ResultStore(str(tmp_path / "store"))
-    key = "ee" + "0" * 62
-    store.put(key, RESULT)
-    store.get(key)
-    store.get("ff" + "0" * 62)
-    stats = store.stats()
-    assert stats == {"hits": 1, "misses": 1, "puts": 1, "corrupt": 0, "entries": 1}
