@@ -76,11 +76,6 @@ class MetricsRegistry:
         sim_seconds = self.seconds("sim.wall")
         if sim_seconds > 0:
             derived["sim.instructions_per_sec"] = self.get("sim.instructions") / sim_seconds
-        sim_runs = self.get("sim.runs")
-        if sim_runs:
-            # Fraction of functional runs that took the decoded no-record
-            # fast path (run() with no trace requested and no observers).
-            derived["sim.fast_run_fraction"] = self.get("sim.runs_fast") / sim_runs
         pipe_seconds = self.seconds("pipeline.wall")
         if pipe_seconds > 0:
             derived["pipeline.cycles_per_sec"] = self.get("pipeline.cycles") / pipe_seconds

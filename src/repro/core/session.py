@@ -391,7 +391,7 @@ class SimSession:
         sim = FunctionalSimulator(program, memory=memory)
         with metrics.timer("sim.wall"):
             # run(collect_trace=True) takes the eager decoded path (no
-            # generator suspension per record) when no observers are attached.
+            # generator suspension per record).
             trace = tuple(sim.run(max_instructions=max_instructions, collect_trace=True).trace)
         self._traces[key] = trace
         self._trace_resident_bytes += self._trace_cost(trace)

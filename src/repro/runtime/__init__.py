@@ -33,7 +33,6 @@ from .atomic import (
 from .errors import (
     DETERMINISTIC,
     TRANSIENT,
-    BudgetExceeded,
     CampaignError,
     DeterministicError,
     TransientError,
@@ -84,7 +83,6 @@ __all__ = [
     "fsync_directory",
     "DETERMINISTIC",
     "TRANSIENT",
-    "BudgetExceeded",
     "CampaignError",
     "DeterministicError",
     "TransientError",

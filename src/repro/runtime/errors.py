@@ -13,12 +13,16 @@ actually fix:
     jitter (:mod:`repro.runtime.retry`).
 
 ``deterministic``
-    The *experiment* failed: a simulator fault (:class:`SimulationError`,
-    including :class:`BudgetExceeded`), a verifier diagnostic
-    (:class:`VerificationError`), or any other repeatable error raised by
-    deterministic code on deterministic inputs.  Retrying replays the same
-    failure, so the cell fails fast — exactly one attempt — and the
-    diagnostic is preserved verbatim in the run journal.
+    The *experiment* failed: a simulator fault (:class:`SimulationError`),
+    a verifier diagnostic (:class:`VerificationError`), or any other
+    repeatable error raised by deterministic code on deterministic inputs.
+    Retrying replays the same failure, so the cell fails fast — exactly one
+    attempt — and the diagnostic is preserved verbatim in the run journal.
+
+A program that is still running at its instruction budget is neither: the
+functional simulator truncates it there and the cell measures what
+committed.  A cell that outlives its wall-clock deadline is a transient
+timeout.
 
 Classification is structural, not exhaustive: a known-transient type (or any
 exception whose class sets ``transient = True``, the hook the fault injector
@@ -32,7 +36,7 @@ from __future__ import annotations
 from concurrent.futures import BrokenExecutor, TimeoutError as FutureTimeout
 
 # Re-exported so campaign code has one import point for the whole taxonomy.
-from ..sim.functional import BudgetExceeded, SimulationError  # noqa: F401
+from ..sim.functional import SimulationError  # noqa: F401
 
 #: Classification labels recorded in journals and reports.
 TRANSIENT = "transient"

@@ -45,7 +45,10 @@ wall clock.
 
 from __future__ import annotations
 
+import functools
+import os
 import signal
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, process
@@ -114,16 +117,43 @@ def _run_cell(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _restore_default_sigterm() -> None:
-    """Pool initializer: a SIGTERMed worker dies instead of raising.
+#: How often a pool worker checks that its supervisor is still alive (seconds).
+ORPHAN_POLL_INTERVAL = 0.25
+
+
+def _init_worker(supervisor_pid: int) -> None:
+    """Pool initializer: the worker dies with SIGTERM and with its supervisor.
 
     Forked workers inherit the supervisor's SIGTERM -> ``KeyboardInterrupt``
     handler (:func:`~repro.runtime.campaign.deliver_sigterm_as_interrupt`);
     with it a worker would ship the interrupt back as its cell's result and
     abort the whole campaign.  With the default action the worker dies like
     a SIGKILLed one and the pool-rebuild path re-runs its cell.
+
+    A SIGKILLed supervisor cannot tear its pool down, and its idle workers
+    would wait on the call queue forever, reparented away from it.  A daemon
+    thread ends the worker as soon as its parent pid changes, which happens
+    when the supervisor (or, under the ``forkserver`` start method, the fork
+    server that dies with it) exits.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(supervisor_pid,), name="orphan-watch", daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(supervisor_pid: int) -> None:
+    parent = os.getppid()
+    if parent != supervisor_pid:
+        # A fork-server child, or one already orphaned: the supervisor may
+        # have died before this thread started.
+        try:
+            os.kill(supervisor_pid, 0)
+        except ProcessLookupError:
+            os._exit(1)
+    while os.getppid() == parent:
+        time.sleep(ORPHAN_POLL_INTERVAL)
+    os._exit(1)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +348,7 @@ class CampaignSupervisor:
                         try:
                             pool = self.executor_factory(
                                 max_workers=max(1, min(self.workers, len(pending))),
-                                initializer=_restore_default_sigterm,
+                                initializer=functools.partial(_init_worker, os.getpid()),
                             )
                             used_processes = True
                         except (OSError, RuntimeError) as exc:

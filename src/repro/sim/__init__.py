@@ -6,7 +6,6 @@ from .functional import (
     RunResult,
     SimulationError,
     run_program,
-    stream_program,
 )
 from .machine import ArchState
 from .memory import WORD_BYTES, Memory
@@ -19,7 +18,6 @@ __all__ = [
     "RunResult",
     "SimulationError",
     "run_program",
-    "stream_program",
     "ArchState",
     "WORD_BYTES",
     "Memory",

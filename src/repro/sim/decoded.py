@@ -20,21 +20,14 @@ extracts, exactly once:
   dropped);
 * the fall-through and branch-target pcs as constants.
 
-The result of each extraction is a pair of *handler builders*.  At run time
-:func:`bind_fast` / :func:`bind_trace` instantiate one closure per static
+The result of each extraction is one *handler builder*.  At run time
+:meth:`DecodedProgram.bind_trace` instantiates one closure per static
 instruction with the live register-bank lists and memory bound into the
-closure cells (threaded code), giving two execution modes:
-
-``fast``
-    ``handler() -> next_pc`` (or :data:`HALT`).  Mutates architectural state
-    only; no :class:`TraceRecord` is ever allocated.  Used by trace-less
-    consumers via ``FunctionalSimulator.run(collect_trace=False)`` with no
-    observers attached.
-
-``trace``
-    ``handler(seq) -> TraceRecord``.  Produces records bit-identical to the
-    reference interpreter's (including unmasked ``li`` results and the
-    ``old_dest`` capture) and keeps ``state.pc`` live for observers.
+closure cells (threaded code): ``handler(seq) -> TraceRecord``, which
+performs the architectural effects, advances ``state.pc`` and returns a
+record bit-identical to the reference interpreter's (including unmasked
+``li`` results and the ``old_dest`` capture).  Every decoded run, with or
+without a trace kept, dispatches these handlers.
 
 Handlers are rebuilt per run (one closure per *static* instruction — noise
 next to tens of thousands of dynamic executions), while the decode pass
@@ -56,11 +49,6 @@ from .machine import ArchState
 from .memory import Memory
 from .trace import TraceRecord
 
-#: Sentinel next-pc returned by fast handlers when the instruction halts.
-HALT = -1
-
-#: ``handler() -> next_pc`` (or :data:`HALT`); mutates state/memory only.
-FastHandler = Callable[[], int]
 #: ``handler(seq) -> TraceRecord``; also advances ``state.pc``.
 TraceHandler = Callable[[int], TraceRecord]
 
@@ -83,10 +71,10 @@ def _bank(state: ArchState, reg) -> List[int]:
     return state.fp_regs if reg.is_fp else state.int_regs
 
 
-def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
-    """Compile one static instruction into ``(build_fast, build_trace)``.
+def _decode_one(inst: Instruction) -> Callable:
+    """Compile one static instruction into its handler builder.
 
-    Each builder takes ``(state, memory)`` and returns the specialized
+    The builder takes ``(state, memory)`` and returns the specialized
     handler closure for this pc.
     """
     op = inst.op
@@ -106,15 +94,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
             if dst is not None:
                 di = dst.index
 
-                def build_fast(state, memory, _s1=s1, _s2=s2, _dst=dst):
-                    b1, b2, bd = _bank(state, _s1), _bank(state, _s2), _bank(state, _dst)
-
-                    def run():
-                        bd[di] = fn(b1[i1], b2[i2]) & MASK64
-                        return fall
-
-                    return run
-
                 def build_trace(state, memory, _s1=s1, _s2=s2, _dst=dst):
                     b1, b2, bd = _bank(state, _s1), _bank(state, _s2), _bank(state, _dst)
 
@@ -130,15 +109,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
                     return run
 
             else:  # result computed, architecturally dropped (zero-reg dest)
-
-                def build_fast(state, memory, _s1=s1, _s2=s2):
-                    b1, b2 = _bank(state, _s1), _bank(state, _s2)
-
-                    def run():
-                        fn(b1[i1], b2[i2])
-                        return fall
-
-                    return run
 
                 def build_trace(state, memory, _s1=s1, _s2=s2):
                     b1, b2 = _bank(state, _s1), _bank(state, _s2)
@@ -158,15 +128,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
             if dst is not None:
                 di = dst.index
 
-                def build_fast(state, memory, _s1=s1, _dst=dst):
-                    b1, bd = _bank(state, _s1), _bank(state, _dst)
-
-                    def run():
-                        bd[di] = fn(b1[i1], imm) & MASK64
-                        return fall
-
-                    return run
-
                 def build_trace(state, memory, _s1=s1, _dst=dst):
                     b1, bd = _bank(state, _s1), _bank(state, _dst)
 
@@ -181,15 +142,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
                     return run
 
             else:
-
-                def build_fast(state, memory, _s1=s1):
-                    b1 = _bank(state, _s1)
-
-                    def run():
-                        fn(b1[i1], imm)
-                        return fall
-
-                    return run
 
                 def build_trace(state, memory, _s1=s1):
                     b1 = _bank(state, _s1)
@@ -209,15 +161,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
             if dst is not None:
                 di = dst.index
 
-                def build_fast(state, memory, _dst=dst):
-                    bd = _bank(state, _dst)
-
-                    def run():
-                        bd[di] = const_masked
-                        return fall
-
-                    return run
-
                 def build_trace(state, memory, _dst=dst):
                     bd = _bank(state, _dst)
 
@@ -230,12 +173,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
                     return run
 
             else:
-
-                def build_fast(state, memory):
-                    def run():
-                        return fall
-
-                    return run
 
                 def build_trace(state, memory):
                     def run(seq):
@@ -251,19 +188,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
         off = inst.imm or 0
         if dst is not None:
             di = dst.index
-
-            def build_fast(state, memory, _s1=s1, _dst=dst):
-                b1, bd = _bank(state, _s1), _bank(state, _dst)
-                load_wi = memory.load_word_index
-
-                def run():
-                    addr = (b1[i1] + off) & MASK64
-                    if addr & 7:
-                        raise ValueError(f"unaligned access at address {addr:#x}")
-                    bd[di] = load_wi(addr >> 3)
-                    return fall
-
-                return run
 
             def build_trace(state, memory, _s1=s1, _dst=dst):
                 b1, bd = _bank(state, _s1), _bank(state, _dst)
@@ -283,19 +207,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
                 return run
 
         else:  # load into a zero register: access happens, value dropped
-
-            def build_fast(state, memory, _s1=s1):
-                b1 = _bank(state, _s1)
-                load_wi = memory.load_word_index
-
-                def run():
-                    addr = (b1[i1] + off) & MASK64
-                    if addr & 7:
-                        raise ValueError(f"unaligned access at address {addr:#x}")
-                    load_wi(addr >> 3)
-                    return fall
-
-                return run
 
             def build_trace(state, memory, _s1=s1):
                 b1 = _bank(state, _s1)
@@ -317,19 +228,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
         s1, s2 = inst.src1, inst.src2
         i1, i2 = s1.index, s2.index
         off = inst.imm or 0
-
-        def build_fast(state, memory, _s1=s1, _s2=s2):
-            b1, b2 = _bank(state, _s1), _bank(state, _s2)
-            store_wi = memory.store_word_index
-
-            def run():
-                addr = (b1[i1] + off) & MASK64
-                if addr & 7:
-                    raise ValueError(f"unaligned access at address {addr:#x}")
-                store_wi(addr >> 3, b2[i2])
-                return fall
-
-            return run
 
         def build_trace(state, memory, _s1=s1, _s2=s2):
             b1, b2 = _bank(state, _s1), _bank(state, _s2)
@@ -357,14 +255,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
             cond_fn = op.cond_fn
             flat = lambda v, _fn=cond_fn: _fn(v)  # noqa: E731
 
-        def build_fast(state, memory, _s1=s1, _test=flat):
-            b1 = _bank(state, _s1)
-
-            def run():
-                return target if _test(b1[i1]) else fall
-
-            return run
-
         def build_trace(state, memory, _s1=s1, _test=flat):
             b1 = _bank(state, _s1)
 
@@ -382,12 +272,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
     elif kind is OpKind.JUMP:
         target = inst.target_pc
 
-        def build_fast(state, memory):
-            def run():
-                return target
-
-            return run
-
         def build_trace(state, memory):
             def run(seq):
                 state.pc = target
@@ -402,15 +286,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
         if dst is not None:
             di = dst.index
 
-            def build_fast(state, memory, _dst=dst):
-                bd = _bank(state, _dst)
-
-                def run():
-                    bd[di] = return_pc
-                    return target
-
-                return run
-
             def build_trace(state, memory, _dst=dst):
                 bd = _bank(state, _dst)
 
@@ -424,12 +299,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
 
         else:
 
-            def build_fast(state, memory):
-                def run():
-                    return target
-
-                return run
-
             def build_trace(state, memory):
                 def run(seq):
                     state.pc = target
@@ -441,14 +310,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
     elif kind is OpKind.INDIRECT:
         s1 = inst.src1
         i1 = s1.index
-
-        def build_fast(state, memory, _s1=s1):
-            b1 = _bank(state, _s1)
-
-            def run():
-                return b1[i1]
-
-            return run
 
         def build_trace(state, memory, _s1=s1):
             b1 = _bank(state, _s1)
@@ -463,12 +324,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
     # ------------------------------------------------------------------
     elif kind is OpKind.HALT:
 
-        def build_fast(state, memory):
-            def run():
-                return HALT
-
-            return run
-
         def build_trace(state, memory):
             def run(seq):
                 state.pc = pc
@@ -479,12 +334,6 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
     # ------------------------------------------------------------------
     else:  # NOP: no effects
 
-        def build_fast(state, memory):
-            def run():
-                return fall
-
-            return run
-
         def build_trace(state, memory):
             def run(seq):
                 state.pc = fall
@@ -492,35 +341,29 @@ def _decode_one(inst: Instruction) -> Tuple[Callable, Callable]:
 
             return run
 
-    return build_fast, build_trace
+    return build_trace
 
 
 class DecodedProgram:
     """The once-per-static-instruction decode of one :class:`Program`.
 
-    Holds one ``(build_fast, build_trace)`` builder pair per pc plus the
-    pre-computed halt map.  Obtain via :func:`decode`, which memoizes the
-    instance on the program (programs are immutable).
+    Holds one handler builder per pc plus the pre-computed halt map.
+    Obtain via :func:`decode`, which memoizes the instance on the program
+    (programs are immutable).
     """
 
     __slots__ = ("program", "specs", "halt_flags")
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.specs: Tuple[Tuple[Callable, Callable], ...] = tuple(
-            _decode_one(inst) for inst in program
-        )
+        self.specs: Tuple[Callable, ...] = tuple(_decode_one(inst) for inst in program)
         self.halt_flags: Tuple[bool, ...] = tuple(
             inst.op.kind is OpKind.HALT for inst in program
         )
 
-    def bind_fast(self, state: ArchState, memory: Memory) -> List[FastHandler]:
-        """Instantiate the no-record handler table against live state."""
-        return [build_fast(state, memory) for build_fast, _ in self.specs]
-
     def bind_trace(self, state: ArchState, memory: Memory) -> List[TraceHandler]:
-        """Instantiate the record-producing handler table against live state."""
-        return [build_trace(state, memory) for _, build_trace in self.specs]
+        """Instantiate the handler table against live state."""
+        return [build_trace(state, memory) for build_trace in self.specs]
 
 
 def decode(program: Program) -> DecodedProgram:

@@ -9,10 +9,13 @@ Five oracle families, each a callable ``oracle(case)`` registered in
     state, memory and halt status — and both must match the retained
     reference interpreter (``engine="reference"``, the pre-decode ``step()``
     loop) bit for bit, pinning the decoded execution core to its oracle.
-    A fourth leg pins fault fidelity: on a deliberately perturbed memory
-    image (the first word the program loads, inverted), where the case may
-    diverge or fault, the decoded engine must match the reference — fault
-    type, message, pc, commit count, final state and memory included.
+    A fourth leg pins fault fidelity on two perturbed runs: the case on a
+    memory image whose first loaded word is inverted (the run diverges from
+    the pristine one), and the case's program with its first executed memory
+    access misaligned (the run faults there).  On both, a trace-less decoded
+    run — which dispatches the same record-producing handlers as every
+    production run — must match the reference: fault type, message, pc,
+    commit count, final state and memory included.
 
 ``pass-preservation``
     Every verifier-guarded compiler pass (marking, insertion, stride,
@@ -70,7 +73,7 @@ from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.deadness import reg_id
 from ..profiling.reuse import ReuseProfile
-from ..sim.functional import FunctionalSimulator, RunResult, SimulationError, run_program, stream_program
+from ..sim.functional import FunctionalSimulator, RunResult, SimulationError, run_program
 from ..sim.trace import TraceRecord
 from ..uarch.config import MachineConfig, table1_config
 from ..uarch.recovery import RecoveryScheme
@@ -122,8 +125,8 @@ def _eager_run(program: Program, memory) -> RunResult:
 
 
 def _streaming_run(program: Program, memory):
-    sim, records = stream_program(program, memory=memory, max_instructions=MAX_INSTRUCTIONS)
-    trace = list(records)
+    sim = FunctionalSimulator(program, memory=memory)
+    trace = list(sim.iter_run(max_instructions=MAX_INSTRUCTIONS))
     return sim, trace
 
 
@@ -152,9 +155,8 @@ def _engine_run(program: Program, memory, engine: str, max_instructions: int):
 def _perturbed_memory(case: GeneratedCase, reference: RunResult):
     """The case's memory with the first word the program *reads* inverted.
 
-    Running the case on this image forces data divergence (and sometimes a
-    fault) away from the pristine run, exercising fault fidelity on every
-    fuzz case.  Targeting the first loaded address (from the reference
+    Running the case on this image forces data divergence away from the
+    pristine run.  Targeting the first loaded address (from the reference
     trace) rather than an arbitrary word is what makes the perturbation
     reliably observable.
     """
@@ -169,6 +171,24 @@ def _perturbed_memory(case: GeneratedCase, reference: RunResult):
         index = min(words) if words else 0
     memory.store_word_index(index, memory.load_word_index(index) ^ MASK64)
     return memory
+
+
+def _misaligned_program(program: Program, reference: RunResult) -> Optional[Program]:
+    """``program`` with its first executed load or store misaligned by 4 bytes.
+
+    Execution up to that access is unchanged, so a run of the result is
+    guaranteed to fault there with an unaligned-access error.  ``None`` when
+    the reference run touched no memory.
+    """
+    for record in reference.trace or ():
+        if record.addr is not None:
+            victim = record.inst
+            break
+    else:
+        return None
+    instructions = list(program)
+    instructions[victim.pc] = replace(victim, imm=(victim.imm or 0) + 4)
+    return Program(instructions, program.labels, name=program.name, procedures=program.procedures)
 
 
 def _simulate(trace: Sequence[TraceRecord], predictor: ValuePredictor, recovery: RecoveryScheme):
@@ -236,44 +256,42 @@ def check_trace_equivalence(case: GeneratedCase) -> None:
     )
 
     # Fourth leg: fault fidelity.  The case re-runs on a perturbed memory
-    # image (one flipped input word), where it may take a different path or
-    # fault; the decoded engine must still match the reference exactly.
-    _perturbed_leg(case, reference, name)
+    # image (one flipped input word), where it takes a different path, and
+    # as a program whose first memory access is misaligned, where it faults;
+    # the decoded engine must still match the reference exactly.
+    _perturbed_leg(name, "perturbed memory", case.program, lambda: _perturbed_memory(case, reference))
+    misaligned = _misaligned_program(case.program, reference)
+    if misaligned is not None:
+        _perturbed_leg(name, "a misaligned access", misaligned, case.memory)
 
 
-def _perturbed_leg(case: GeneratedCase, reference: RunResult, name: str) -> None:
-    """Decoded vs reference on the perturbed image: fault type, message,
+def _perturbed_leg(name: str, label: str, program: Program, make_memory: Callable) -> None:
+    """Decoded vs reference on one perturbed run: fault type, message,
     pc, commit count, final state and memory must all agree."""
-    dec_sim, dec_res, dec_err = _engine_run(
-        case.program, _perturbed_memory(case, reference), "decoded", MAX_INSTRUCTIONS
-    )
-    ref_sim, ref_res, ref_err = _engine_run(
-        case.program, _perturbed_memory(case, reference), "reference", MAX_INSTRUCTIONS
-    )
+    dec_sim, dec_res, dec_err = _engine_run(program, make_memory(), "decoded", MAX_INSTRUCTIONS)
+    ref_sim, ref_res, ref_err = _engine_run(program, make_memory(), "reference", MAX_INSTRUCTIONS)
     _require(
         type(dec_err) is type(ref_err) and str(dec_err) == str(ref_err),
         name,
-        f"decoded fault diverges from reference on perturbed memory: {dec_err!r} vs {ref_err!r}",
+        f"decoded fault diverges from reference on {label}: {dec_err!r} vs {ref_err!r}",
     )
     _require(
         (dec_res.halted, dec_res.instructions) == (ref_res.halted, ref_res.instructions),
         name,
-        f"decoded halt/commit-count diverges from reference on perturbed memory: "
+        f"decoded halt/commit-count diverges from reference on {label}: "
         f"{(dec_res.halted, dec_res.instructions)} != {(ref_res.halted, ref_res.instructions)}",
     )
     _require(
         dec_sim.state.pc == ref_sim.state.pc,
         name,
-        f"decoded stopped at pc {dec_sim.state.pc} on perturbed memory, reference at {ref_sim.state.pc}",
+        f"decoded stopped at pc {dec_sim.state.pc} on {label}, reference at {ref_sim.state.pc}",
     )
     _require(
         dec_sim.state.state_equal(ref_sim.state),
         name,
-        "decoded state diverges from reference on perturbed memory",
+        f"decoded state diverges from reference on {label}",
     )
-    _require(
-        dec_sim.memory == ref_sim.memory, name, "decoded memory diverges from reference on perturbed memory"
-    )
+    _require(dec_sim.memory == ref_sim.memory, name, f"decoded memory diverges from reference on {label}")
 
 
 # ----------------------------------------------------------------------

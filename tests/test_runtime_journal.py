@@ -13,7 +13,6 @@ from repro.runtime import (
     DETERMINISTIC,
     JOURNAL_SCHEMA,
     TRANSIENT,
-    BudgetExceeded,
     DeterministicError,
     JournalError,
     RunJournal,
@@ -228,7 +227,6 @@ def test_backoff_grows_and_caps():
         (TransientError("wrapped"), TRANSIENT),
         (PoisonedCellError("garbage result"), TRANSIENT),  # class-attr hook
         (SimulationError("bad opcode"), DETERMINISTIC),
-        (BudgetExceeded("budget"), DETERMINISTIC),
         (DeterministicError("verifier said no"), DETERMINISTIC),
         (ValueError("anything else recurs on replay"), DETERMINISTIC),
     ],

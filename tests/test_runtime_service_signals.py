@@ -3,7 +3,9 @@
 SIGSTOP freezes a worker without killing it, so nothing but the per-cell
 deadline notices, and a pool that still holds the frozen process can never
 be shut down by waiting.  SIGTERM is a polite kill that a forked worker must
-not turn into the supervisor's own interrupt.
+not turn into the supervisor's own interrupt.  SIGKILL of the supervisor
+itself leaves nothing to tear the pool down, so its workers must notice and
+exit on their own.
 
 Each case runs a four-cell, two-worker campaign on a real
 ``ProcessPoolExecutor`` (through ``executor_factory``), signals its workers
@@ -20,6 +22,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -216,6 +220,66 @@ def test_sigstop_idle_worker_before_teardown_does_not_hang(tmp_path, pools, seri
     assert pools.stopped
     assert supervisor.stats.timeouts == 0
     assert len(pools.pools) == 1
+
+
+def _pool_workers(pid: int):
+    """Pids of ``pid``'s children other than a multiprocessing resource
+    tracker (scans ``/proc``)."""
+    found = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+                with open(f"/proc/{name}/cmdline", "rb") as handle:
+                    cmdline = handle.read()
+            except OSError:
+                continue
+            if int(fields[1]) == pid and b"resource_tracker" not in cmdline:
+                found.append(int(name))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a live process (not gone, not a zombie awaiting reaping)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to find pool workers")
+def test_sigkilled_supervisor_takes_its_pool_workers_down(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    supervisor = subprocess.Popen(
+        [sys.executable, "-m", "repro", "suite", "--config", "no_predict", "lvp", "--jobs", "2",
+         "--max-insts", "4000", "--out-dir", str(tmp_path / "runs"), "--run-id", "orphans"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and supervisor.poll() is None:
+            workers = _pool_workers(supervisor.pid)
+            if len(workers) >= 2:
+                break
+            time.sleep(0.02)
+        assert len(workers) >= 2, "the supervisor never brought its pool up"
+        supervisor.kill()
+        supervisor.wait()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(_alive(pid) for pid in workers):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        assert not survivors, f"pool workers outlived their SIGKILLed supervisor: {survivors}"
+    finally:
+        if supervisor.poll() is None:
+            supervisor.kill()
+            supervisor.wait()
+        for pid in workers:
+            _signal(pid, signal.SIGKILL)
 
 
 def test_sigterm_busy_worker_rebuilds_the_pool(tmp_path, pools, serial_payloads):

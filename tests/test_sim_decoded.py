@@ -16,7 +16,7 @@ import pytest
 from repro.core.session import SimSession
 from repro.isa import ProgramBuilder, R
 from repro.sim import ArchState, FunctionalSimulator, Memory, decode
-from repro.sim.functional import SimulationError, run_program, stream_program
+from repro.sim.functional import SimulationError, run_program
 from repro.testing import GeneratorConfig, generate_case
 from repro.workloads.suite import WORKLOAD_CLASSES
 
@@ -45,14 +45,6 @@ def _assert_equivalent(program, make_memory, max_instructions=BUDGET):
     assert ref.state.state_equal(dec.state)
     assert ref.memory == dec.memory
     assert (ref.halted, ref.instructions) == (dec.halted, dec.instructions)
-
-    # The no-record fast path must leave the same architecture behind too.
-    fast_sim = FunctionalSimulator(program, memory=make_memory(), engine="decoded")
-    fast = fast_sim.run(max_instructions=max_instructions, collect_trace=False)
-    assert fast.trace is None
-    assert ref.state.state_equal(fast.state)
-    assert ref.memory == fast.memory
-    assert (ref.halted, ref.instructions) == (fast.halted, fast.instructions)
 
 
 # ----------------------------------------------------------------------
@@ -120,24 +112,22 @@ def test_unaligned_access_fault_matches_reference(collect_trace):
 
 
 # ----------------------------------------------------------------------
-# Observer raising mid-stream: last_result stays consistent in both engines
+# Consumer raising mid-stream: last_result stays consistent in both engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ["reference", "decoded"])
-def test_observer_raise_leaves_consistent_last_result(engine):
+def test_consumer_raise_leaves_consistent_last_result(engine):
     session = SimSession()
     workload = session.workload("li")
     program, memory = workload.build("ref")
     sim = FunctionalSimulator(program, memory=memory, engine=engine)
-
-    def explode(record, state):
-        if record.seq == 57:
-            raise RuntimeError("observer boom")
-
-    sim.add_observer(explode)
-    with pytest.raises(RuntimeError, match="observer boom"):
-        sim.run(max_instructions=BUDGET, collect_trace=True)
-    # The record whose observer raised had already committed architecturally,
-    # so it counts: both engines must report exactly 58 executed.
+    records = sim.iter_run(max_instructions=BUDGET)
+    with pytest.raises(RuntimeError, match="consumer boom"):
+        for record in records:
+            if record.seq == 57:
+                raise RuntimeError("consumer boom")
+    records.close()
+    # The record the consumer raised on had already committed
+    # architecturally, so it counts: both engines must report exactly 58.
     assert sim.last_result is not None
     assert sim.last_result.instructions == 58
     assert not sim.last_result.halted
@@ -160,7 +150,7 @@ def test_unknown_engine_rejected(engine):
 
 
 # ----------------------------------------------------------------------
-# Satellite: run_program / stream_program forward a caller-supplied state
+# run_program forwards a caller-supplied state
 # ----------------------------------------------------------------------
 def _seeded_state():
     state = ArchState()
@@ -181,12 +171,3 @@ def test_run_program_forwards_state():
     result = run_program(_state_program(), state=state)
     assert result.state is state
     assert result.state.read(R[1]) == 123
-
-
-def test_stream_program_forwards_state():
-    state = _seeded_state()
-    sim, records = stream_program(_state_program(), state=state)
-    for _ in records:
-        pass
-    assert sim.state is state
-    assert state.read(R[1]) == 123

@@ -85,9 +85,17 @@ def test_fp_file_separate_from_int():
     assert res.state.read(R[2]) == 9
 
 
-def test_max_instructions_truncates():
-    res = run_asm("loop: br loop\nhalt", max_instructions=25)
-    assert not res.halted and res.instructions == 25
+@pytest.mark.parametrize("engine", ["reference", "decoded"])
+def test_max_instructions_truncates(engine):
+    """A program still running at the budget is cut there, on every path."""
+    program = assemble("loop: br loop\nhalt")
+    for collect_trace in (False, True):
+        res = FunctionalSimulator(program, engine=engine).run(max_instructions=25, collect_trace=collect_trace)
+        assert not res.halted and res.instructions == 25
+        assert res.trace is None if not collect_trace else len(res.trace) == 25
+    sim = FunctionalSimulator(program, engine=engine)
+    assert len(list(sim.iter_run(max_instructions=25))) == 25
+    assert not sim.last_result.halted and sim.last_result.instructions == 25
 
 
 def test_pc_out_of_range_raises():
@@ -95,14 +103,6 @@ def test_pc_out_of_range_raises():
     b.li(R[1], 0)  # no halt: runs off the end
     with pytest.raises(SimulationError):
         run_program(b.build(), max_instructions=10)
-
-
-def test_observers_see_every_record():
-    seen = []
-    sim = FunctionalSimulator(assemble("li r1, #1\nadd r1, r1, #1\nhalt"))
-    sim.add_observer(lambda record, state: seen.append(record.pc))
-    sim.run()
-    assert seen == [0, 1, 2]
 
 
 def test_store_value_recorded():

@@ -22,7 +22,7 @@ from repro.profiling import (
     reg_id,
     resolve_deadness,
 )
-from repro.sim import FunctionalSimulator, stream_program
+from repro.sim import FunctionalSimulator
 from repro.uarch import RecoveryScheme, table1_config
 from repro.uarch.pipeline import simulate
 from repro.uarch.stream import PredictionOverlay, prepare_stream
@@ -152,13 +152,13 @@ def test_pipeline_accepts_generator_trace():
     ).trace
     want = simulate(eager_trace, NoPredictor(), config, RecoveryScheme.SELECTIVE)
 
-    _, stream = stream_program(workload.program, memory=workload.memory("ref"), max_instructions=BUDGET)
+    stream = FunctionalSimulator(workload.program, memory=workload.memory("ref")).iter_run(max_instructions=BUDGET)
     got = simulate(stream, NoPredictor(), config, RecoveryScheme.SELECTIVE)
     assert got.cycles == want.cycles
     assert got.committed == want.committed
 
     # prepare_stream over a generator, read through a predictor's overlay.
-    _, stream2 = stream_program(workload.program, memory=workload.memory("ref"), max_instructions=BUDGET)
+    stream2 = FunctionalSimulator(workload.program, memory=workload.memory("ref")).iter_run(max_instructions=BUDGET)
     entries = prepare_stream(stream2)
     eager_entries = prepare_stream(eager_trace)
     assert len(entries) == len(eager_entries)
@@ -166,12 +166,3 @@ def test_pipeline_accepts_generator_trace():
     eager_overlay = PredictionOverlay(eager_entries, DynamicRVP(loads_only=False))
     assert overlay.kind == eager_overlay.kind
     assert [overlay.facts(e) for e in entries] == [eager_overlay.facts(e) for e in eager_entries]
-
-
-def test_observers_fire_during_streaming():
-    workload = make_workload("go")
-    seen = []
-    sim = FunctionalSimulator(workload.program, memory=workload.memory("ref"))
-    sim.add_observer(lambda record, state: seen.append(record.seq))
-    records = list(sim.iter_run(max_instructions=500))
-    assert seen == [record.seq for record in records]

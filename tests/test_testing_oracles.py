@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from repro.compiler import insertion
+from repro.sim.decoded import DecodedProgram
 from repro.sim.functional import SimulationError
 from repro.testing import (
     ORACLE_FAMILIES,
@@ -176,6 +177,39 @@ def test_trace_equivalence_detects_perturbed_fault_divergence(monkeypatch):
     monkeypatch.setattr(oracles_mod, "_engine_run", misreporting)
     with pytest.raises(OracleViolation, match="perturbed memory"):
         ORACLES["trace-equivalence"](generate_case(0))
+
+
+def test_trace_equivalence_detects_fault_path_defect_in_record_handlers(monkeypatch):
+    """Defect: the decoded engine's record-producing load handlers advance
+    ``state.pc`` before raising an unaligned-access fault, so a faulting run
+    stops one pc past the reference.  These are the handlers every
+    production run dispatches; the fault leg must notice."""
+    real = DecodedProgram.bind_trace
+
+    def advancing(self, state, memory):
+        handlers = real(self, state, memory)
+        for inst in self.program:
+            if inst.op.is_load:
+
+                def run(seq, _handler=handlers[inst.pc], _fall=inst.pc + 1):
+                    try:
+                        return _handler(seq)
+                    except ValueError:
+                        state.pc = _fall
+                        raise
+
+                handlers[inst.pc] = run
+        return handlers
+
+    monkeypatch.setattr(DecodedProgram, "bind_trace", advancing)
+    detected = 0
+    for seed in SEEDS:
+        try:
+            ORACLES["trace-equivalence"](generate_case(seed))
+        except OracleViolation as violation:
+            assert "misaligned access" in violation.message
+            detected += 1
+    assert detected, "no generated case exercised a faulting load"
 
 
 def test_recovery_invariant_detects_phantom_recovery(monkeypatch):
