@@ -85,15 +85,14 @@ def test_fp_file_separate_from_int():
     assert res.state.read(R[2]) == 9
 
 
-@pytest.mark.parametrize("engine", ["reference", "decoded"])
-def test_max_instructions_truncates(engine):
+def test_max_instructions_truncates():
     """A program still running at the budget is cut there, on every path."""
     program = assemble("loop: br loop\nhalt")
     for collect_trace in (False, True):
-        res = FunctionalSimulator(program, engine=engine).run(max_instructions=25, collect_trace=collect_trace)
+        res = FunctionalSimulator(program).run(max_instructions=25, collect_trace=collect_trace)
         assert not res.halted and res.instructions == 25
         assert res.trace is None if not collect_trace else len(res.trace) == 25
-    sim = FunctionalSimulator(program, engine=engine)
+    sim = FunctionalSimulator(program)
     assert len(list(sim.iter_run(max_instructions=25))) == 25
     assert not sim.last_result.halted and sim.last_result.instructions == 25
 
