@@ -47,34 +47,38 @@ per-pc booleans :func:`~repro.uarch.stream.prepare_stream` bakes onto
 ``record.inst.op`` attribute chains, and fetch recycles committed/squashed
 :class:`FastDynInst` objects from a free pool instead of allocating per
 dynamic instruction.  Two pool-hygiene invariants: (1) a DynInst's ``gen``
-is **monotonically increasing across reuse** (acquire restores ``gen + 1``
-over the reset), so a completion event — ``(inst, gen)``, validated by
-``inst.gen == gen and state == _ISSUED`` exactly as in the reference — can
-never be claimed by a later incarnation or a later issue of the same one;
-(2) an instruction that never touched speculative state (renamed on the
-speculation-free path below, committed normally) is returned to the pool
-with every other field already at its post-reset default, so acquire only
-rewrites the handful of fields the plain lifecycle dirties — the ``dirty``
-flag marks the exceptions (speculative rename, squash victims) that need a
-complete reset.
+is **monotonically increasing across reuse** (acquire bumps it), so a
+completion event — ``(inst, gen)``, validated by ``inst.gen == gen and
+state == _ISSUED`` exactly as in the reference — can never be claimed by a
+later incarnation or a later issue of the same one; (2) an instruction that
+never touched speculative state (renamed on the speculation-free path
+below, not predicted, committed normally) is returned to the pool with
+every other field already at its default, so acquire only rewrites the
+handful of fields the plain lifecycle dirties.  The ``dirty`` flag marks
+the exceptions (speculative rename, a prediction, squash victims); acquire
+also resets their speculative and wakeup fields, one by one, in the fetch
+loop's own frame.
 
-**Two rename paths.**  A non-candidate (``overlay.kind[seq] is None``)
-none of whose in-flight producers is an unresolved prediction or carries a
-non-empty ``spec_on`` gets exactly what the reference rename would give it:
-its dependences are the stream's precomputed producer seqs, with no
-``dep_fix`` and no ``spec_on``.  It aliases that tuple and stays clean.
-Every other instruction (a prediction candidate, or a consumer of
-speculative state) goes through :meth:`_spec_rename`, a flat, closure-free
-form of the reference ``PipelineSimulator._rename`` that builds the
-filtered dependences, ``dep_fix`` and ``spec_on`` directly and decides the
-prediction; it marks the instruction dirty.
+**Two rename paths.**  An instruction none of whose in-flight producers is
+an unresolved prediction or carries a non-empty ``spec_on`` gets exactly
+what the reference rename would give its dependences: the stream's
+precomputed producer seqs, with no ``dep_fix`` and no ``spec_on``.  It
+aliases that tuple; if it is a prediction candidate
+(``overlay.kind[seq]`` is set) it then runs only the prediction decision,
+:meth:`_predict`, and it stays clean unless predicted.  Every other
+instruction (a consumer of speculative state) goes through
+:meth:`_spec_rename`, a flat, closure-free form of the reference
+``PipelineSimulator._rename`` that builds the filtered dependences,
+``dep_fix`` and ``spec_on`` directly, calls the same :meth:`_predict`, and
+marks the instruction dirty.
 
 The five pipeline stages are inlined into one loop in :meth:`_run` with
-every run-invariant hoisted out; the inherited per-stage methods of the
-reference class, ``_rename`` included, are *not* used by this tier (only
-the recovery callbacks — ``_try_resolve``/``_resolve``/``_repair_deps``/
-``_release_iq`` — are shared, with :meth:`_reset_inst` and
-:meth:`_squash_from` overridden to maintain the wakeup structures).
+every run-invariant hoisted out; the inherited per-stage and recovery
+methods of the reference class are *not* used by this tier.  Resolution
+and the three recovery schemes are one flat method, :meth:`_fast_resolve`
+(the reference ``_try_resolve``/``_resolve`` with dependence repair, reset
+and IQ release inlined), and :meth:`_squash_from` is overridden to maintain
+the wakeup structures and the pool; the reference methods stay the spec.
 
 ``_TEST_SKIP_EVENT`` is the mutation seam for the ``pipeline-equivalence``
 fuzz oracle's self-test: setting it True suppresses the closed-form IQ
@@ -107,14 +111,32 @@ class FastDynInst(DynInst):
     ``waiters`` holds the _WAIT consumers parked on this (non-DONE) producer;
     ``in_cand`` mirrors membership in the simulator's sorted candidate list;
     ``dirty`` records that this incarnation touched state outside the plain
-    fetch/dispatch/issue/commit lifecycle (speculative rename or squash) and
-    must be fully reset before reuse.  All are cleared by :meth:`reset`.
+    fetch/dispatch/issue/commit lifecycle (speculative rename, a prediction
+    or a squash).  Fetch resets a dirty entry's speculative fields, field by
+    field, when it takes the entry from the pool.
     """
 
     __slots__ = ("waiters", "in_cand", "dirty")
 
-    def reset(self, fetch_cycle: int) -> None:
-        super().reset(fetch_cycle)
+    def __init__(self, entry: StreamEntry) -> None:
+        # DynInst's defaults at fetch cycle 0, set here in one frame.
+        self.entry = entry
+        self.state = _WAIT
+        self.gen = 0
+        self.deps: Sequence[int] = ()
+        self.dep_fix: List[Tuple[int, int]] = []
+        self.spec_on: Set[int] = set()
+        self.spec_consumers: List[DynInst] = []
+        self.predicted = False
+        self.resolved = True
+        self.pred_correct = False
+        self.pred_value_dep: Optional[int] = None
+        self.first_use: Optional[int] = None
+        self.complete_cycle = -1
+        self.earliest_issue = 0
+        self.min_issue = 0
+        self.iq_released = False
+        self.train = False
         self.waiters: List["FastDynInst"] = []
         self.in_cand = False
         self.dirty = False
@@ -195,7 +217,10 @@ class FastPipelineSimulator(PipelineSimulator):
         update_load = self._update_load
         observe_store = self._observe_store
         trained = self._trained
+        unresolved = self.unresolved_preds
         spec_rename = self._spec_rename
+        predict = self._predict
+        fast_resolve = self._fast_resolve
         resolution_waiters = self._resolution_waiters
         recovery = self.recovery
         refetch = recovery is RecoveryScheme.REFETCH
@@ -275,7 +300,7 @@ class FastPipelineSimulator(PipelineSimulator):
                         if self.fetch_resume < cycle + 1:
                             self.fetch_resume = cycle + 1
                     if inst.predicted and not inst.resolved:
-                        self._try_resolve(inst)
+                        fast_resolve(inst)
                     # A completed value may be the comparison operand some
                     # older prediction is waiting on.
                     if resolution_waiters:
@@ -283,7 +308,7 @@ class FastPipelineSimulator(PipelineSimulator):
                         if waiters:
                             for pred in waiters:
                                 if pred.predicted and not pred.resolved and pred.state == _DONE:
-                                    self._try_resolve(pred)
+                                    fast_resolve(pred)
                     # Wake the consumers parked on this producer: they
                     # re-enter the candidate list and re-verify their other
                     # operands at issue.
@@ -392,11 +417,14 @@ class FastPipelineSimulator(PipelineSimulator):
                         if not inst.spec_on and not inst.iq_released:
                             inst.iq_released = True
                             iq_used[entry.iq] -= 1
-                    else:  # REISSUE
-                        if not self._held_by_older_prediction(inst):
-                            if not inst.iq_released:
-                                inst.iq_released = True
-                                iq_used[entry.iq] -= 1
+                    elif not inst.iq_released:  # REISSUE
+                        # Held while any older prediction is unresolved.
+                        for pending in unresolved:
+                            if pending < seq:
+                                break
+                        else:
+                            inst.iq_released = True
+                            iq_used[entry.iq] -= 1
                 self._cand = keep
 
             # ---------------- dispatch / rename -------------------------
@@ -421,29 +449,28 @@ class FastPipelineSimulator(PipelineSimulator):
                         stats.iq_stall_cycles += 1
                         break
                     fq.popleft()
-                    # Speculation-free rename (module docstring): a
-                    # non-candidate none of whose in-flight producers is
-                    # an unresolved prediction or carries spec_on aliases
-                    # the stream's prebuilt producer-seq tuple (never
-                    # mutated: dep_fix repairs only touch speculative
-                    # renames).  Either way the inst parks on its first
-                    # in-flight producer; that producer's completion
-                    # re-enters it into the candidates, where all operands
-                    # are re-verified.
+                    # Speculation-free rename (module docstring): an inst
+                    # none of whose in-flight producers is an unresolved
+                    # prediction or carries spec_on aliases the stream's
+                    # prebuilt producer-seq tuple (never mutated: dep_fix
+                    # repairs only touch speculative renames) and, if it
+                    # is a candidate, only decides its prediction.  Either
+                    # way the inst parks on its first in-flight producer;
+                    # that producer's completion re-enters it into the
+                    # candidates, where all operands are re-verified.
                     blocker = None
                     seq = entry.seq
                     deps = entry.dep_seqs
-                    speculative = kinds[seq] is not None
-                    if not speculative:
-                        for dep in deps:
-                            producer = wget(dep)
-                            if producer is not None:
-                                # Only a prediction is ever unresolved.
-                                if producer.spec_on or not producer.resolved:
-                                    speculative = True
-                                    break
-                                if blocker is None and producer.state != _DONE:
-                                    blocker = producer
+                    speculative = False
+                    for dep in deps:
+                        producer = wget(dep)
+                        if producer is not None:
+                            # Only a prediction is ever unresolved.
+                            if producer.spec_on or not producer.resolved:
+                                speculative = True
+                                break
+                            if blocker is None and producer.state != _DONE:
+                                blocker = producer
                     if speculative:
                         inst.dirty = True
                         if spec_rename(inst, pred_ports > 0):
@@ -460,6 +487,8 @@ class FastPipelineSimulator(PipelineSimulator):
                             record = entry.record
                             if record.addr is not None:
                                 observe_store(entry.pc, record.addr, record.store_value)
+                        if kinds[seq] is not None and predict(inst, pred_ports > 0):
+                            pred_ports -= 1
                     iq_used[iq] += 1
                     inst.iq_released = False
                     window[seq] = inst
@@ -507,20 +536,28 @@ class FastPipelineSimulator(PipelineSimulator):
                                     break
                             last_line = line
                         if pool:
+                            # The plain lifecycle leaves every other field
+                            # at its default; deps, iq_released and
+                            # earliest_issue are set on every pass and
+                            # train on every candidate's rename.
                             inst = pool.pop()
+                            inst.entry = entry
+                            inst.gen += 1  # monotonic across reuse
+                            inst.state = _WAIT
+                            inst.min_issue = 0
+                            inst.complete_cycle = -1
                             if inst.dirty:
-                                gen = inst.gen + 1  # monotonic across reuse
-                                inst.entry = entry
-                                inst.reset(fetch_cycle=cycle)
-                                inst.gen = gen
-                            else:
-                                # Plain lifecycle left every other field at
-                                # its post-reset default (see FastDynInst).
-                                inst.entry = entry
-                                inst.gen += 1
-                                inst.state = _WAIT
-                                inst.min_issue = 0
-                                inst.complete_cycle = -1
+                                inst.dirty = False
+                                inst.dep_fix = []
+                                inst.spec_on = set()
+                                inst.spec_consumers = []
+                                inst.predicted = False
+                                inst.resolved = True
+                                inst.pred_correct = False
+                                inst.pred_value_dep = None
+                                inst.first_use = None
+                                inst.waiters = []
+                                inst.in_cand = False
                         else:
                             inst = FastDynInst(entry)
                         inst.earliest_issue = front
@@ -605,11 +642,11 @@ class FastPipelineSimulator(PipelineSimulator):
         return self.stats
 
     # ==================================================================
-    # Speculative rename
+    # Speculative rename and the prediction decision
     # ==================================================================
     def _spec_rename(self, inst: FastDynInst, port_available: bool) -> bool:
-        """Rename an instruction that may touch speculative state; returns
-        True if it consumed a prediction read port.
+        """Rename an instruction that reads speculative state; returns True
+        if it consumed a prediction read port.
 
         Stats-exact flat form of the reference ``PipelineSimulator._rename``
         (the spec): the producers are walked in ``entry.dep_seqs`` order
@@ -619,7 +656,7 @@ class FastPipelineSimulator(PipelineSimulator):
         placeholder and re-indexes), and ``spec_on`` doubles as the
         reference's ``attached`` set (the two always hold the same seqs).
         ``spec_consumers`` appends keep the reference's order, inheritance
-        walks over the producer's ``spec_on`` set included: ``_resolve``
+        walks over the producer's ``spec_on`` set included: resolution
         visits consumers in that order.
         """
         entry = inst.entry
@@ -655,47 +692,55 @@ class FastPipelineSimulator(PipelineSimulator):
                 deps.append(pseq)
             if producer.spec_on:
                 self._inherit(inst, spec_on, producer)
+        inst.deps = deps
+        inst.dep_fix = dep_fix
+        inst.spec_on = spec_on
 
         # Memory-renaming predictors snoop stores at rename.
         if entry.is_store and self._observe_store is not None:
             record = entry.record
             if record.addr is not None:
                 self._observe_store(entry.pc, record.addr, record.store_value)
+        if self.overlay.kind[seq] is not None:
+            return self._predict(inst, port_available)
+        return False
 
-        # ---- value prediction decision ----
-        used_port = False
+    def _predict(self, inst: FastDynInst, port_available: bool) -> bool:
+        """The value prediction decision of candidate ``inst``, after its
+        dependences are renamed (either rename path); returns True if it
+        consumed a prediction read port.  Sets ``train`` on every
+        candidate, and marks a predicted instruction dirty."""
+        entry = inst.entry
+        seq = entry.seq
         overlay = self.overlay
         kind = overlay.kind[seq]
-        if kind is not None:
-            value_dep, inst.train = overlay.facts(entry)
-            predictor = self.predictor
-            predictable = predictor.confident(entry.pc)
-            stored_ok = True
-            table_backed = self._table_backed
-            if kind is SourceKind.STORED:
-                if table_backed:
-                    stored = predictor.stored_value(entry.pc)
-                    stored_ok = stored is not None
-                    inst.train = stored_ok and stored == entry.record.result
-                    value_dep = None
-                else:
-                    stored_ok = value_dep is not None
-            needs_port = not entry.is_load and not table_backed
-            if predictable and stored_ok and (port_available or not needs_port):
-                inst.predicted = True
-                inst.resolved = False
-                inst.pred_correct = inst.train
-                used_port = needs_port
-                inst.pred_value_dep = value_dep
-                producer = wget(value_dep) if value_dep is not None else None
-                if producer is not None and producer.spec_on:
-                    self._inherit(inst, spec_on, producer)
-                self.unresolved_preds[seq] = inst
-
-        inst.deps = deps
-        inst.dep_fix = dep_fix
-        inst.spec_on = spec_on
-        return used_port
+        value_dep, inst.train = overlay.facts_of[seq]
+        predictor = self.predictor
+        predictable = predictor.confident(entry.pc)
+        stored_ok = True
+        table_backed = self._table_backed
+        if kind is SourceKind.STORED:
+            if table_backed:
+                stored = predictor.stored_value(entry.pc)
+                stored_ok = stored is not None
+                inst.train = stored_ok and stored == entry.record.result
+                value_dep = None
+            else:
+                stored_ok = value_dep is not None
+        needs_port = not entry.is_load and not table_backed
+        if not (predictable and stored_ok and (port_available or not needs_port)):
+            return False
+        inst.dirty = True
+        inst.predicted = True
+        inst.resolved = False
+        inst.pred_correct = inst.train
+        inst.pred_value_dep = value_dep
+        if value_dep is not None:
+            producer = self.window.get(value_dep)
+            if producer is not None and producer.spec_on:
+                self._inherit(inst, inst.spec_on, producer)
+        self.unresolved_preds[seq] = inst
+        return needs_port
 
     def _inherit(self, inst: FastDynInst, spec_on: Set[int], producer: DynInst) -> None:
         """Add ``producer``'s still-unresolved input speculation to
@@ -707,6 +752,102 @@ class FastPipelineSimulator(PipelineSimulator):
             if pending is not None and pending_seq not in spec_on:
                 spec_on.add(pending_seq)
                 pending.spec_consumers.append(inst)
+
+    # ==================================================================
+    # Prediction resolution and the three recovery schemes
+    # ==================================================================
+    def _fast_resolve(self, pred: FastDynInst) -> None:
+        """Resolve completed prediction ``pred``, or park it until its
+        comparison value (the old mapping) completes.
+
+        Stats-exact flat form of the reference ``_try_resolve``/``_resolve``
+        with ``_repair_deps``, ``_reset_inst``, ``_release_iq`` and
+        ``_reissue_release_scan`` inlined (the spec), plus the candidate
+        list upkeep of a reset: an ISSUED/DONE instruction is neither a
+        candidate nor parked on a producer (both are _WAIT-only states), so
+        returning it to _WAIT re-enters it into the candidates; a _WAIT
+        instruction keeps its parking spot and only has its min_issue
+        bumped.
+        """
+        window = self.window
+        dep_seq = pred.pred_value_dep
+        if dep_seq is not None:
+            producer = window.get(dep_seq)
+            if producer is not None and producer.state != _DONE:
+                self._resolution_waiters.setdefault(dep_seq, []).append(pred)
+                return
+        pseq = pred.entry.seq
+        pred.resolved = True
+        unresolved = self.unresolved_preds
+        unresolved.pop(pseq, None)
+        recovery = self.recovery
+        iq_used = self.iq_used
+        reissue = recovery is RecoveryScheme.REISSUE
+        if pred.pred_correct:
+            selective = recovery is RecoveryScheme.SELECTIVE
+            for consumer in pred.spec_consumers:
+                spec_on = consumer.spec_on
+                spec_on.discard(pseq)
+                if (
+                    selective
+                    and not spec_on
+                    and consumer.state != _WAIT
+                    and not consumer.iq_released
+                ):
+                    consumer.iq_released = True
+                    iq_used[consumer.entry.iq] -= 1
+        elif recovery is RecoveryScheme.REFETCH:
+            if pred.first_use is not None:
+                self._squash_from(pred.first_use)
+                self.stats.value_squashes += 1
+            return
+        else:
+            # Repair each live consumer's operands that read a value this
+            # misprediction made stale.
+            live = [c for c in pred.spec_consumers if c.entry.seq in window]
+            for consumer in live:
+                consumer.spec_on.discard(pseq)
+                for index, true_seq in consumer.dep_fix:
+                    if true_seq == pseq:
+                        consumer.deps[index] = true_seq
+                    else:
+                        producer = window.get(true_seq)
+                        if producer is not None and pseq in producer.spec_on:
+                            consumer.deps[index] = true_seq
+            # Selective reissue replays those consumers; reissue replays
+            # everything after the first use.
+            if not reissue:
+                replay = live
+            elif pred.first_use is None:
+                replay = []
+            else:
+                first = pred.first_use
+                replay = [i for i in self.rob if i.entry.seq >= first and i is not pred]
+            floor = self.cycle + 1
+            reissued = 0
+            for inst in replay:
+                if inst.state != _WAIT:
+                    if not inst.in_cand:
+                        inst.in_cand = True
+                        insort(self._cand, inst.entry.seq)
+                    inst.state = _WAIT
+                    inst.gen += 1
+                    inst.complete_cycle = -1
+                    reissued += 1
+                if inst.min_issue < floor:
+                    inst.min_issue = floor
+            self.stats.reissued_instructions += reissued
+        if not reissue:
+            return
+        # REISSUE release scan: free the IQ entries of issued instructions
+        # older than every unresolved prediction (the ROB is in seq order).
+        oldest = min(unresolved) if unresolved else None
+        for inst in self.rob:
+            if oldest is not None and inst.entry.seq >= oldest:
+                break
+            if not inst.iq_released and inst.state != _WAIT:
+                inst.iq_released = True
+                iq_used[inst.entry.iq] -= 1
 
     # ==================================================================
     # Wake-up computation and closed-form skip accounting
@@ -831,18 +972,8 @@ class FastPipelineSimulator(PipelineSimulator):
                 stats.fetch_stall_cycles += stall if stall < skipped else skipped
 
     # ==================================================================
-    # Recovery callbacks (shared _resolve/_try_resolve call into these)
+    # Refetch squash
     # ==================================================================
-    def _reset_inst(self, inst: DynInst) -> None:
-        # An ISSUED/DONE instruction is neither a candidate nor parked on a
-        # producer (both are _WAIT-only states); returning it to _WAIT must
-        # re-enter it into the candidate list.  A _WAIT instruction keeps
-        # its current parking spot (the reference only bumps min_issue).
-        if inst.state != _WAIT and not inst.in_cand:
-            inst.in_cand = True
-            insort(self._cand, inst.seq)
-        super()._reset_inst(inst)
-
     def _squash_from(self, first_seq: int) -> None:
         # Stats-exact copy of the reference squash, adapted to the fast
         # tier's bare-instruction fetch queue, wakeup lists and pool.
@@ -853,12 +984,14 @@ class FastPipelineSimulator(PipelineSimulator):
         pool = self._pool
         keep: List[FastDynInst] = []
         for inst in self.rob:
-            if inst.seq >= first_seq:
+            seq = inst.entry.seq
+            if seq >= first_seq:
                 if not inst.iq_released:
-                    self._release_iq(inst)
+                    inst.iq_released = True
+                    self.iq_used[inst.entry.iq] -= 1
                 inst.gen += 1
-                del window[inst.seq]
-                unresolved.pop(inst.seq, None)
+                del window[seq]
+                unresolved.pop(seq, None)
                 inst.dirty = True
                 pool.append(inst)
             else:
@@ -866,7 +999,7 @@ class FastPipelineSimulator(PipelineSimulator):
         self.rob = deque(keep)
         new_queue: deque = deque()
         for inst in self.fetch_queue:
-            if inst.seq < first_seq:
+            if inst.entry.seq < first_seq:
                 new_queue.append(inst)
             else:
                 inst.dirty = True
@@ -874,17 +1007,17 @@ class FastPipelineSimulator(PipelineSimulator):
         self.fetch_queue = new_queue
         # Clean prediction bookkeeping that referenced squashed consumers.
         for pred in unresolved.values():
-            pred.spec_consumers = [c for c in pred.spec_consumers if c.seq < first_seq]
+            pred.spec_consumers = [c for c in pred.spec_consumers if c.entry.seq < first_seq]
             if pred.first_use is not None and pred.first_use >= first_seq:
-                pred.first_use = min((c.seq for c in pred.spec_consumers), default=None)
+                pred.first_use = min((c.entry.seq for c in pred.spec_consumers), default=None)
         for inst in self.rob:
             inst.spec_on = {s for s in inst.spec_on if s in unresolved}
             # Surviving producers must not wake squashed (pooled) consumers.
             if inst.waiters:
-                inst.waiters = [w for w in inst.waiters if w.seq < first_seq]
+                inst.waiters = [w for w in inst.waiters if w.entry.seq < first_seq]
         waiters_map = self._resolution_waiters
         for key in list(waiters_map):
-            kept_waiters = [p for p in waiters_map[key] if p.seq < first_seq]
+            kept_waiters = [p for p in waiters_map[key] if p.entry.seq < first_seq]
             if kept_waiters and key < first_seq:
                 waiters_map[key] = kept_waiters
             else:

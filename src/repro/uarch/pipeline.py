@@ -347,8 +347,6 @@ class PipelineSimulator:
         if inst.state == _WAIT:
             inst.min_issue = max(inst.min_issue, self.cycle + 1)
             return
-        if inst.state == _DONE and inst.seq in self.unresolved_preds:
-            pass  # cannot happen: resolution occurs at completion
         inst.state = _WAIT
         inst.gen += 1
         inst.min_issue = max(inst.min_issue, self.cycle + 1)

@@ -200,17 +200,17 @@ class PredictionOverlay:
 
     ``kind[seq]`` is the prediction source kind of every candidate — an
     instruction whose pc the routing lists — and ``None`` elsewhere.
-    :meth:`facts` gives a candidate's prediction-value producer and whether
-    a register-sourced (or ideal previous-instance) prediction would be
-    correct; table-backed STORED predictors read their own table at rename
-    instead.
+    ``facts_of[seq]`` (also :meth:`facts`) is a candidate's prediction-value
+    producer and whether a register-sourced (or ideal previous-instance)
+    prediction would be correct, built for every candidate at once;
+    table-backed STORED predictors read their own table at rename instead.
 
     The routing is :func:`predictor_routing` over the stream's static
     instructions in order of first appearance, so ``predictor.source()`` is
     called exactly once per static pc of the trace.
     """
 
-    __slots__ = ("kind", "_reg")
+    __slots__ = ("kind", "facts_of")
 
     def __init__(self, stream: Sequence[StreamEntry], predictor: ValuePredictor) -> None:
         insts = {entry.pc: entry.record.inst for entry in stream}
@@ -220,21 +220,22 @@ class PredictionOverlay:
         reg_source: Dict[int, int] = {pc: rid for pc, _, rid in routing if rid is not None}
         #: per seq: the candidate's source kind, or None
         self.kind: List[Optional[SourceKind]] = [kind_of.get(entry.pc) for entry in stream]
-        #: seq -> (value_dep, correct) of every REG-sourced candidate
-        self._reg: Dict[int, Tuple[Optional[int], bool]] = (
-            _register_mirror(stream, reg_source) if reg_source else {}
-        )
+        reg = _register_mirror(stream, reg_source) if reg_source else {}
+        dst, stored = SourceKind.DST, SourceKind.STORED
+        #: per seq: the candidate's (value_dep, correct), or None
+        self.facts_of: List[Optional[Tuple[Optional[int], bool]]] = [
+            None if kind is None
+            else (entry.dst_old_writer, entry.dst_same) if kind is dst
+            else (entry.prev_instance, entry.prev_same) if kind is stored
+            else reg[entry.seq]
+            for entry, kind in zip(stream, self.kind)
+        ]
 
     def facts(self, entry: StreamEntry) -> Tuple[Optional[int], bool]:
         """``(value_dep, correct)`` of candidate ``entry``: the producer of
         the value its prediction reads, and whether that value equals the
         result."""
-        kind = self.kind[entry.seq]
-        if kind is SourceKind.DST:
-            return entry.dst_old_writer, entry.dst_same
-        if kind is SourceKind.REG:
-            return self._reg[entry.seq]
-        return entry.prev_instance, entry.prev_same
+        return self.facts_of[entry.seq]
 
 
 def _register_mirror(

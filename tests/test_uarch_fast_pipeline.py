@@ -1,5 +1,6 @@
 """Fast timing tier: golden fast==reference stats matrix over the full
-workload suite with its rename mutation self-test, event-heap
+workload suite with its rename and resolve mutation self-tests, the fast
+tier's independence from the reference recovery path, event-heap
 ordering/validity, FastDynInst pool hygiene, and the pipeline-equivalence
 oracle's mutation self-test."""
 
@@ -14,10 +15,10 @@ from repro.sim import run_program
 from repro.testing import ORACLES, OracleViolation, generate_case
 from repro.uarch import fast as fast_mod
 from repro.uarch.fast import FastDynInst, FastPipelineSimulator
-from repro.uarch.pipeline import _DONE, _ISSUED, simulate
+from repro.uarch.pipeline import _DONE, _ISSUED, DynInst, PipelineSimulator, simulate
 from repro.uarch.recovery import RecoveryScheme
 from repro.uarch.config import table1_config
-from repro.vp import LastValuePredictor, NoPredictor
+from repro.vp import DynamicRVP, LastValuePredictor, NoPredictor
 from repro.workloads import all_workloads
 
 CFG = table1_config()
@@ -95,9 +96,12 @@ def _cell_counters(runner, config, machine, scheme):
 
 
 # ----------------------------------------------------------------------
-# Rename mutation self-test: each seeded rename bug fails a matrix cell
+# Rename and resolve mutation self-tests: each seeded bug fails a matrix
+# cell
 # ----------------------------------------------------------------------
 _REAL_SPEC_RENAME = FastPipelineSimulator._spec_rename
+_REAL_PREDICT = FastPipelineSimulator._predict
+_REAL_FAST_RESOLVE = FastPipelineSimulator._fast_resolve
 
 
 def _clear_dep_fix(self, inst, port_available):
@@ -113,36 +117,128 @@ def _keep_direct_spec_on(self, inst, port_available):
 
 
 def _ignore_port_limit(self, inst, port_available):
-    return _REAL_SPEC_RENAME(self, inst, True)
+    return _REAL_PREDICT(self, inst, True)
 
 
-#: mutant -> (wrapper of the real rename, the matrix cell it must break:
-#: workload, config, machine, recovery scheme)
+#: mutant -> (method it replaces, wrapper of the real method, the matrix
+#: cell it must break: workload, config, machine, recovery scheme)
 RENAME_MUTANTS = {
-    "dep_fix cleared": (_clear_dep_fix, ("hydro2d", "drvp", CFG, RecoveryScheme.REISSUE)),
+    "dep_fix cleared": (
+        "_spec_rename",
+        _clear_dep_fix,
+        ("hydro2d", "drvp", CFG, RecoveryScheme.REISSUE),
+    ),
     "inherited spec_on dropped": (
+        "_spec_rename",
         _keep_direct_spec_on,
         ("m88ksim", "lvp_all", CFG, RecoveryScheme.SELECTIVE),
     ),
+    # _predict is the one prediction decision of both rename paths.
     "port limit ignored": (
+        "_predict",
         _ignore_port_limit,
         ("go", "drvp_all_dead_lv", ONE_PORT, RecoveryScheme.SELECTIVE),
     ),
 }
 
 
+def _keep_spec_on_when_correct(self, pred):
+    # A correct prediction leaves its seq in its consumers' spec_on.
+    pseq = pred.entry.seq
+    held = [c for c in pred.spec_consumers if pseq in c.spec_on] if pred.pred_correct else []
+    _REAL_FAST_RESOLVE(self, pred)
+    if pred.resolved:
+        for consumer in held:
+            consumer.spec_on.add(pseq)
+
+
+def _skip_selective_repair(self, pred):
+    # A selective mispredict resets its consumers without the dep_fix repair.
+    if pred.pred_correct or self.recovery is not RecoveryScheme.SELECTIVE:
+        return _REAL_FAST_RESOLVE(self, pred)
+    stale = [(c, list(c.deps)) for c in pred.spec_consumers]
+    _REAL_FAST_RESOLVE(self, pred)
+    for consumer, deps in stale:
+        consumer.deps = deps
+
+
+def _skip_reissue_release_scan(self, pred):
+    # A REISSUE mispredict frees no IQ entry.  Nothing else in that path
+    # releases one, so undoing every release undoes exactly the scan.
+    if pred.pred_correct or self.recovery is not RecoveryScheme.REISSUE:
+        return _REAL_FAST_RESOLVE(self, pred)
+    held = [inst for inst in self.rob if not inst.iq_released]
+    _REAL_FAST_RESOLVE(self, pred)
+    for inst in held:
+        if inst.iq_released:
+            inst.iq_released = False
+            self.iq_used[inst.entry.iq] += 1
+
+
+RESOLVE_MUTANTS = {
+    "correct prediction keeps spec_on": (
+        "_fast_resolve",
+        _keep_spec_on_when_correct,
+        ("go", "drvp", CFG, RecoveryScheme.SELECTIVE),
+    ),
+    "selective mispredict skips dep_fix repair": (
+        "_fast_resolve",
+        _skip_selective_repair,
+        ("hydro2d", "drvp", CFG, RecoveryScheme.SELECTIVE),
+    ),
+    "reissue mispredict skips release scan": (
+        "_fast_resolve",
+        _skip_reissue_release_scan,
+        ("go", "drvp", CFG, RecoveryScheme.REISSUE),
+    ),
+}
+
+
 @pytest.mark.parametrize("mutant", RENAME_MUTANTS)
 def test_matrix_detects_rename_mutant(monkeypatch, mutant):
-    wrapper, (workload, config, machine, scheme) = RENAME_MUTANTS[mutant]
+    _assert_mutant_breaks_cell(monkeypatch, mutant, *RENAME_MUTANTS[mutant])
+
+
+@pytest.mark.parametrize("mutant", RESOLVE_MUTANTS)
+def test_matrix_detects_resolve_mutant(monkeypatch, mutant):
+    _assert_mutant_breaks_cell(monkeypatch, mutant, *RESOLVE_MUTANTS[mutant])
+
+
+def _assert_mutant_breaks_cell(monkeypatch, mutant, method, wrapper, cell):
+    workload, config, machine, scheme = cell
     assert config in MATRIX_CONFIGS
     assert machine is CFG or config in PORT_LIMITED_CONFIGS
-    monkeypatch.setattr(FastPipelineSimulator, "_spec_rename", wrapper)
+    monkeypatch.setattr(FastPipelineSimulator, method, wrapper)
     runner = ExperimentRunner(workload, max_instructions=3_000, session=SESSION)
-    counters = _cell_counters(runner, config, machine, scheme)
+    try:
+        counters = _cell_counters(runner, config, machine, scheme)
+    except RuntimeError as exc:
+        # A machine the mutant wedges trips the engine's deadlock check:
+        # the cell fails either way.
+        assert "deadlock" in str(exc), exc
+        return
     assert counters["fast"] != counters["reference"], (
         f"{mutant}: {workload}/{config}/pred_ports={machine.pred_ports}/"
         f"{scheme.value} did not diverge"
     )
+
+
+# ----------------------------------------------------------------------
+# The fast tier owns its recovery path
+# ----------------------------------------------------------------------
+def _refuse(*args, **kwargs):
+    raise AssertionError("the fast tier called the reference recovery path")
+
+
+@pytest.mark.parametrize("scheme", list(RecoveryScheme))
+def test_fast_tier_never_calls_reference_recovery(monkeypatch, squashy_trace, scheme):
+    reference = simulate(squashy_trace, LastValuePredictor(), CFG, scheme, engine="reference")
+    for name in ("_try_resolve", "_resolve", "_repair_and_reset", "_repair_deps", "_reset_inst"):
+        monkeypatch.setattr(PipelineSimulator, name, _refuse)
+    monkeypatch.setattr(DynInst, "reset", _refuse)
+    fast = simulate(squashy_trace, LastValuePredictor(), CFG, scheme, engine="fast")
+    assert fast.predictions > fast.correct_predictions > 0, "case must mispredict"
+    assert fast.counters() == reference.counters()
 
 
 #: Cells where a selectively reset instruction reissues and completes in
@@ -254,7 +350,13 @@ def test_squash_invalidates_pending_events(squashy_trace):
 # FastDynInst pool reset hygiene
 # ----------------------------------------------------------------------
 def test_reset_restores_wakeup_defaults(tiny_loop_program, tiny_loop_memory):
+    # Fetch's acquire site resets a dirty pool entry field by field.  Seed
+    # the pool with one dirty entry whose every speculative and wakeup
+    # field is stale: the first fetch takes it, and a predictor-free run
+    # never dirties it again, so each stale field still set at the end
+    # was missed at acquire.
     trace = trace_of(tiny_loop_program, tiny_loop_memory)
+    reference = simulate(trace, NoPredictor(), CFG, engine="reference")
     sim = _fast_sim(trace)
     inst = FastDynInst(sim.stream[0])
     other = FastDynInst(sim.stream[1])
@@ -262,20 +364,30 @@ def test_reset_restores_wakeup_defaults(tiny_loop_program, tiny_loop_memory):
     inst.in_cand = True
     inst.dirty = True
     inst.gen = 7
-    inst.reset(fetch_cycle=9)
+    inst.dep_fix = [(0, 1)]
+    inst.spec_on = {1}
+    inst.spec_consumers = [other]
+    inst.predicted = inst.pred_correct = True
+    inst.resolved = False
+    inst.pred_value_dep = inst.first_use = 1
+    sim._pool.append(inst)
+    assert sim.run().counters() == reference.counters()
+    assert inst in sim._pool, "every instruction commits back to the pool"
     assert inst.waiters == [] and inst.in_cand is False
     assert inst.dirty is False
-    assert inst.earliest_issue == 9
-    # reset() zeroes gen; the acquire path re-applies the pre-reset gen + 1
-    # so event gens stay monotonic across reuse.
-    assert inst.gen == 0
+    assert not inst.dep_fix and not inst.spec_on and not inst.spec_consumers
+    assert inst.predicted is False and inst.resolved is True and inst.pred_correct is False
+    assert inst.pred_value_dep is None and inst.first_use is None
+    # gen is monotonic across reuse: every acquire bumps it.
+    assert inst.gen > 7
 
 
 def test_pool_entries_are_clean_or_marked_dirty(squashy_trace):
     # A squash-heavy run (REFETCH + a mispredicting LVP) recycles both
     # committed instructions and squash victims.  Committed plain-lifecycle
     # entries must satisfy the fast-path acquire assumptions; everything
-    # else must carry the dirty flag that forces a full reset on reuse.
+    # else must carry the dirty flag that makes acquire reset its
+    # speculative fields.
     sim = _fast_sim(squashy_trace, LastValuePredictor(), RecoveryScheme.REFETCH)
     stats = sim.run()
     assert stats.value_squashes > 0, "case must actually exercise squashes"
@@ -283,15 +395,39 @@ def test_pool_entries_are_clean_or_marked_dirty(squashy_trace):
     assert any(inst.dirty for inst in sim._pool), "squash victims reach the pool"
     for inst in sim._pool:
         if inst.dirty:
-            continue  # acquire runs a full reset(); stale fields are fine
-        # Fast-path acquire resets only entry/gen/state/min_issue/
-        # complete_cycle — the rest must already be at defaults.
+            continue  # acquire resets the speculative fields
+        # Acquire rewrites only entry/gen/state/min_issue/complete_cycle of
+        # a clean entry — the rest must already be at defaults.  (train is
+        # not: a clean candidate keeps its last one, which every
+        # candidate's rename rewrites before completion reads it.)
         assert not inst.waiters, "pooled clean producers must not pin consumers"
         assert not inst.in_cand
         assert inst.state == _DONE
-        assert not inst.predicted and inst.resolved
+        assert inst.predicted is False and inst.resolved
+        assert not inst.dep_fix
         assert not inst.spec_on and not inst.spec_consumers
-        assert not inst.train and inst.iq_released
+        assert inst.iq_released
+
+
+class _NeverConfident(DynamicRVP):
+    """drvp_all whose confidence never reaches the threshold."""
+
+    def confident(self, pc):
+        return False
+
+
+@pytest.mark.parametrize("scheme", list(RecoveryScheme))
+def test_unpredicted_candidates_stay_clean(squashy_trace, scheme):
+    # With no prediction there is no speculative state: every candidate
+    # renames on the clean path, only decides its prediction, and returns
+    # to the pool clean.
+    sim = FastPipelineSimulator(squashy_trace, _NeverConfident(), CFG, scheme)
+    stats = sim.run()
+    assert any(kind is not None for kind in sim.overlay.kind), "case must have candidates"
+    assert stats.predictions == 0 and stats.value_squashes == 0
+    assert sim._pool and not any(inst.dirty for inst in sim._pool)
+    reference = simulate(squashy_trace, _NeverConfident(), CFG, scheme, engine="reference")
+    assert stats.counters() == reference.counters()
 
 
 def test_pool_reuse_keeps_stats_exact(squashy_trace):
