@@ -51,12 +51,10 @@ _LAZY = {
     "ProgramFacts": "facts",
     "ReachingDefsProblem": "facts",
     "UseSite": "facts",
-    "VERIFY_ENV": "verifier",
     "AllocationCheck": "verifier",
     "LintConfig": "verifier",
     "check_program": "verifier",
     "rule_catalog": "verifier",
-    "verification_enabled": "verifier",
     "verify_program": "verifier",
 }
 

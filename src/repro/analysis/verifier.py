@@ -3,11 +3,10 @@
 :func:`verify_program` runs every registered rule over a program and returns
 structured :class:`~repro.analysis.diagnostics.Diagnostic` records;
 :func:`check_program` raises :class:`VerificationError` when any
-error-severity diagnostic is produced.  Compiler passes use it as an
-on-by-default postcondition (opt out with ``REPRO_VERIFY_PASSES=0``), and
-:class:`~repro.core.session.SimSession` verifies each program variant once
-at cache-fill time — an illegal program is rejected *before* it can poison
-the shared trace cache.
+error-severity diagnostic is produced.  Compiler passes use it as a
+postcondition on every output, and :class:`~repro.core.session.SimSession`
+verifies each program variant once at cache-fill time — an illegal program
+is rejected *before* it can poison the shared trace cache.
 
 Rule catalog
 ------------
@@ -36,7 +35,6 @@ and RVP013.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -54,17 +52,6 @@ from .diagnostics import (
     rule,
 )
 from .facts import ProgramFacts
-
-#: Environment variable gating the pass postconditions (default: on).
-VERIFY_ENV = "REPRO_VERIFY_PASSES"
-
-
-def verification_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve a pass's ``verify`` argument against the environment default."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get(VERIFY_ENV, "1").lower() not in ("0", "false", "no", "off")
-
 
 @dataclass
 class LintConfig:
@@ -445,7 +432,6 @@ def check_program(
     config: Optional[LintConfig] = None,
     allocations: Sequence[AllocationCheck] = (),
     baseline: Optional[Program] = None,
-    pc_map: Optional[Dict[int, int]] = None,
 ) -> List[Diagnostic]:
     """Verify and raise :class:`VerificationError` on any error diagnostic.
 
@@ -453,9 +439,8 @@ def check_program(
     *introduced* raise: an error whose ``(rule, pc)`` already occurs in the
     baseline — e.g. a synthetic test program that reads an undefined
     register — is the input's problem, not the pass's, and passes through as
-    a finding.  ``pc_map`` translates baseline pcs for inserting passes.
-    The baseline is only verified when the output has errors at all, so the
-    clean path costs one verification, not two.
+    a finding.  The baseline is only verified when the output has errors at
+    all, so the clean path costs one verification, not two.
     """
     config = config or LintConfig()
     diagnostics = verify_program(
@@ -464,11 +449,8 @@ def check_program(
     if not has_errors(diagnostics):
         return diagnostics
     if baseline is not None:
-        mapping = pc_map or {}
         preexisting = {
-            (d.rule, mapping.get(d.pc, d.pc))
-            for d in verify_program(baseline, config=config)
-            if d.is_error
+            (d.rule, d.pc) for d in verify_program(baseline, config=config) if d.is_error
         }
         introduced = [
             d for d in diagnostics if d.is_error and (d.rule, d.pc) not in preexisting

@@ -23,7 +23,7 @@ reuse of the value in the other register for that instruction".
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from ..isa.instructions import Instruction
 from ..isa.program import Program
@@ -47,13 +47,12 @@ def mark_static_rvp(
     program: Program,
     lists: ProfileLists,
     level: str = "same",
-    verify: Optional[bool] = None,
 ) -> Program:
     """Return a program with the selected loads swapped to rvp opcodes.
 
-    Postcondition (on by default, ``verify=False`` or ``REPRO_VERIFY_PASSES=0``
-    to skip): the marked program passes the verifier — in particular RVP006,
-    every rvp opcode sits on a load whose destination can hold a prior value.
+    Postcondition: the marked program passes the verifier — in particular
+    RVP006, every rvp opcode sits on a load whose destination can hold a
+    prior value.
     """
     pcs = marked_pcs(program, lists, level)
 
@@ -64,8 +63,7 @@ def mark_static_rvp(
 
     marked = program.rewrite(mark, name=f"{program.name}+srvp_{level}")
 
-    from ..analysis.verifier import check_program, verification_enabled
+    from ..analysis.verifier import check_program
 
-    if verification_enabled(verify):
-        check_program(marked, source=f"mark_static_rvp[{level}]({program.name})", lists=lists, baseline=program)
+    check_program(marked, source=f"mark_static_rvp[{level}]({program.name})", lists=lists, baseline=program)
     return marked

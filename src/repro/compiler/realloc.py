@@ -99,22 +99,19 @@ def reallocate(
     program: Program,
     lists: ProfileLists,
     critical: Optional[Counter] = None,
-    loads_only: bool = False,
-    verify: Optional[bool] = None,
 ) -> Tuple[Program, ReallocReport]:
     """Apply Section 7.3 reallocation; returns (new program, report).
 
-    Postcondition (on by default, ``verify=False`` or ``REPRO_VERIFY_PASSES=0``
-    to skip): the rewritten program passes the verifier, including RVP007
-    (every recoloured web respects the pre-rewrite interference graph) and
-    RVP008 (applied LVR registers are genuinely loop-exclusive).
+    Postcondition: the rewritten program passes the verifier, including
+    RVP007 (every recoloured web respects the pre-rewrite interference graph)
+    and RVP008 (applied LVR registers are genuinely loop-exclusive).
     """
     critical = critical or Counter()
     total = ReallocReport()
     rewrites: Dict[int, Instruction] = {}
     checks = []
     for proc in program.procedures:
-        proc_rewrites, report, check = _reallocate_procedure(program, proc, lists, critical, loads_only)
+        proc_rewrites, report, check = _reallocate_procedure(program, proc, lists, critical)
         rewrites.update(proc_rewrites)
         checks.append(check)
         total = total.merged(report)
@@ -124,17 +121,16 @@ def reallocate(
 
     result = program.rewrite(rewrite, name=f"{program.name}+realloc")
 
-    from ..analysis.verifier import check_program, verification_enabled
+    from ..analysis.verifier import check_program
 
-    if verification_enabled(verify):
-        check_program(
-            result,
-            source=f"reallocate({program.name})",
-            lists=lists,
-            lvr_pcs=total.lvr_pcs,
-            allocations=checks,
-            baseline=program,
-        )
+    check_program(
+        result,
+        source=f"reallocate({program.name})",
+        lists=lists,
+        lvr_pcs=total.lvr_pcs,
+        allocations=checks,
+        baseline=program,
+    )
     return result, total
 
 
@@ -143,7 +139,6 @@ def _reallocate_procedure(
     proc: Procedure,
     lists: ProfileLists,
     critical: Counter,
-    loads_only: bool,
 ) -> Tuple[Dict[int, Instruction], ReallocReport, "AllocationCheck"]:
     # Imported here: analysis.verifier imports compiler.liveness, so a
     # module-level import would cycle through the package __init__.
@@ -168,7 +163,7 @@ def _reallocate_procedure(
     # Dead-register reuses first (they survive pruning longest, so they get
     # first pick of the registers).  Most valuable (critical) first.
     # ------------------------------------------------------------------
-    dead_candidates = _collect_dead_candidates(program, proc, lists, analysis, adjacency, critical, loads_only, report)
+    dead_candidates = _collect_dead_candidates(proc, lists, analysis, adjacency, critical, report)
     dead_moved: Set[int] = set()
     for cand in sorted(dead_candidates, key=lambda c: -c.critical):
         target = assignment[cand.src_web]
@@ -184,7 +179,7 @@ def _reallocate_procedure(
     # if registers run out, the abandoned ones are the outer-loop /
     # non-critical reuses (paper heuristics 2 and 3).
     # ------------------------------------------------------------------
-    lvr_candidates = _collect_lvr_candidates(program, proc, lists, analysis, critical, loads_only, report)
+    lvr_candidates = _collect_lvr_candidates(program, proc, lists, analysis, critical, report)
     used_colors = {assignment[web.index] for web in webs}
     for cand in sorted(lvr_candidates, key=lambda c: (-c.loop_depth, -c.critical)):
         if cand.def_web in dead_moved:
@@ -248,20 +243,16 @@ def _reallocate_procedure(
 
 
 def _collect_dead_candidates(
-    program: Program,
     proc: Procedure,
     lists: ProfileLists,
     analysis: WebAnalysis,
     adjacency: Dict[int, Set[int]],
     critical: Counter,
-    loads_only: bool,
     report: ReallocReport,
 ) -> List[_DeadCandidate]:
     candidates: List[_DeadCandidate] = []
     for pc, hint in sorted(lists.dead.items()):
         if pc not in proc:
-            continue
-        if loads_only and not program[pc].is_load:
             continue
         if pc in lists.same:
             continue  # already reusing; nothing to do
@@ -298,14 +289,11 @@ def _collect_lvr_candidates(
     lists: ProfileLists,
     analysis: WebAnalysis,
     critical: Counter,
-    loads_only: bool,
     report: ReallocReport,
 ) -> List[_LvrCandidate]:
     candidates: List[_LvrCandidate] = []
     for pc in sorted(lists.last_value):
         if pc not in proc or pc in lists.same:
-            continue
-        if loads_only and not program[pc].is_load:
             continue
         report.lvr_attempted += 1
         def_web = analysis.web_of_def(pc)

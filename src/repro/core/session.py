@@ -291,25 +291,18 @@ class SimSession:
         metrics.inc("session.program.misses")
         # Each variant is verified exactly once, here at cache-fill, so an
         # illegal program is rejected before it can poison the shared caches.
-        # ``realloc`` verifies inside the pass (it alone holds the RVP007/008
-        # interference context); the other variants are checked directly.
-        from ..analysis.verifier import check_program, verification_enabled
+        # The marking and reallocation passes verify their own output; the
+        # base program is checked directly.
+        from ..analysis.verifier import check_program
 
-        verify = verification_enabled()
         base = self.workload(name, scale).program
         if variant == "base":
             program = base
-            if verify:
-                check_program(program, source=f"workload {name!r} base program")
+            check_program(program, source=f"workload {name!r} base program")
         elif variant.startswith("srvp_"):
             level = variant[len("srvp_") :]
             lists = self.profile_lists(name, scale, max_instructions, eff_threshold, loads_only=True)
-            program = mark_static_rvp(base, lists, level, verify=False)
-            if verify:
-                check_program(
-                    program, source=f"workload {name!r} variant {variant!r}",
-                    lists=lists, baseline=base,
-                )
+            program = mark_static_rvp(base, lists, level)
         elif variant == "realloc":
             artifacts = self.train_artifacts(name, scale, max_instructions)
             lists = self.profile_lists(name, scale, max_instructions, eff_threshold, loads_only=False)

@@ -4,7 +4,6 @@ from .critpath import CriticalPathBuilder, critical_path_profile
 from .deadness import NUM_REG_IDS, reg_id, resolve_deadness
 from .lists import DeadHint, HintKind, ProfileLists
 from .reuse import Fig1Stats, MAX_MATCHES, ReuseProfile, ReuseProfileBuilder, SiteStats
-from .stride import StrideProfile, StrideSite
 
 __all__ = [
     "CriticalPathBuilder",
@@ -20,6 +19,4 @@ __all__ = [
     "MAX_MATCHES",
     "ReuseProfile",
     "SiteStats",
-    "StrideProfile",
-    "StrideSite",
 ]

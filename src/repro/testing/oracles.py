@@ -18,13 +18,11 @@ Five oracle families, each a callable ``oracle(case)`` registered in
     commit count, final state and memory included.
 
 ``pass-preservation``
-    Every verifier-guarded compiler pass (marking, insertion, stride,
-    reallocation) must leave observable semantics unchanged under
-    no-speculation execution: identical memory, identical per-instruction
-    results/addresses/branch outcomes, and — for the insertion-based passes —
-    a committed-instruction count that accounts for every inserted
-    instruction (a silently dropped insertion is a detected defect, not a
-    smaller program).
+    Every verifier-guarded compiler pass (static RVP marking at each level,
+    Section 7.3 reallocation) must leave observable semantics unchanged
+    under no-speculation execution: the same committed-instruction count,
+    identical memory and identical per-instruction results/addresses/branch
+    outcomes.
 
 ``predictor-sanity``
     Confidence state never escapes its encoding (resetting counters stay in
@@ -50,25 +48,21 @@ Five oracle families, each a callable ``oracle(case)`` registered in
     the self-tests use to prove this family detects broken cycle skipping.
 
 Helper entry points (``_eager_run`` / ``_streaming_run`` / ``_reference_run``
-/ ``_engine_run`` / ``_simulate`` / ``_train_predictor``) are deliberate seams: the mutation self-tests
-monkeypatch them to seed defects and prove each family actually detects
-something.
+/ ``_engine_run`` / ``_simulate`` / ``_train_predictor``) and the passes
+this module imports (``mark_static_rvp`` / ``reallocate``) are deliberate
+seams: the mutation self-tests monkeypatch them to seed defects and prove
+each family actually detects something.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.diagnostics import VerificationError
-from ..compiler.insertion import insert_after
-from ..analysis.effects import explicit_defs, explicit_uses
 from ..compiler.marking import MARKING_LEVELS, mark_static_rvp
 from ..compiler.realloc import reallocate
-from ..compiler.stride_pass import apply_stride_pass
-from ..isa.instructions import Instruction
-from ..isa.opcodes import MASK64, OpKind, opcode
+from ..isa.opcodes import MASK64
 from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.deadness import reg_id
@@ -320,105 +314,10 @@ def _same_shape_equivalent(name: str, label: str, base: RunResult, transformed: 
     return after
 
 
-def _insertion_diff(name: str, label: str, old: Program, new: Program) -> Tuple[Dict[int, int], List[int]]:
-    """Recover (pc_map, insertion sites) from an insertion-only rewrite.
-
-    Returns ``old pc -> new pc`` plus the list of old pcs each inserted
-    instruction was placed after.  Relies on inserted instructions being
-    distinguishable from the originals (self-moves / shadow-register adds,
-    which the generator never emits).
-    """
-
-    def key(inst: Instruction) -> Tuple:
-        return (inst.op.name, inst.dst, inst.src1, inst.src2, inst.imm, inst.target)
-
-    pc_map: Dict[int, int] = {}
-    sites: List[int] = []
-    i = 0
-    for j in range(len(new)):
-        if i < len(old) and key(new[j]) == key(old[i]):
-            pc_map[i] = j
-            i += 1
-        else:
-            _require(i > 0, name, f"{label}: instruction inserted before program start")
-            sites.append(i - 1)
-    _require(i == len(old), name, f"{label}: rewrite dropped {len(old) - i} original instruction(s)")
-    return pc_map, sites
-
-
-def _inserted_equivalent(
-    name: str,
-    label: str,
-    base: RunResult,
-    old: Program,
-    new: Program,
-    case: GeneratedCase,
-    dyn_counts: Counter,
-    expected_sites: Optional[Sequence[int]] = None,
-    expected_count: Optional[int] = None,
-) -> RunResult:
-    """For insertion passes: accounted committed count + projected equality.
-
-    ``expected_sites`` (exact) or ``expected_count`` (at least) pin the diff
-    against what the pass was *asked* to insert — a pass that silently drops
-    an insertion produces a self-consistent smaller program, so the recovered
-    diff alone cannot catch it.
-    """
-    pc_map, sites = _insertion_diff(name, label, old, new)
-    if expected_sites is not None:
-        _require(
-            sorted(sites) == sorted(expected_sites),
-            name,
-            f"{label}: inserted after pcs {sorted(sites)}, requested {sorted(expected_sites)}",
-        )
-    if expected_count is not None:
-        _require(
-            len(sites) == expected_count,
-            name,
-            f"{label}: {len(sites)} insertion(s) found, pass reported {expected_count}",
-        )
-    expected_extra = sum(dyn_counts[site] for site in sites)
-    try:
-        after = _eager_run(new, case.memory())
-    except SimulationError as exc:
-        raise OracleViolation(name, f"{label}: transformed program crashed: {exc!r}")
-    _require(after.halted, name, f"{label}: transformed program did not halt")
-    _require(
-        after.instructions == base.instructions + expected_extra,
-        name,
-        f"{label}: committed {after.instructions}, expected "
-        f"{base.instructions} + {expected_extra} inserted executions",
-    )
-    _require(after.memory == base.memory, name, f"{label}: final memory diverges")
-    inverse = {new_pc: old_pc for old_pc, new_pc in pc_map.items()}
-    originals = [r for r in after.trace if r.pc in inverse]
-    _require(
-        len(originals) == len(base.trace),
-        name,
-        f"{label}: {len(originals)} original-instruction commits vs base {len(base.trace)}",
-    )
-    for expected, got in zip(base.trace, originals):
-        _require(
-            (inverse[got.pc], got.result, got.addr, got.store_value, got.taken)
-            == (expected.pc, expected.result, expected.addr, expected.store_value, expected.taken),
-            name,
-            f"{label}: observable divergence at base seq {expected.seq}",
-        )
-    return after
-
-
-def _explicit_regs(program: Program):
-    touched = set()
-    for inst in program:
-        touched |= set(explicit_defs(inst)) | set(explicit_uses(inst))
-    return touched
-
-
 def check_pass_preservation(case: GeneratedCase) -> None:
     name = "pass-preservation"
     base = _base_run(case)
     program = case.program
-    dyn_counts = Counter(record.pc for record in base.trace)
     profile = ReuseProfile.from_trace(base.trace)
     lists_loads = profile.profile_lists(PROFILE_THRESHOLD, loads_only=True, min_count=PROFILE_MIN_COUNT)
     lists_all = profile.profile_lists(PROFILE_THRESHOLD, loads_only=False, min_count=PROFILE_MIN_COUNT)
@@ -433,60 +332,6 @@ def check_pass_preservation(case: GeneratedCase) -> None:
         except VerificationError as exc:
             raise OracleViolation(name, f"marking[{level}]: verifier rejected output: {exc}")
         _same_shape_equivalent(name, f"marking[{level}]", base, marked, case)
-
-    # -- raw insertion: benign self-moves after deterministic ALU sites --
-    # Each site self-moves its own destination register: that register is
-    # defined at the insertion point by construction, so the check holds
-    # whatever registers the program defines first.
-    alu_sites = [
-        inst.pc
-        for inst in program
-        if inst.op.kind is OpKind.ALU and inst.writes is not None and inst.writes.is_int and not inst.writes.is_zero
-    ]
-    if alu_sites:
-        step = max(1, len(alu_sites) // 3)
-        chosen = alu_sites[::step][:3]
-        moves = {
-            pc: [Instruction(op=opcode("mov"), dst=program[pc].writes, src1=program[pc].writes)]
-            for pc in chosen
-        }
-        try:
-            inserted, _ = insert_after(program, moves)
-        except VerificationError as exc:
-            raise OracleViolation(name, f"insertion: verifier rejected output: {exc}")
-        after = _inserted_equivalent(
-            name, "insertion", base, program, inserted, case, dyn_counts, expected_sites=chosen
-        )
-        _require(
-            after.state.state_equal(base.state),
-            name,
-            "insertion: self-moves changed final register state",
-        )
-
-    # -- stride pass: shadow adds must execute and stay shadow-only ------
-    int_sites = [
-        inst.pc
-        for inst in program
-        if inst.writes is not None and inst.writes.is_int and inst.op.kind in (OpKind.ALU, OpKind.LOAD)
-    ]
-    if int_sites:
-        step = max(1, len(int_sites) // 3)
-        strides = {pc: 1 + (case.seed + pc) % 7 for pc in int_sites[::step][:3]}
-        try:
-            strided, _, report = apply_stride_pass(program, strides, lists_all)
-        except VerificationError as exc:
-            raise OracleViolation(name, f"stride: verifier rejected output: {exc}")
-        after = _inserted_equivalent(
-            name, "stride", base, program, strided, case, dyn_counts, expected_count=report.applied
-        )
-        base_regs = _explicit_regs(program)
-        for reg in sorted(base_regs, key=lambda r: (r.kind, r.index)):
-            _require(
-                after.state.read(reg) == base.state.read(reg),
-                name,
-                f"stride: base-program register {reg.name} diverges "
-                f"({after.state.read(reg)} vs {base.state.read(reg)})",
-            )
 
     # -- Section 7.3 reallocation: values move registers, nothing else ---
     try:

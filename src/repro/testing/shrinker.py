@@ -2,8 +2,7 @@
 
 The shrinker never needs to understand *why* an oracle fails: it deletes
 candidate instruction ranges, rebuilds a structurally valid program (labels
-and procedure boundaries remapped exactly the way
-:func:`repro.compiler.insertion.insert_after` shifts them, in reverse) and
+and procedure boundaries remapped to the next surviving instruction) and
 keeps the deletion iff the caller's predicate still reports the failure.
 Invalid intermediates (empty procedures, labels falling off the end, programs
 that no longer halt) are simply rejected by the predicate wrapper in

@@ -13,7 +13,7 @@ Locality structure (what RVP sees):
 * the ``b`` array is a correlated copy of ``a`` shifted by one element, so
   ``b[i]`` frequently equals the value ``a`` loaded the previous iteration —
   dead/live-register correlation across the two load destinations;
-* both pointers stride by the word size, feeding the stride shadow pass.
+* both pointers stride by the word size.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ hand-written termination proofs.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import List, Tuple
 
@@ -94,6 +95,15 @@ def random_memory(seed: int) -> Memory:
     for addr in GEN_ADDRS:
         memory.store(addr, rng.randrange(0, 1 << 20))
     return memory
+
+
+def bump_first_li(program: Program) -> Program:
+    """``program`` with the immediate of its first ``li`` off by one: a
+    verifier-clean pass output that computes the wrong value."""
+    victim = next(inst.pc for inst in program if inst.op.name == "li")
+    return program.rewrite(
+        lambda inst: dataclasses.replace(inst, imm=inst.imm + 1) if inst.pc == victim else inst
+    )
 
 
 @pytest.fixture

@@ -1,10 +1,9 @@
 """Golden: verifier-approved pass outputs execute identically everywhere.
 
-For two workloads, the realloc and stride/insertion outputs must (a) pass
-the verifier with their pass-supplied context and (b) produce byte-identical
-traces and final state under the eager ``run`` path and the streaming
-``iter_run`` path — transformation plus verification must not perturb
-execution semantics.
+For two workloads, the realloc output must (a) pass the verifier with its
+pass-supplied context and (b) produce byte-identical traces and final state
+under the eager ``run`` path and the streaming ``iter_run`` path —
+transformation plus verification must not perturb execution semantics.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.verifier import verify_program
-from repro.compiler import apply_stride_pass, reallocate
+from repro.compiler import reallocate
 from repro.core.session import SimSession
-from repro.profiling import StrideProfile
 from repro.sim import FunctionalSimulator
 from repro.workloads.suite import make_workload
 
@@ -31,17 +29,6 @@ def realloc_output(name):
     lists = _session.profile_lists(name, 1.0, TRAIN_BUDGET, 0.8, loads_only=False)
     program, report = reallocate(base, lists, artifacts.critical)
     return program, lists, report
-
-
-def stride_output(name):
-    workload = make_workload(name)
-    trace = FunctionalSimulator(workload.program, memory=workload.memory("train")).run(
-        max_instructions=TRAIN_BUDGET, collect_trace=True
-    ).trace
-    strides = StrideProfile.from_trace(trace).strided_pcs(0.9, loads_only=True)
-    lists = _session.profile_lists(name, 1.0, TRAIN_BUDGET, 0.8, loads_only=True)
-    program, new_lists, report = apply_stride_pass(workload.program, strides, lists)
-    return program, new_lists, report
 
 
 def assert_streaming_matches_eager(name, program):
@@ -63,14 +50,6 @@ def assert_streaming_matches_eager(name, program):
 def test_realloc_output_verifies_and_runs_identically(name):
     program, lists, report = realloc_output(name)
     diags = verify_program(program, lists=lists, lvr_pcs=report.lvr_pcs)
-    assert not any(d.is_error for d in diags), [str(d) for d in diags]
-    assert_streaming_matches_eager(name, program)
-
-
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_stride_output_verifies_and_runs_identically(name):
-    program, lists, report = stride_output(name)
-    diags = verify_program(program, lists=lists)
     assert not any(d.is_error for d in diags), [str(d) for d in diags]
     assert_streaming_matches_eager(name, program)
 

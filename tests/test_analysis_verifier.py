@@ -4,12 +4,10 @@ import pytest
 
 from repro.analysis.diagnostics import Severity, VerificationError
 from repro.analysis.verifier import (
-    VERIFY_ENV,
     AllocationCheck,
     LintConfig,
     check_program,
     rule_catalog,
-    verification_enabled,
     verify_program,
 )
 from repro.compiler.webs import Web
@@ -399,15 +397,6 @@ def test_check_program_baseline_suppresses_preexisting_errors():
     # The same (rule, pc) error exists in the baseline -> not introduced.
     diags = check_program(program, source="delta", baseline=program)
     assert any(d.rule == "RVP003" for d in diags)
-
-
-def test_verification_enabled_env_gate(monkeypatch):
-    monkeypatch.delenv(VERIFY_ENV, raising=False)
-    assert verification_enabled() and verification_enabled(True)
-    assert not verification_enabled(False)
-    monkeypatch.setenv(VERIFY_ENV, "0")
-    assert not verification_enabled()
-    assert verification_enabled(True)  # explicit argument wins
 
 
 def test_rule_catalog_is_complete():

@@ -276,9 +276,14 @@ def test_fuzz_command_failure_exit_code_and_artifacts(capsys, tmp_path, monkeypa
     """A seeded defect makes `repro fuzz` exit 1 and write shrunk reproducers."""
     import json
 
-    from repro.compiler import insertion
+    from conftest import bump_first_li
 
-    monkeypatch.setattr(insertion, "_TEST_DROP_FIRST_INSERTED", True)
+    from repro.testing import oracles
+
+    real = oracles.mark_static_rvp
+    monkeypatch.setattr(
+        oracles, "mark_static_rvp", lambda program, *args: bump_first_li(real(program, *args))
+    )
     out_dir = tmp_path / "repro-artifacts"
     code, out = run_cli(
         capsys, "fuzz", "--runs", "2", "--seed", "0",

