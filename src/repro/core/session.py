@@ -10,6 +10,11 @@ machine sweep paid the functional-sim cost three times per workload.
 :class:`SimSession` is the fix: one process-wide memo of
 
 * **workloads** — ``(name, scale)`` → the :class:`Workload` instance,
+* **input images** — held by that instance: each ``(name, scale, input)``
+  image is populated once, kept as a compact
+  :class:`~repro.sim.memory.MemoryImage`, and every trace or profile pass
+  gets its own fresh :class:`~repro.sim.memory.Memory` rebuilt from it
+  (:meth:`~repro.workloads.base.Workload.memory`),
 * **train artifacts** — ``(name, scale, max_instructions)`` → the reuse
   profile *and* critical-path profile, built from a single streamed
   functional pass (the trace is never materialized),
@@ -106,8 +111,9 @@ DEFAULT_TRACE_CAP = 32
 #: estimated bytes.
 DEFAULT_TRACE_BYTES = 256 * 1024 * 1024
 
-#: Estimated resident cost of one cached :class:`TraceRecord` (slots, ints,
-#: tuple overhead) — an accounting constant, not a measurement.
+#: Estimated resident cost of one cached :class:`TraceRecord` (the record
+#: tuple, its ints and operand tuple) — an accounting constant, not a
+#: measurement.
 TRACE_RECORD_BYTES = 400
 
 #: Estimated resident cost of one cached :class:`StreamEntry` *beyond* its
@@ -489,7 +495,9 @@ class SimSession:
 
         Each is a sha256 over the base program's canonical text
         (:meth:`~repro.isa.program.Program.render`) and the input image's
-        sorted nonzero words (:meth:`~repro.sim.memory.Memory.image_bytes`),
+        sorted nonzero words
+        (:meth:`~repro.sim.memory.MemoryImage.image_bytes` of the
+        workload's stored :meth:`~repro.workloads.base.Workload.image`),
         so any change to the program or an input shows in the digest.  The
         base program is read from the workload directly, unverified: nothing
         runs here, and every program a cell simulates is verified when
@@ -507,7 +515,7 @@ class SimSession:
         digests: Dict[str, str] = {}
         for input_name in input_names:
             hasher = hashlib.sha256(text)
-            hasher.update(workload.memory(input_name).image_bytes())
+            hasher.update(workload.image(input_name).image_bytes())
             digests[input_name] = hasher.hexdigest()
         self._batches[key] = digests
         return digests

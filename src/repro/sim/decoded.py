@@ -3,8 +3,8 @@
 The reference interpreter (:meth:`~repro.sim.functional.FunctionalSimulator.step`)
 re-decodes every static instruction on every dynamic execution: an
 ``OpKind`` if-chain, per-operand :meth:`~repro.sim.machine.ArchState.read`
-calls, alignment math inside :class:`~repro.sim.memory.Memory`, and a frozen
-dataclass allocation per commit.  Dynamic instruction streams are dominated
+calls, alignment math inside :class:`~repro.sim.memory.Memory`, and a
+keyword-built record per commit.  Dynamic instruction streams are dominated
 by a small static working set inside loops, so all of that work amortizes to
 near zero if it is done once per *static* instruction instead.
 
@@ -26,8 +26,10 @@ instruction with the live register-bank lists and memory bound into the
 closure cells (threaded code): ``handler(seq) -> TraceRecord``, which
 performs the architectural effects, advances ``state.pc`` and returns a
 record bit-identical to the reference interpreter's (including unmasked
-``li`` results and the ``old_dest`` capture).  Every decoded run, with or
-without a trace kept, dispatches these handlers.
+``li`` results and the ``old_dest`` capture).  Handlers build that record
+with ``tuple.__new__(TraceRecord, fields)``, skipping the generated
+keyword ``__new__`` of the :class:`~typing.NamedTuple`.  Every decoded run,
+with or without a trace kept, dispatches these handlers.
 
 Handlers are rebuilt per run (one closure per *static* instruction — noise
 next to tens of thousands of dynamic executions), while the decode pass
@@ -82,6 +84,7 @@ def _decode_one(inst: Instruction) -> Callable:
     pc = inst.pc
     fall = pc + 1
     inst_ref = inst  # closure cell shared by every dynamic execution
+    new = tuple.__new__  # builds a TraceRecord without the keyword layer
     TR = TraceRecord
     dst = inst.writes  # None: no architectural write (incl. zero-reg dest)
 
@@ -104,7 +107,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         old = bd[di]
                         bd[di] = result & MASK64
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, result, old, (a, b), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, result, old, (a, b), None, None, None))
 
                     return run
 
@@ -118,7 +121,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         b = b2[i2]
                         result = fn(a, b)
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, result, 0, (a, b), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, result, 0, (a, b), None, None, None))
 
                     return run
 
@@ -137,7 +140,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         old = bd[di]
                         bd[di] = result & MASK64
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, result, old, (a,), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, result, old, (a,), None, None, None))
 
                     return run
 
@@ -150,7 +153,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         a = b1[i1]
                         result = fn(a, imm)
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, result, 0, (a,), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, result, 0, (a,), None, None, None))
 
                     return run
 
@@ -168,7 +171,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         old = bd[di]
                         bd[di] = const_masked
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, const_result, old, (), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, const_result, old, (), None, None, None))
 
                     return run
 
@@ -177,7 +180,7 @@ def _decode_one(inst: Instruction) -> Callable:
                 def build_trace(state, memory):
                     def run(seq):
                         state.pc = fall
-                        return TR(seq, pc, inst_ref, fall, const_result, 0, (), None, None, None)
+                        return new(TR, (seq, pc, inst_ref, fall, const_result, 0, (), None, None, None))
 
                     return run
 
@@ -202,7 +205,7 @@ def _decode_one(inst: Instruction) -> Callable:
                     old = bd[di]
                     bd[di] = result
                     state.pc = fall
-                    return TR(seq, pc, inst_ref, fall, result, old, (base,), addr, None, None)
+                    return new(TR, (seq, pc, inst_ref, fall, result, old, (base,), addr, None, None))
 
                 return run
 
@@ -219,7 +222,7 @@ def _decode_one(inst: Instruction) -> Callable:
                         raise ValueError(f"unaligned access at address {addr:#x}")
                     result = load_wi(addr >> 3)
                     state.pc = fall
-                    return TR(seq, pc, inst_ref, fall, result, 0, (base,), addr, None, None)
+                    return new(TR, (seq, pc, inst_ref, fall, result, 0, (base,), addr, None, None))
 
                 return run
 
@@ -241,7 +244,7 @@ def _decode_one(inst: Instruction) -> Callable:
                     raise ValueError(f"unaligned access at address {addr:#x}")
                 store_wi(addr >> 3, value)
                 state.pc = fall
-                return TR(seq, pc, inst_ref, fall, None, None, (base, value), addr, value, None)
+                return new(TR, (seq, pc, inst_ref, fall, None, None, (base, value), addr, value, None))
 
             return run
 
@@ -262,9 +265,9 @@ def _decode_one(inst: Instruction) -> Callable:
                 v = b1[i1]
                 if _test(v):
                     state.pc = target
-                    return TR(seq, pc, inst_ref, target, None, None, (v,), None, None, True)
+                    return new(TR, (seq, pc, inst_ref, target, None, None, (v,), None, None, True))
                 state.pc = fall
-                return TR(seq, pc, inst_ref, fall, None, None, (v,), None, None, False)
+                return new(TR, (seq, pc, inst_ref, fall, None, None, (v,), None, None, False))
 
             return run
 
@@ -275,7 +278,7 @@ def _decode_one(inst: Instruction) -> Callable:
         def build_trace(state, memory):
             def run(seq):
                 state.pc = target
-                return TR(seq, pc, inst_ref, target, None, None, (), None, None, None)
+                return new(TR, (seq, pc, inst_ref, target, None, None, (), None, None, None))
 
             return run
 
@@ -293,7 +296,7 @@ def _decode_one(inst: Instruction) -> Callable:
                     old = bd[di]
                     bd[di] = return_pc
                     state.pc = target
-                    return TR(seq, pc, inst_ref, target, return_pc, old, (), None, None, None)
+                    return new(TR, (seq, pc, inst_ref, target, return_pc, old, (), None, None, None))
 
                 return run
 
@@ -302,7 +305,7 @@ def _decode_one(inst: Instruction) -> Callable:
             def build_trace(state, memory):
                 def run(seq):
                     state.pc = target
-                    return TR(seq, pc, inst_ref, target, return_pc, 0, (), None, None, None)
+                    return new(TR, (seq, pc, inst_ref, target, return_pc, 0, (), None, None, None))
 
                 return run
 
@@ -317,7 +320,7 @@ def _decode_one(inst: Instruction) -> Callable:
             def run(seq):
                 t = b1[i1]
                 state.pc = t
-                return TR(seq, pc, inst_ref, t, None, None, (t,), None, None, None)
+                return new(TR, (seq, pc, inst_ref, t, None, None, (t,), None, None, None))
 
             return run
 
@@ -327,7 +330,7 @@ def _decode_one(inst: Instruction) -> Callable:
         def build_trace(state, memory):
             def run(seq):
                 state.pc = pc
-                return TR(seq, pc, inst_ref, pc, None, None, (), None, None, None)
+                return new(TR, (seq, pc, inst_ref, pc, None, None, (), None, None, None))
 
             return run
 
@@ -337,7 +340,7 @@ def _decode_one(inst: Instruction) -> Callable:
         def build_trace(state, memory):
             def run(seq):
                 state.pc = fall
-                return TR(seq, pc, inst_ref, fall, None, None, (), None, None, None)
+                return new(TR, (seq, pc, inst_ref, fall, None, None, (), None, None, None))
 
             return run
 

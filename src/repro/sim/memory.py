@@ -4,6 +4,10 @@ Addresses are byte addresses; every access moves one aligned 64-bit word
 (8 bytes), which is the only access size in the ISA.  Backing storage is a
 dict keyed by word index, so programs can scatter data structures anywhere in
 a 64-bit address space without preallocating.
+
+A :class:`MemoryImage` is the immutable, compact form of one memory's
+contents (two ``uint64`` arrays); workloads keep each input image in that
+form and rebuild a fresh mutable :class:`Memory` from it per run.
 """
 
 from __future__ import annotations
@@ -72,17 +76,19 @@ class Memory:
         for index, value in self._words.items():
             yield index * WORD_BYTES, value
 
-    def image_bytes(self) -> bytes:
-        """Canonical bytes of the nonzero words, for content digests.
-
-        The sorted word indices, then their values, as little-endian 64-bit
-        integers: memories equal under ``==`` (modulo zero words) give equal
-        bytes, on every host.
-        """
+    def image(self) -> "MemoryImage":
+        """The current contents as an immutable :class:`MemoryImage`."""
         words = self._words
-        indices = sorted(index for index, value in words.items() if value)
-        values = [words[index] for index in indices]
-        return np.array(indices, dtype="<u8").tobytes() + np.array(values, dtype="<u8").tobytes()
+        count = len(words)
+        return MemoryImage(
+            np.fromiter(words.keys(), dtype=np.uint64, count=count),
+            np.fromiter(words.values(), dtype=np.uint64, count=count),
+        )
+
+    def image_bytes(self) -> bytes:
+        """Canonical bytes of the nonzero words, for content digests (see
+        :meth:`MemoryImage.image_bytes`)."""
+        return self.image().image_bytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):
@@ -94,3 +100,39 @@ class Memory:
 
     def __len__(self) -> int:
         return len(self._words)
+
+
+class MemoryImage:
+    """An immutable memory image: every written word, zeros included, as
+    parallel ``uint64`` word-index and value arrays in write order.
+
+    About 16 bytes per word where a :class:`Memory` dict entry costs several
+    times that, so a session can keep every input image resident and hand
+    each run its own :meth:`memory`.
+    """
+
+    __slots__ = ("indices", "values")
+
+    def __init__(self, indices: np.ndarray, values: np.ndarray) -> None:
+        self.indices = indices
+        self.values = values
+        indices.flags.writeable = False
+        values.flags.writeable = False
+
+    def memory(self) -> Memory:
+        """A fresh mutable :class:`Memory` holding this image."""
+        memory = Memory()
+        memory._words = dict(zip(self.indices.tolist(), self.values.tolist()))
+        return memory
+
+    def image_bytes(self) -> bytes:
+        """Canonical bytes of the nonzero words, for content digests.
+
+        The sorted word indices, then their values, as little-endian 64-bit
+        integers: memories equal under ``==`` (modulo zero words) give equal
+        bytes, on every host.
+        """
+        keep = self.values != 0
+        indices = self.indices[keep]
+        order = np.argsort(indices)
+        return indices[order].astype("<u8").tobytes() + self.values[keep][order].astype("<u8").tobytes()

@@ -42,8 +42,8 @@ Five oracle families, each a callable ``oracle(case)`` registered in
     The event-driven fast timing tier (``engine="fast"``) must reproduce the
     reference per-cycle pipeline loop's complete ``SimStats`` — every
     counter, including stall attribution and summed IQ occupancy — across
-    {lvp, rvp, stride, rvp on a one-prediction-port machine} × all three
-    recovery schemes.  The fast tier's test-only switch
+    {lvp, rvp, stride, rvp on a one-prediction-port machine, rvp predicting
+    every register write} × all three recovery schemes.  The fast tier's test-only switch
     (``repro.uarch.fast._TEST_SKIP_EVENT``) seeds a skip-accounting defect
     the self-tests use to prove this family detects broken cycle skipping.
 
@@ -550,6 +550,21 @@ def _engine_stats(
     return simulate(trace, predictor, machine or table1_config(), recovery, engine=engine)
 
 
+class _EveryWriteRVP(DynamicRVP):
+    """Dynamic RVP with no confidence filter: every register write is
+    predicted, the most speculation a register-sourced predictor makes.
+
+    Small generated programs rarely build confidence, so without this leg
+    no case has a mispredicted prediction that another in-flight
+    prediction read: the chain whose consumers the fast tier's ``dep_fix``
+    repair must send back to the re-executing producer."""
+
+    __slots__ = ()
+
+    def confident(self, pc: int) -> bool:
+        return True
+
+
 def check_pipeline_equivalence(case: GeneratedCase) -> None:
     """The fast timing tier must reproduce the reference per-cycle loop's
     *complete* ``SimStats`` — cycles, stall attribution and IQ occupancy
@@ -561,7 +576,9 @@ def check_pipeline_equivalence(case: GeneratedCase) -> None:
     first run's training leak into the second).  The ``rvp/ports1`` leg
     runs register-based prediction on a Table 1 machine with a single
     prediction read port, so non-load predictions compete for it and
-    port exhaustion is exercised."""
+    port exhaustion is exercised.  The ``rvp/every`` leg predicts every
+    register write (:class:`_EveryWriteRVP`), so mispredictions read by
+    other predictions, and the ``dep_fix`` repair, are exercised."""
     name = "pipeline-equivalence"
     base = _base_run(case)
     trace = tuple(base.trace)
@@ -571,6 +588,7 @@ def check_pipeline_equivalence(case: GeneratedCase) -> None:
         ("rvp", lambda: DynamicRVP(threshold=2), None),
         ("stride", lambda: StridePredictor(threshold=2), None),
         ("rvp/ports1", lambda: DynamicRVP(threshold=2), one_port),
+        ("rvp/every", lambda: _EveryWriteRVP(name="rvp_every"), None),
     )
     for label, make, machine in legs:
         for scheme in RecoveryScheme:

@@ -47,8 +47,8 @@ class StreamEntry:
 
     Every field is a function of the trace alone, so one stream serves every
     predictor.  Like :class:`~repro.sim.trace.TraceRecord`, this is a
-    per-dynamic-instruction record held for a whole pipeline run — slotted
-    for footprint.
+    per-dynamic-instruction record held for a whole pipeline run; it is
+    slotted for footprint.
     """
 
     seq: int

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..isa.program import Program
-from ..sim.memory import Memory
+from ..sim.memory import Memory, MemoryImage
 
 #: Memory-map conventions shared by all workloads (byte addresses).
 HEADER_BASE = 0x1000  # per-workload scalar parameters (loop counts, bases)
@@ -58,6 +58,7 @@ class Workload(abc.ABC):
             raise ValueError("scale must be positive")
         self.scale = scale
         self._program: Optional[Program] = None
+        self._images: Dict[str, MemoryImage] = {}
 
     # ------------------------------------------------------------------
     # Subclass interface
@@ -85,11 +86,28 @@ class Workload(abc.ABC):
             raise ValueError(f"unknown input {input_name!r}; expected one of {INPUT_NAMES}")
         return zlib.crc32(f"{self.name}:{input_name}".encode())
 
+    def image(self, input_name: str = "ref") -> MemoryImage:
+        """The input image, populated once per workload instance.
+
+        :class:`~repro.core.session.SimSession` keeps one instance per
+        ``(name, scale)``, so each image is built once per session; the
+        campaign's drift sidecar digests this same stored image.
+        """
+        image = self._images.get(input_name)
+        if image is None:
+            rng = np.random.default_rng(self.seed(input_name))
+            memory = Memory()
+            self._populate_memory(memory, rng)
+            image = self._images[input_name] = memory.image()
+        return image
+
     def memory(self, input_name: str = "ref") -> Memory:
-        rng = np.random.default_rng(self.seed(input_name))
-        memory = Memory()
-        self._populate_memory(memory, rng)
-        return memory
+        """A fresh mutable :class:`Memory` holding the input image.
+
+        Every call returns an independent memory rebuilt from the stored
+        :meth:`image`, so a run's stores never reach the next run.
+        """
+        return self.image(input_name).memory()
 
     def build(self, input_name: str = "ref") -> Tuple[Program, Memory]:
         return self.program, self.memory(input_name)

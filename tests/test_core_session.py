@@ -4,6 +4,7 @@ campaign supervisor (serial at ``jobs=1``, worker processes at ``jobs=2``)."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core import (
 from repro.runtime import CampaignSpec, CampaignSupervisor, SuiteCell, run_campaign
 from repro.runtime.service import derive_cell_timeout
 from repro.uarch.pipeline import simulate
+from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
 
 MAX_INSTS = 4_000
 
@@ -239,12 +241,56 @@ LI_GOLDEN_DIGESTS = {
     },
 }
 
-#: ``li``'s content digests (base program text and input image) at scale 1.
-#: Tagged sidecars hold these, so they change only with the program or inputs.
-LI_CONTENT_DIGESTS = {
-    "ref": "5f3b1e9d7db6b5f3a453d13e0d4efda38b08189382ac0bd66747f27834f32bfc",
-    "train": "788a005c8553a3fc3c9c372dbc30ca90da6d93efa86f608b19c048a611937bdb",
+#: Every workload's content digests (base program text and input image) at
+#: scale 1.  Tagged sidecars and result-store keys hold these, so they change
+#: only with a program or an input.
+CONTENT_DIGESTS = {
+    "dotprod": {
+        "ref": "d2b794d983452154118343c7c717bfc4c54297177ec470a0ac678694e5b32db7",
+        "train": "36fc907fd5c51754a7f8b3df590de3aec49cd470275fec2250c5958fd0564897",
+    },
+    "go": {
+        "ref": "69c470e3035c83fa32c3bf23011fa57845600a5e67d425a6d17dbc937fd15176",
+        "train": "27121d48d14ea325c40fa1a9b6905fc4f5aefbbf244001a2f1620b460a36654c",
+    },
+    "hydro2d": {
+        "ref": "a24f7a94be3930e45636f1f0cd6e062ee231ac3ea73b590d981a257c60de4bc3",
+        "train": "4743861f7b4849234a96d8257bc62ab30f876c4ddec6da1d2d2296e7a10ef62e",
+    },
+    "ijpeg": {
+        "ref": "c4e255fb9a4e4d884cab6b4f5eb8ecbc846a8e43d81faf7a97d3aa1f3522d98d",
+        "train": "6babaa50222337b80e2f11466205e5316eda30939dbedae1cc2f107f95743ede",
+    },
+    "li": {
+        "ref": "5f3b1e9d7db6b5f3a453d13e0d4efda38b08189382ac0bd66747f27834f32bfc",
+        "train": "788a005c8553a3fc3c9c372dbc30ca90da6d93efa86f608b19c048a611937bdb",
+    },
+    "m88ksim": {
+        "ref": "0f67b47616a8ed196b5b4ae8a29d1139957818d107abfa1d043d80435d8bde05",
+        "train": "a66e7256f63206bbb8dcd963b88f785a62dd6d339e357fbc07c3b8512c709a5c",
+    },
+    "mgrid": {
+        "ref": "fcd21e90e4fe204bfd5ec397c006f0d4418813fc40533d276d7cd099cce3772e",
+        "train": "f8498a96881ab5e44dd7e29d3e9e7b41763c7acfe6e4be7bf3e7f2bfdad34896",
+    },
+    "perl": {
+        "ref": "070cf471eebbcea966234ee4d7dd2440109e439e7f48ae68a719ee0a43194d74",
+        "train": "a7b971e9a0e06ef02b11d5f31b72a39653b87d7898435142a3bf0a07be9ef5a2",
+    },
+    "stencil": {
+        "ref": "73ba0160a204c87e001f6082084688774c842a2e1b82d20ffa8987906bcae0d2",
+        "train": "8c80ad2fce1f5202dfb41f9e07c811e5333d76b0af33fb8d07c3353499735acc",
+    },
+    "su2cor": {
+        "ref": "d201e7f19777d54d48b50d97603be058fdb89d713d8f186e189a3fa667a3cbe1",
+        "train": "dff5845a0fcebf057e4c5bcc4fa2b568b48bebb294fa74c31d9e31b89ad60bdc",
+    },
+    "turb3d": {
+        "ref": "b01fc2394e427bff2d69caba406f17ffb3a7b6841edb3c2d8e491b69fe18cb7f",
+        "train": "0f045a3cedf55d5aaa598bfee49b0fe21653dd712454738c60c22d42489884c5",
+    },
 }
+LI_CONTENT_DIGESTS = CONTENT_DIGESTS["li"]
 
 
 def test_batch_digests_cached_and_scalar_consistent():
@@ -264,6 +310,12 @@ def test_batch_digests_cached_and_scalar_consistent():
     assert metrics.get("session.batch.hits") == hits + 1
 
     assert digests == LI_CONTENT_DIGESTS
+
+
+def test_batch_digests_of_every_workload_are_pinned():
+    session = SimSession()
+    assert {name: session.batch_digests(name, 1.0) for name in CONTENT_DIGESTS} == CONTENT_DIGESTS
+    assert sorted(CONTENT_DIGESTS) == sorted(WORKLOAD_CLASSES)
 
 
 def test_batch_digests_key_includes_inputs():
@@ -298,6 +350,55 @@ def test_resume_rewrites_untagged_batch_sidecar(tmp_path):
     events = RunJournal.open(journal_path(str(tmp_path), "old")).events()
     notes = [e["was"] for e in events if e["event"] == "batch_sidecar_rewritten"]
     assert notes == ["untagged"]
+
+
+# ----------------------------------------------------------------------
+# Input images: built once per session, a fresh Memory per run
+# ----------------------------------------------------------------------
+def test_cold_suite_builds_each_input_image_once(tmp_path, monkeypatch):
+    from repro.core.session import reset_session
+
+    # Marked and reallocated variants run their own ref traces, next to the
+    # train profile and the drift sidecar's digests of both inputs.
+    spec = CampaignSpec(
+        workloads=("m88ksim", "li"),
+        configs=("no_predict", "srvp_dead", "drvp_all_realloc"),
+        max_instructions=3_000,
+    ).with_jobs(1)
+    built = Counter()
+    for name in spec.workloads:
+        cls = WORKLOAD_CLASSES[name]
+
+        def counting(self, memory, rng, _populate=cls._populate_memory):
+            built[self.name, rng.bit_generator.seed_seq.entropy] += 1
+            _populate(self, memory, rng)
+
+        monkeypatch.setattr(cls, "_populate_memory", counting)
+    reset_session()
+    try:
+        report = run_campaign(spec, str(tmp_path), run_id="cold")
+    finally:
+        reset_session()
+    assert report.complete and not report.failures and not report.used_processes
+    assert built == {
+        (name, make_workload(name).seed(input_name)): 1
+        for name in spec.workloads
+        for input_name in ("ref", "train")
+    }
+
+
+def test_every_memory_is_an_independent_copy_of_the_image():
+    from repro.sim import run_program
+
+    workload = make_workload("li")
+    pristine = make_workload("li").memory("ref")
+    first = workload.memory("ref")
+    first.store(0x8, 12345)
+    assert workload.memory("ref").load(0x8) == 0
+    run = run_program(workload.program, memory=workload.memory("ref"), max_instructions=3_000)
+    assert run.memory != pristine  # the run stored something...
+    assert workload.memory("ref") == pristine  # ...that the next run never sees
+    assert workload.memory("ref") is not workload.memory("ref")
 
 
 # ----------------------------------------------------------------------

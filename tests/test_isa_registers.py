@@ -1,5 +1,9 @@
 """Register file specification tests."""
 
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,3 +87,25 @@ def test_parse_reg_roundtrip(index, prefix):
 def test_parse_reg_rejects(bad):
     with pytest.raises(ValueError):
         parse_reg(bad)
+
+
+def test_registers_are_validated_immutable_value_tuples():
+    for kind, bank in (("int", R), ("fp", F)):
+        for reg in bank:
+            twin = Reg(kind, reg.index)
+            assert type(twin) is Reg and twin == reg and hash(twin) == hash(reg)
+            assert (twin.kind, twin.index) == (kind, reg.index)
+    with pytest.raises(AttributeError):
+        R[4].index = 5
+    with pytest.raises(AttributeError):
+        R[4].alias = "a0"
+    assert R[4] != F[4] and hash(R[4]) != hash(F[4])
+    for clone in (pickle.loads(pickle.dumps(F[7])), copy.deepcopy(F[7])):
+        assert type(clone) is Reg and clone == F[7] and repr(clone) == "f7"
+
+
+def test_sorting_orders_by_kind_then_index():
+    regs = list(R) + list(F)
+    shuffled = random.Random(0).sample(regs, len(regs))
+    assert sorted(shuffled) == sorted(regs, key=lambda reg: (reg.kind, reg.index))
+    assert sorted(shuffled) == list(F) + list(R)  # "fp" < "int"

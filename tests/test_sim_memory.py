@@ -97,3 +97,15 @@ def test_word_index_fast_path_matches_checked_api():
     m.store_word_index(2, 7)
     assert m.load(0x10) == 7
     assert m.load_word_index(999) == 0  # untouched words read as zero
+
+
+def test_image_round_trip_keeps_written_zeros_and_independence():
+    m = Memory()
+    m.write_words(0x40, [1, 0, MASK64])
+    image = m.image()
+    assert not image.indices.flags.writeable and not image.values.flags.writeable
+    first, second = image.memory(), image.memory()
+    assert first == m and len(first) == len(m) == 3  # the written zero stays
+    assert image.image_bytes() == m.image_bytes()
+    first.store(0x40, 9)
+    assert second.load(0x40) == 1 and image.memory().load(0x40) == 1

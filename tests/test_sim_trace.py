@@ -45,3 +45,21 @@ def test_records_are_immutable():
     trace = records_of("halt")
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace[0].pc = 99
+
+
+def test_both_engines_build_equal_immutable_records():
+    import dataclasses
+
+    import pytest
+
+    from repro.sim import FunctionalSimulator, Memory, TraceRecord
+
+    text = "li r1, #16\nst r1, 8(r1)\nld r2, 8(r1)\nadd r3, r2, #1\nbne r3, done\nnop\ndone: halt"
+    decoded = records_of(text, memory=Memory())
+    reference = list(FunctionalSimulator(assemble(text), memory=Memory(), engine="reference").iter_run())
+    assert decoded == reference and len(decoded) == 6
+    for record in decoded + reference:
+        assert type(record) is TraceRecord
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.result = 0
+    assert reference[2]._replace(result=7) != decoded[2]

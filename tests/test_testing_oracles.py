@@ -68,7 +68,7 @@ def test_trace_equivalence_detects_corrupted_record(monkeypatch):
     def corrupting(program, memory):
         sim, trace = real(program, memory)
         victim = next(i for i, r in enumerate(trace) if r.result is not None)
-        trace[victim] = dataclasses.replace(trace[victim], result=trace[victim].result + 1)
+        trace[victim] = trace[victim]._replace(result=trace[victim].result + 1)
         return sim, trace
 
     monkeypatch.setattr(oracles_mod, "_streaming_run", corrupting)

@@ -2,7 +2,7 @@
 workload suite with its rename and resolve mutation self-tests, the fast
 tier's independence from the reference recovery path, event-heap
 ordering/validity, FastDynInst pool hygiene, and the pipeline-equivalence
-oracle's mutation self-test."""
+oracle's mutation self-tests."""
 
 import heapq
 from dataclasses import replace
@@ -452,3 +452,18 @@ def test_pipeline_equivalence_oracle_detects_skip_defect(monkeypatch):
             assert "diverged" in str(violation)
             return
     pytest.fail("seeded skip-accounting defect went undetected")
+
+
+@pytest.mark.parametrize("mutant", ["dep_fix cleared", "selective mispredict skips dep_fix repair"])
+def test_pipeline_equivalence_oracle_detects_dep_fix_mutant(monkeypatch, mutant):
+    """The fuzz family, not only the golden matrix's real workloads, catches
+    a broken ``dep_fix`` repair on some fixed seed in 0-199."""
+    method, wrapper, _ = {**RENAME_MUTANTS, **RESOLVE_MUTANTS}[mutant]
+    monkeypatch.setattr(FastPipelineSimulator, method, wrapper)
+    for seed in range(200):
+        try:
+            ORACLES["pipeline-equivalence"](generate_case(seed))
+        except OracleViolation as violation:
+            assert "diverged" in str(violation)
+            return
+    pytest.fail(f"{mutant}: undetected on seeds 0-199")
