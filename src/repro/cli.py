@@ -8,18 +8,18 @@ Commands
                  python -m repro run --workload m88ksim \\
                      --config no_predict lvp_all drvp_all_dead
 
-             With ``--out-dir`` the run becomes a crash-safe *campaign*:
-             every cell is journaled durably as it completes, and an
-             interrupted (Ctrl-C, SIGTERM, SIGKILL) run is finished later
-             with ``--resume``, re-executing only the cells that never
-             committed::
+             Every run is a *campaign*: each cell is journaled durably as it
+             completes.  Without ``--out-dir`` the journal lives in a
+             temporary directory; with it, an interrupted (Ctrl-C, SIGTERM,
+             SIGKILL) run is finished later with ``--resume``, re-executing
+             only the cells that never committed::
 
                  python -m repro run --workload m88ksim --out-dir runs --run-id demo
                  python -m repro run --resume demo --out-dir runs
 
-``suite``    Run configurations across all nine workloads (a figure row),
+``suite``    Run configurations across every workload (a figure row),
              optionally fanned out over worker processes; ``--out-dir`` /
-             ``--run-id`` journal the campaign the same way::
+             ``--run-id`` keep its journal the same way::
 
                  python -m repro suite --config no_predict lvp_all drvp_all_dead_lv --jobs 4
 
@@ -32,9 +32,9 @@ Commands
 
                  python -m repro suite --out-dir runs --jobs 4 --store /var/cache/repro
 
-``metrics``  Run configurations, then emit results + execution metrics
-             (session-cache hit rates, sim wall time, campaign dispatches) as
-             structured JSON::
+``metrics``  Run configurations as a temporary serial campaign, then emit
+             results + execution metrics (session-cache hit rates, sim wall
+             time) as structured JSON::
 
                  python -m repro metrics --workload m88ksim --config no_predict drvp_all
 
@@ -66,15 +66,17 @@ Commands
 ``list``     List available workloads and configuration names.
 
 Exit codes: 0 success, 1 lint/fuzz failures were found, 2 usage/internal
-error or a *partial* campaign (some cells failed; the journal records which,
-and ``--resume`` re-executes exactly those), 130 when a campaign was
-interrupted (resume hint printed).
+error or a *partial* run of ``run``/``suite``/``metrics`` (some cells failed;
+with ``--out-dir`` the journal records which, and ``--resume`` re-executes
+exactly those), 130 when a campaign was interrupted (resume hint printed
+with ``--out-dir``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from typing import List, Optional
 
 from .core.experiment import CONFIG_NAMES, ExperimentRunner
@@ -112,7 +114,7 @@ def _runner(args: argparse.Namespace, workload: str) -> ExperimentRunner:
 
 
 # ----------------------------------------------------------------------
-# Journaled campaigns (run/suite --out-dir, run --resume)
+# Campaigns: every run/suite/metrics cell goes through the supervisor
 # ----------------------------------------------------------------------
 def _campaign_table(report) -> ResultTable:
     """A ResultTable with every campaign cell, completed or failed."""
@@ -129,47 +131,45 @@ def _campaign_table(report) -> ResultTable:
 def _render_campaign(report, args: argparse.Namespace) -> int:
     counts = report.counts()
     total = sum(counts.values())
+    ok = counts.get("ok", 0)
     verb = "resumed" if report.resumed else "run"
     restored = f", {report.restored} restored" if report.restored else ""
     from_store = f", {report.store_hits} from store" if report.store_hits else ""
-    print(
-        f"  campaign {report.run_id} ({verb}): {counts.get('ok', 0)}/{total} cells ok"
-        f"{restored}{from_store}, journal {report.journal_path}"
-    )
+    journal = f", journal {report.journal_path}" if args.out_dir else ""
+    print(f"  campaign {report.run_id} ({verb}): {ok}/{total} cells ok{restored}{from_store}{journal}")
     table = _campaign_table(report)
+    recovery = "/".join(report.spec.recoveries)
     print()
-    print(table.render_ipc("campaign IPC"))
+    print(table.render_ipc(f"IPC ({recovery} recovery)"))
     if "no_predict" in report.spec.configs:
-        print(table.render_speedup("speedups"))
+        print(table.render_speedup(f"speedups ({recovery} recovery)"))
     print(table.render_coverage("coverage/accuracy"))
     footer = table.render_failures()
     if footer:
         print(footer)
     _maybe_profile(args)
     if not report.complete:
-        print(
-            f"  partial: resume with `repro run --resume {report.run_id} "
-            f"--out-dir {getattr(args, 'out_dir', 'runs')}`",
-            file=sys.stderr,
+        hint = (
+            f"; resume with `repro run --resume {report.run_id} --out-dir {args.out_dir}`"
+            if args.out_dir else ""
         )
+        print(f"  partial: {total - ok}/{total} cells did not complete{hint}", file=sys.stderr)
         return 2
     return 0
 
 
-def _campaign_store(args: argparse.Namespace):
-    """The shared content-addressed result store named by ``--store``, if any."""
-    store_dir = getattr(args, "store", None)
-    if not store_dir:
-        return None
-    from .runtime.store import ResultStore
-
-    return ResultStore(store_dir)
+def _render_metrics(report, args: argparse.Namespace) -> int:
+    print(_campaign_table(report).render_json(include_metrics=True))
+    return 0 if report.complete else 2
 
 
-def _campaign_spec(args: argparse.Namespace, workloads):
-    from .runtime import CampaignSpec
+def _campaign_report(args: argparse.Namespace, workloads, out_dir: str, run_id: str):
+    from .runtime import CampaignSpec, ResultStore, resume_campaign, run_campaign
 
-    return CampaignSpec(
+    store = ResultStore(args.store) if args.store else None
+    if args.resume:
+        return resume_campaign(out_dir, run_id, jobs=args.jobs, store=store)
+    spec = CampaignSpec(
         workloads=tuple(workloads),
         configs=tuple(args.config),
         recoveries=(RecoveryScheme.parse(args.recovery).value,),
@@ -178,107 +178,56 @@ def _campaign_spec(args: argparse.Namespace, workloads):
         threshold=args.threshold,
         jobs=args.jobs,
     )
+    return run_campaign(spec, out_dir, run_id=run_id, store=store)
 
 
-def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
-    from .runtime import JournalError, resume_campaign, run_campaign
+def _run_campaign_cli(args: argparse.Namespace, workloads, render=_render_campaign) -> int:
+    """Run (or resume) the grid as a campaign, then ``render`` its report.
 
+    The journal goes into ``--out-dir`` when one is given, where ``--resume``
+    can finish the run; otherwise into a temporary directory that is gone
+    once the run ends.
+    """
+    from .runtime import JournalError, new_run_id
+
+    if args.resume and args.out_dir is None:
+        print("repro: --resume requires --out-dir (where the journal lives)", file=sys.stderr)
+        return 2
+    run_id = args.resume or args.run_id or new_run_id()
     try:
-        if args.resume:
-            report = resume_campaign(
-                args.out_dir, args.resume, jobs=args.jobs, store=_campaign_store(args)
-            )
+        if args.out_dir is None:
+            with tempfile.TemporaryDirectory(prefix="repro-") as out_dir:
+                report = _campaign_report(args, workloads, out_dir, run_id)
         else:
-            report = run_campaign(
-                _campaign_spec(args, workloads), args.out_dir, run_id=args.run_id,
-                store=_campaign_store(args),
-            )
+            report = _campaign_report(args, workloads, args.out_dir, run_id)
     except JournalError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        run_id = getattr(args, "resume", None) or args.run_id or "<run-id>"
-        print(
-            f"\nrepro: interrupted; committed cells are journaled — resume with "
-            f"`repro run --resume {run_id} --out-dir {args.out_dir}`",
-            file=sys.stderr,
+        hint = (
+            f"; committed cells are journaled — resume with "
+            f"`repro run --resume {run_id} --out-dir {args.out_dir}`"
+            if args.out_dir else ""
         )
+        print(f"\nrepro: interrupted{hint}", file=sys.stderr)
         return 130
-    return _render_campaign(report, args)
+    return render(report, args)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.resume or args.out_dir:
-        if args.out_dir is None:
-            print("repro: --resume requires --out-dir (where the journal lives)", file=sys.stderr)
-            return 2
-        if not args.resume and not args.workload:
-            print("repro: run needs --workload (or --resume RUN_ID)", file=sys.stderr)
-            return 2
-        return _run_campaign_cli(args, (args.workload,) if args.workload else ())
-    if not args.workload:
-        print("repro: run needs --workload", file=sys.stderr)
+    if not args.resume and not args.workload:
+        print("repro: run needs --workload (or --resume RUN_ID)", file=sys.stderr)
         return 2
-    runner = _runner(args, args.workload)
-    table = ResultTable()
-    scheme = RecoveryScheme.parse(args.recovery)
-    for config in args.config:
-        table.add(runner.run(config, recovery=scheme))
-    print(table.render_ipc(f"{args.workload} (IPC, {scheme.value} recovery)"))
-    if "no_predict" in args.config:
-        print(table.render_speedup("speedups"))
-    print(table.render_coverage("coverage/accuracy"))
-    _maybe_profile(args)
-    return 0
+    return _run_campaign_cli(args, (args.workload,) if args.workload else ())
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.resume or args.out_dir:
-        if args.out_dir is None:
-            print("repro: --resume requires --out-dir (where the journal lives)", file=sys.stderr)
-            return 2
-        return _run_campaign_cli(args, tuple(WORKLOAD_CLASSES))
-    table = ResultTable()
-    scheme = RecoveryScheme.parse(args.recovery)
-    if args.jobs > 1:
-        import tempfile
-
-        from .runtime import run_campaign
-
-        # The same supervised campaign as --out-dir, journaled into a
-        # scratch directory that is gone once the table is printed.
-        with tempfile.TemporaryDirectory() as out_dir:
-            report = run_campaign(
-                _campaign_spec(args, WORKLOAD_CLASSES), out_dir, store=_campaign_store(args)
-            )
-        for result in report.results:
-            table.add(result)
-        mode = "processes" if report.used_processes else "serial fallback"
-        print(f"  {len(report.results)}/{len(report.statuses)} cells done ({args.jobs} jobs, {mode})")
-        for cell_id, error in report.failures.items():
-            print(f"  FAILED {cell_id}: {error}")
-    else:
-        for name in WORKLOAD_CLASSES:
-            runner = _runner(args, name)
-            for config in args.config:
-                table.add(runner.run(config, recovery=scheme))
-            print(f"  {name} done")
-    print()
-    print(table.render_speedup(f"suite speedups ({scheme.value} recovery)"))
-    print(table.render_coverage("coverage/accuracy"))
-    _maybe_profile(args)
-    return 0
+    return _run_campaign_cli(args, tuple(WORKLOAD_CLASSES))
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run configurations, then emit results + metrics as structured JSON."""
-    runner = _runner(args, args.workload)
-    table = ResultTable()
-    scheme = RecoveryScheme.parse(args.recovery)
-    for config in args.config:
-        table.add(runner.run(config, recovery=scheme))
-    print(table.render_json(include_metrics=True))
-    return 0
+    return _run_campaign_cli(args, (args.workload,), render=_render_metrics)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -431,15 +380,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .testing import GeneratorConfig, run_fuzz
-
-    config = GeneratorConfig(
-        segments=args.segments,
-        loop_depth=args.loop_depth,
-        load_density=args.load_density,
-        register_pressure=args.register_pressure,
-        branch_mix=args.branch_mix,
-    ).validated()
+    from .testing import run_fuzz
 
     def progress(done: int, total: int) -> None:
         if not args.json and done % 50 == 0:
@@ -477,7 +418,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         runs=args.runs,
         oracles=args.oracle,
         shrink=not args.no_shrink,
-        config=config,
         progress=progress,
         journal=journal,
     )
@@ -562,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_campaign(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--out-dir", metavar="DIR",
-            help="journal the run as a crash-safe campaign under DIR (enables --resume)",
+            help="keep the campaign journal under DIR, where --resume can finish it "
+            "(default: a temporary directory)",
         )
         sub_parser.add_argument("--run-id", metavar="ID", help="campaign run id (default: generated)")
         sub_parser.add_argument(
@@ -583,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs(
         run_parser, 1,
-        "worker processes for campaign cells (with --out-dir/--resume; 1 = in-process)",
+        "worker processes for the campaign's cells (1 = in-process)",
     )
     _add_campaign(run_parser)
     _add_common(run_parser)
@@ -607,7 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", nargs="+", choices=CONFIG_NAMES, default=["no_predict", "drvp_all_dead_lv"]
     )
     _add_common(metrics_parser)
-    metrics_parser.set_defaults(fn=_cmd_metrics)
+    # A temporary, serial, storeless campaign: metrics takes none of the
+    # campaign flags.
+    metrics_parser.set_defaults(
+        fn=_cmd_metrics, out_dir=None, run_id=None, resume=None, store=None, jobs=1
+    )
 
     profile_parser = sub.add_parser("profile", help="show a workload's reuse profile")
     profile_parser.add_argument("--workload", required=True, choices=sorted(WORKLOAD_CLASSES))
@@ -657,11 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal judged seeds under DIR (re-running the same command resumes at the first unjudged seed)",
     )
     fuzz_parser.add_argument("--run-id", metavar="ID", help="fuzz journal run id (default: fuzz-seed<seed>)")
-    fuzz_parser.add_argument("--segments", type=int, default=4, help="generator: code segments per program")
-    fuzz_parser.add_argument("--loop-depth", type=int, default=2, help="generator: maximum loop nesting")
-    fuzz_parser.add_argument("--load-density", type=float, default=0.25, help="generator: fraction of loads")
-    fuzz_parser.add_argument("--register-pressure", type=int, default=8, help="generator: working registers")
-    fuzz_parser.add_argument("--branch-mix", type=float, default=0.4, help="generator: branchy-segment fraction")
     fuzz_parser.set_defaults(fn=_cmd_fuzz)
 
     list_parser = sub.add_parser("list", help="list workloads and configurations")
@@ -670,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Exit codes: 0 success, 1 lint errors found, 2 usage/internal error.
+    """Exit codes: 0 success, 1 lint/fuzz failures found, 2 usage/internal
+    error or a partial campaign, 130 interrupted.
 
     (argparse usage failures raise ``SystemExit(2)`` on their own.)
     """

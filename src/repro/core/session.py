@@ -486,7 +486,7 @@ class SimSession:
         return stats
 
     # ------------------------------------------------------------------
-    # Content digests (the campaign's drift sidecar)
+    # Content digests (pinned in the campaign's journal header)
     # ------------------------------------------------------------------
     def batch_digests(
         self, name: str, scale: float, input_names: Sequence[str] = ("ref", "train")

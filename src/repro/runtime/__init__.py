@@ -10,8 +10,8 @@ Layers, bottom-up:
 * :mod:`~repro.runtime.journal` — the append-only JSONL run journal.
 * :mod:`~repro.runtime.store` — the shared content-addressed result store
   (the persistent L2 under each worker's in-process session).
-* :mod:`~repro.runtime.campaign` — campaign specs, cells, the digest
-  sidecar and reports.
+* :mod:`~repro.runtime.campaign` — campaign specs, cells, the content
+  digests the journal header carries, and reports.
 * :mod:`~repro.runtime.service` — the campaign supervisor, the one cell
   executor (in-process serial mode, or a worker pool recycled at the
   per-cell deadline, with pool rebuilds and serial degradation), and

@@ -4,9 +4,9 @@ A *campaign* is one (workload × config × recovery) grid executed by
 :class:`~repro.runtime.service.CampaignSupervisor` and checkpointed
 cell-by-cell into a :class:`~repro.runtime.journal.RunJournal`.  This module
 holds the parts that do not depend on how cells execute: the fingerprintable
-:class:`CampaignSpec`, the :class:`SuiteCell` unit of work, the
-content-digest drift sidecar, and the :class:`CampaignReport` assembled from
-the journal.  The contract:
+:class:`CampaignSpec`, the :class:`SuiteCell` unit of work, the content
+digests that the journal header carries, and the :class:`CampaignReport`
+assembled from the journal.  The contract:
 
 * **Crash-safe.**  Every terminal cell state (``ok`` with the serialized
   result, ``failed``/``timeout`` with the diagnostic and its taxonomy kind)
@@ -15,7 +15,8 @@ the journal.  The contract:
   at worst tears the final journal line, which replay tolerates.
 * **Resumable.**  ``resume_campaign`` re-opens the journal, verifies the
   stored config fingerprint (the journal header is the source of truth for
-  the grid — a changed grid is an error, not a merge), restores every ``ok``
+  the grid and the content digests of its programs and inputs — a changed
+  grid or a drifted program is an error, not a merge), restores every ``ok``
   cell from its stored payload without re-simulating, and re-executes only
   the non-``ok`` cells.  A campaign killed at 50% therefore finishes the
   remaining 50% and produces the identical
@@ -28,8 +29,6 @@ else in the spec is plain numbers and strings for the same reason.
 
 from __future__ import annotations
 
-import json
-import os
 import signal
 import threading
 from contextlib import contextmanager
@@ -41,7 +40,6 @@ from ..core.session import get_session
 from ..uarch.config import MachineConfig, aggressive_config, table1_config
 from ..uarch.recovery import RecoveryScheme
 from ..workloads.suite import WORKLOAD_CLASSES
-from .atomic import atomic_write_json
 from .journal import OK, PENDING, JournalError, RunJournal
 
 #: Machine configurations a campaign can name (names go into the fingerprint).
@@ -149,72 +147,50 @@ class CampaignSpec:
         return replace(self, jobs=jobs)
 
 
-#: Schema tag of the drift sidecar.  Untagged sidecars hold the older
-#: final-state digests, which came from simulating every input.
-BATCH_SCHEMA = "repro-batches/2"
-
-
-def batch_sidecar_path(out_dir: str, run_id: str) -> str:
-    """Path of the drift sidecar for one campaign run."""
-    return os.path.join(out_dir, f"{run_id}.batches.json")
-
-
 def compute_batch_digests(spec: CampaignSpec) -> Dict[str, Dict[str, str]]:
     """Per-workload content digests for every workload in the grid.
 
     All of a campaign's cells for one workload derive their programs from
     one base program and run on the same inputs, so one
     :meth:`~repro.core.session.SimSession.batch_digests` per workload pins
-    them.  A resume recomputes the digests and refuses to continue into a
-    grid whose programs or inputs changed.  The digests read content only:
-    a change to the simulator's semantics between run and resume is not
-    caught here (the golden counter snapshot and the engine matrix guard
-    the simulators).
+    them.  They go into the journal header's config (:func:`header_config`),
+    so its fingerprint covers them, and a resume refuses to continue into a
+    grid whose programs or inputs changed (:func:`verify_batch_digests`).
+    The digests read content only: a change to the simulator's semantics
+    between run and resume is not caught here (the golden counter snapshot
+    and the engine matrix guard the simulators).
     """
     session = get_session()
     return {workload: session.batch_digests(workload, spec.scale) for workload in spec.workloads}
 
 
-def _write_batch_sidecar(out_dir: str, run_id: str, digests: Dict) -> None:
-    atomic_write_json(
-        batch_sidecar_path(out_dir, run_id), {"schema": BATCH_SCHEMA, "digests": digests}
-    )
+def header_config(spec: CampaignSpec, digests: Dict[str, Dict[str, str]]) -> Dict[str, object]:
+    """The journal header's config: the grid plus its content digests."""
+    return {**spec.config_dict(), "batch_digests": digests}
 
 
-def _verify_batch_sidecar(out_dir: str, run_id: str, spec: CampaignSpec, journal: RunJournal) -> Dict:
-    """On resume: recompute the digests and compare with the sidecar.
+def verify_batch_digests(spec: CampaignSpec, journal: RunJournal) -> Dict[str, Dict[str, str]]:
+    """On resume: check the grid, then recompute the digests and compare.
 
-    A missing sidecar (killed before the write) or an untagged one (written
-    in the older final-state format, which nothing can recompute without
-    simulating) is rewritten, with a journal note.  A sidecar that is not a
-    JSON object is a :class:`JournalError` naming the file.  A tagged sidecar that
-    differs means the programs or inputs drifted between run and resume,
-    which would silently mix incompatible results — that is a
-    :class:`JournalError`, exactly like the journal's config fingerprint
-    check.
+    The header's fingerprint is checked over this spec's grid and the
+    header's own digests, so a changed grid is a fingerprint mismatch.
+    Fresh digests that differ from the header's mean the programs or
+    inputs drifted between run and resume, which would silently mix
+    incompatible results.  Both, and a header with no digests at all, are
+    a :class:`JournalError`.
     """
-    digests = compute_batch_digests(spec)
-    path = batch_sidecar_path(out_dir, run_id)
-    stored = None
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                stored = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise JournalError(f"batch sidecar {path} is unreadable: {exc}") from exc
-        if not isinstance(stored, dict):
-            raise JournalError(f"batch sidecar {path} is not a JSON object")
-    if stored is None or "schema" not in stored:
-        journal.note("batch_sidecar_rewritten", was="missing" if stored is None else "untagged")
-        _write_batch_sidecar(out_dir, run_id, digests)
-        return digests
-    if stored["schema"] != BATCH_SCHEMA:
-        raise JournalError(f"batch sidecar of run {run_id!r} has unknown schema {stored['schema']!r}")
-    old = stored.get("digests", {})
-    if old != digests:
-        drifted = sorted(name for name in set(old) | set(digests) if old.get(name) != digests.get(name))
+    stored = journal.config.get("batch_digests")
+    if not isinstance(stored, dict):
         raise JournalError(
-            f"batch digest mismatch on resume of run {run_id!r}: the program or "
+            f"journal of run {journal.run_id!r} has no batch digests in its header; "
+            f"start a new run instead of resuming"
+        )
+    journal.verify_config(header_config(spec, stored))
+    digests = compute_batch_digests(spec)
+    if stored != digests:
+        drifted = sorted(name for name in set(stored) | set(digests) if stored.get(name) != digests.get(name))
+        raise JournalError(
+            f"batch digest mismatch on resume of run {journal.run_id!r}: the program or "
             f"inputs of workload(s) {', '.join(drifted)} changed since the run "
             f"started; refusing to mix incompatible results"
         )
@@ -239,7 +215,6 @@ class CampaignReport:
     restored: int = 0
     executed: int = 0
     resumed: bool = False
-    used_processes: bool = False
     #: workload -> input -> content digest (see :func:`compute_batch_digests`).
     batch_digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Cells satisfied by the shared content-addressed result store without
@@ -291,7 +266,6 @@ def build_report(
     fresh: Dict[str, ExperimentResult],
     resumed: bool,
     executed: int,
-    used_processes: bool,
     store_hits: int = 0,
 ) -> CampaignReport:
     """Assemble a :class:`CampaignReport` from journal state + in-memory results.
@@ -307,7 +281,6 @@ def build_report(
         resumed=resumed,
         restored=len(restored),
         executed=executed,
-        used_processes=used_processes,
         store_hits=store_hits,
     )
     states = journal.states()

@@ -8,7 +8,7 @@ One campaign run = one JSONL file, ``<out_dir>/<run_id>.journal.jsonl``:
   (temp + rename, :mod:`repro.runtime.atomic`), so a journal either exists
   complete or not at all.
 * **Lines 2.. — cell records.**  One JSON object per state change:
-  ``{"type": "cell", "id": ..., "status": "ok|failed|timeout|skipped|pending",
+  ``{"type": "cell", "id": ..., "status": "ok|failed|timeout|pending",
   "attempts": n, "elapsed_s": t, "error": ..., "error_kind":
   "transient|deterministic", "result": {...}}``.  Each *committed* record is
   flushed and fsynced before the campaign moves on, so a SIGKILL loses at
@@ -47,12 +47,8 @@ JOURNAL_SCHEMA = "repro-journal/1"
 OK = "ok"
 FAILED = "failed"
 TIMEOUT = "timeout"
-SKIPPED = "skipped"
 PENDING = "pending"
-STATUSES = (OK, FAILED, TIMEOUT, SKIPPED, PENDING)
-
-#: Statuses a resume re-executes (everything that is not a committed result).
-RERUN_STATUSES = (FAILED, TIMEOUT, SKIPPED, PENDING)
+STATUSES = (OK, FAILED, TIMEOUT, PENDING)
 
 
 class JournalError(CampaignError):
@@ -237,9 +233,8 @@ class RunJournal:
         error: Optional[str] = None,
         error_kind: Optional[str] = None,
         result: Optional[Dict[str, object]] = None,
-        fsync: bool = True,
     ) -> Dict[str, object]:
-        """Append one cell state change; fsynced before returning by default."""
+        """Append one cell state change; fsynced before returning."""
         if status not in STATUSES:
             raise ValueError(f"unknown cell status {status!r}; choose from {STATUSES}")
         entry: Dict[str, object] = {"type": "cell", "id": cell_id, "status": status, "attempts": attempts}
@@ -254,25 +249,22 @@ class RunJournal:
         handle = self._handle()
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
         handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
         self._states[cell_id] = entry
         return entry
 
-    def note(self, event: str, fsync: bool = False, **fields: object) -> Dict[str, object]:
+    def note(self, event: str, **fields: object) -> Dict[str, object]:
         """Append a supervisor *event* record (cell timeout, pool rebuild, ...).
 
         Events are observability, not cell state: replay ignores every
         record whose ``type`` is not ``cell``, so notes never change what a
         resume restores or re-executes.  They are flushed (ordering with the
-        surrounding cell commits is preserved) but not fsynced by default.
+        surrounding cell commits is preserved) but not fsynced.
         """
         entry: Dict[str, object] = {"type": "event", "event": event, **fields}
         handle = self._handle()
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
         handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
         return entry
 
     def events(self) -> List[Dict[str, object]]:
@@ -294,12 +286,6 @@ class RunJournal:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Replay / inspection
     # ------------------------------------------------------------------
@@ -318,10 +304,6 @@ class RunJournal:
     def states(self) -> Dict[str, Dict[str, object]]:
         """Latest record per cell id (last writer wins)."""
         return dict(self._states)
-
-    def status_of(self, cell_id: str) -> Optional[str]:
-        entry = self._states.get(cell_id)
-        return str(entry["status"]) if entry else None
 
     def counts(self) -> Counter:
         """Cells per status; header cells never touched count as ``pending``."""

@@ -63,11 +63,11 @@ from .campaign import (
     CampaignReport,
     CampaignSpec,
     SuiteCell,
-    _verify_batch_sidecar,
-    _write_batch_sidecar,
     build_report,
     compute_batch_digests,
     deliver_sigterm_as_interrupt,
+    header_config,
+    verify_batch_digests,
 )
 from .errors import DETERMINISTIC, WorkerCrashed, classify_failure, is_timeout
 from .journal import OK, JournalError, RunJournal, new_run_id
@@ -144,16 +144,23 @@ def _init_worker(supervisor_pid: int) -> None:
 
 def _exit_when_orphaned(supervisor_pid: int) -> None:
     parent = os.getppid()
-    if parent != supervisor_pid:
-        # A fork-server child, or one already orphaned: the supervisor may
-        # have died before this thread started.
-        try:
-            os.kill(supervisor_pid, 0)
-        except ProcessLookupError:
-            os._exit(1)
+    if parent != supervisor_pid and _is_dead(supervisor_pid):
+        os._exit(1)  # orphaned before this thread started
     while os.getppid() == parent:
         time.sleep(ORPHAN_POLL_INTERVAL)
     os._exit(1)
+
+
+def _is_dead(pid: int) -> bool:
+    """Is ``pid`` gone, or a zombie (an unreaped one answers ``kill(pid, 0)``)?"""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] == b"Z"
+    except ProcessLookupError:
+        return True
+    except OSError as exc:  # reaped since the kill, or no /proc to read
+        return isinstance(exc, FileNotFoundError) and os.path.isdir("/proc/self")
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +237,7 @@ class CampaignSupervisor:
         #: The machine's canonical store-key payload, encoded once.
         self._machine_payload = asdict(self.machine)
         #: workload -> input -> content digest, pinned by :meth:`run` or
-        #: :meth:`resume` from the drift sidecar; part of every store key.
+        #: :meth:`resume` in the journal header; part of every store key.
         self.batch_digests: Dict[str, Dict[str, str]] = {}
         self.retries = max(0, retries)
         self.cell_timeout = (
@@ -252,11 +259,10 @@ class CampaignSupervisor:
     def run(self, run_id: Optional[str] = None) -> CampaignReport:
         """Execute a fresh campaign (new journal under ``out_dir``)."""
         run_id = run_id if run_id is not None else new_run_id()
-        journal = RunJournal.create(
-            self.out_dir, run_id, self.spec.config_dict(), self.spec.cell_ids()
-        )
         self.batch_digests = compute_batch_digests(self.spec)
-        _write_batch_sidecar(self.out_dir, run_id, self.batch_digests)
+        journal = RunJournal.create(
+            self.out_dir, run_id, header_config(self.spec, self.batch_digests), self.spec.cell_ids()
+        )
         report = self._supervise(journal, self.spec.cells(), restored={}, resumed=False)
         report.batch_digests = self.batch_digests
         return report
@@ -266,18 +272,18 @@ class CampaignSupervisor:
 
         The journal is authoritative: ``ok`` cells are restored from their
         stored payloads, every other cell re-enters the dispatch queue.  The
-        spec this supervisor was built with is verified against the header
-        fingerprint, so a drifted grid is refused, not merged.
+        spec this supervisor was built with, and the content digests of its
+        programs and inputs, are verified against the header, so a drifted
+        grid or program is refused, not merged.
         """
         journal = RunJournal.find(self.out_dir, run_id)
-        journal.verify_config(self.spec.config_dict())
+        self.batch_digests = verify_batch_digests(self.spec, journal)
         restored: Dict[str, ExperimentResult] = {}
         for cell_id, entry in journal.states().items():
             if entry.get("status") == OK and entry.get("result"):
                 restored[cell_id] = ExperimentResult.from_dict(entry["result"])
         pending_ids = set(journal.pending_cells())
         cells = [cell for cell in self.spec.cells() if cell.cell_id in pending_ids]
-        self.batch_digests = _verify_batch_sidecar(self.out_dir, run_id, self.spec, journal)
         report = self._supervise(journal, cells, restored=restored, resumed=True)
         report.batch_digests = self.batch_digests
         return report
@@ -322,7 +328,6 @@ class CampaignSupervisor:
         fresh: Dict[str, ExperimentResult] = {}
         pool = None
         rebuilds = 0
-        used_processes = False
 
         # Store pre-pass, the store's only read: hit cells never enter the
         # queue, and every other cell's result is written once, on commit.
@@ -350,7 +355,6 @@ class CampaignSupervisor:
                                 max_workers=max(1, min(self.workers, len(pending))),
                                 initializer=functools.partial(_init_worker, os.getpid()),
                             )
-                            used_processes = True
                         except (OSError, RuntimeError) as exc:
                             journal.note("pool_unavailable", error=repr(exc))
                             serial = True
@@ -399,8 +403,7 @@ class CampaignSupervisor:
         journal.note("service_done", **self.stats.to_dict())
         report = build_report(
             self.spec, journal, restored, fresh, resumed=resumed,
-            executed=len(cells), used_processes=used_processes,
-            store_hits=self.stats.store_hits,
+            executed=len(cells), store_hits=self.stats.store_hits,
         )
         journal.close()
         return report

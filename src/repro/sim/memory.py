@@ -12,7 +12,7 @@ form and rebuild a fresh mutable :class:`Memory` from it per run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -62,20 +62,6 @@ class Memory:
         for offset, value in enumerate(values):
             self._words[index + offset] = value & MASK64
 
-    def read_words(self, addr: int, count: int) -> Tuple[int, ...]:
-        index = self._word_index(addr)
-        return tuple(self._words.get(index + i, 0) for i in range(count))
-
-    def copy(self) -> "Memory":
-        clone = Memory()
-        clone._words = dict(self._words)
-        return clone
-
-    def nonzero_words(self) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(byte_address, value)`` for words ever written."""
-        for index, value in self._words.items():
-            yield index * WORD_BYTES, value
-
     def image(self) -> "MemoryImage":
         """The current contents as an immutable :class:`MemoryImage`."""
         words = self._words
@@ -84,11 +70,6 @@ class Memory:
             np.fromiter(words.keys(), dtype=np.uint64, count=count),
             np.fromiter(words.values(), dtype=np.uint64, count=count),
         )
-
-    def image_bytes(self) -> bytes:
-        """Canonical bytes of the nonzero words, for content digests (see
-        :meth:`MemoryImage.image_bytes`)."""
-        return self.image().image_bytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):

@@ -91,7 +91,7 @@ class Workload(abc.ABC):
 
         :class:`~repro.core.session.SimSession` keeps one instance per
         ``(name, scale)``, so each image is built once per session; the
-        campaign's drift sidecar digests this same stored image.
+        campaign's journal header digests this same stored image.
         """
         image = self._images.get(input_name)
         if image is None:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.isa import F, ProgramBuilder, R
 from repro.isa.program import Program
-from repro.sim import Memory
+from repro.sim import WORD_BYTES, Memory
 
 #: Registers the generator plays with (avoids special registers).
 GEN_INT_REGS = [R[i] for i in (1, 2, 3, 4, 5, 6, 7, 8)]
@@ -87,6 +87,15 @@ def random_program(seed: int, max_blocks: int = 4, max_ops: int = 10) -> Program
                     b.label(skip)
         b.halt()
     return b.build()
+
+
+def image_words(image) -> List[Tuple[int, int]]:
+    """``(byte_address, value)`` of every word a :class:`MemoryImage` holds,
+    written zeros included, in write order."""
+    return [
+        (index * WORD_BYTES, value)
+        for index, value in zip(image.indices.tolist(), image.values.tolist())
+    ]
 
 
 def random_memory(seed: int) -> Memory:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import service
+from repro.sim.functional import SimulationError
+from repro.workloads.suite import WORKLOAD_CLASSES
 
 
 def run_cli(capsys, *argv):
@@ -76,9 +79,49 @@ def test_suite_command_with_jobs(capsys):
         capsys, "suite", "--config", "no_predict", "lvp_all", "--max-insts", "1500", "--jobs", "2"
     )
     assert code == 0
-    assert "cells done" in out
-    assert "suite speedups" in out
-    assert "FAILED" not in out
+    assert f"{2 * len(WORKLOAD_CLASSES)}/{2 * len(WORKLOAD_CLASSES)} cells ok" in out
+    assert "speedups (selective recovery)" in out
+    assert "journal" not in out  # a temporary campaign: nothing to resume
+    assert "did not complete" not in out
+
+
+#: The supervisor's cell executor, kept for the failing wrapper below.
+_run_cell = service._run_cell
+
+
+def _fail_li_cells(cell, *args):
+    """``service._run_cell`` with every li cell failing deterministically.
+
+    Module-level so it pickles by reference into forked pool workers."""
+    if cell.workload == "li":
+        raise SimulationError("injected fault")
+    return _run_cell(cell, *args)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_suite_with_a_failing_cell_exits_two(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(service, "_run_cell", _fail_li_cells)
+    code = main(["suite", "--config", "no_predict", "--max-insts", "500", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    cells = len(WORKLOAD_CLASSES)
+    assert f"{cells - 1}/{cells} cells ok" in captured.out
+    assert "FAILED   li/no_predict: SimulationError('injected fault')" in captured.out
+    assert "partial: 1/" in captured.err
+    assert "--resume" not in captured.err  # a temporary campaign: nothing to resume
+    assert "internal error" not in captured.err
+
+
+def test_run_without_out_dir_writes_the_store(capsys, tmp_path):
+    from repro.runtime.store import ResultStore
+
+    store_dir = tmp_path / "store"
+    argv = ["run", "--workload", "li", "--config", "no_predict", "lvp", "--max-insts", "1500",
+            "--store", str(store_dir)]
+    assert main(argv) == 0
+    assert len(ResultStore(str(store_dir))) == 2  # one entry per cell
+    assert main(argv) == 0
+    assert "2/2 cells ok, 2 from store" in capsys.readouterr().out
 
 
 def run_cli_err(capsys, *argv):
@@ -297,6 +340,20 @@ def test_fuzz_command_failure_exit_code_and_artifacts(capsys, tmp_path, monkeypa
     assert written, "expected shrunk reproducer artifacts"
     text = written[0].read_text()
     assert "halt" in text  # a runnable program, not a fragment
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--segments", "2"), ("--loop-depth", "0"), ("--load-density", "0.9"),
+     ("--register-pressure", "4"), ("--branch-mix", "0.1")],
+)
+def test_fuzz_shape_flags_are_gone(capsys, flag, value):
+    # The fuzz journal fingerprints seed, runs, oracles and shrink only, so
+    # a shape flag would let a resume restore seeds judged on other programs.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--runs", "1", flag, value])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fuzz_command_rejects_unknown_oracle():

@@ -53,8 +53,8 @@ def test_marking_swaps_opcode_and_preserves_semantics():
     memory = Memory()
     memory.store(0x100, 5)
     memory.store(0x108, 6)
-    base = run_program(program, memory=memory.copy(), max_instructions=1000)
-    out = run_program(marked, memory=memory.copy(), max_instructions=1000)
+    base = run_program(program, memory=memory.image().memory(), max_instructions=1000)
+    out = run_program(marked, memory=memory.image().memory(), max_instructions=1000)
     assert base.state.state_equal(out.state)
     assert base.instructions == out.instructions
 

@@ -9,7 +9,7 @@ from repro.profiling import DeadHint, ProfileLists, ReuseProfile, critical_path_
 from repro.sim import Memory, run_program
 from repro.workloads import WORKLOAD_CLASSES, make_workload
 
-from conftest import random_memory, random_program
+from conftest import image_words, random_memory, random_program
 
 ALL_NAMES = tuple(WORKLOAD_CLASSES)
 
@@ -27,7 +27,7 @@ def _non_stack_memory(result):
     from repro.workloads import STACK_BASE
 
     lo, hi = STACK_BASE - (1 << 16), STACK_BASE
-    return {addr: value for addr, value in result.memory.nonzero_words() if not lo <= addr <= hi}
+    return {addr: value for addr, value in image_words(result.memory.image()) if not lo <= addr <= hi}
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -86,7 +86,7 @@ def test_dead_reuse_moves_destination_to_dead_register():
         halt
         """
     )
-    result = run_program(program, memory=memory.copy(), max_instructions=2000, collect_trace=True)
+    result = run_program(program, memory=memory.image().memory(), max_instructions=2000, collect_trace=True)
     lists = ReuseProfile.from_trace(result.trace).profile_lists(0.8)
     load_pc = 3
     assert load_pc in lists.dead
@@ -95,7 +95,7 @@ def test_dead_reuse_moves_destination_to_dead_register():
     # The load's destination now matches the dead value's register.
     assert new_program[load_pc].dst == new_program[1].dst
     # Semantics preserved.
-    after = run_program(new_program, memory=memory.copy(), max_instructions=2000)
+    after = run_program(new_program, memory=memory.image().memory(), max_instructions=2000)
     assert after.state.read(new_program[load_pc].dst) == 55
 
 
@@ -116,7 +116,7 @@ def test_lvr_gets_exclusive_register():
         halt
         """
     )
-    result = run_program(program, memory=memory.copy(), max_instructions=2000, collect_trace=True)
+    result = run_program(program, memory=memory.image().memory(), max_instructions=2000, collect_trace=True)
     lists = ReuseProfile.from_trace(result.trace).profile_lists(0.8)
     assert 1 in lists.last_value and 1 not in lists.same
     new_program, report = reallocate(program, lists)
@@ -125,10 +125,10 @@ def test_lvr_gets_exclusive_register():
     clobber_dst = new_program[3].dst
     assert load_dst != clobber_dst
     # And the reuse is now visible to same-register RVP.
-    after = run_program(new_program, memory=memory.copy(), max_instructions=2000, collect_trace=True)
+    after = run_program(new_program, memory=memory.image().memory(), max_instructions=2000, collect_trace=True)
     profile = ReuseProfile.from_trace(after.trace)
     assert profile.sites[1].same_rate() > 0.85
-    assert after.memory == run_program(program, memory=memory.copy(), max_instructions=2000).memory
+    assert after.memory == run_program(program, memory=memory.image().memory(), max_instructions=2000).memory
 
 
 def test_foreign_producer_abandoned():
@@ -205,16 +205,16 @@ def test_realloc_preserves_semantics_on_random_programs(seed):
     architectural behaviour of random programs."""
     program = random_program(seed)
     memory = random_memory(seed)
-    result = run_program(program, memory=memory.copy(), max_instructions=50_000, collect_trace=True)
+    result = run_program(program, memory=memory.image().memory(), max_instructions=50_000, collect_trace=True)
     lists = ReuseProfile.from_trace(result.trace).profile_lists(0.6, min_count=2)
     crit = critical_path_profile(result.trace)
     new_program, _ = reallocate(program, lists, crit)
-    after = run_program(new_program, memory=memory.copy(), max_instructions=50_000)
+    after = run_program(new_program, memory=memory.image().memory(), max_instructions=50_000)
     assert after.instructions == result.instructions
     assert after.memory == result.memory
     assert after.halted == result.halted
     # Every committed value is preserved instruction-for-instruction (the
     # registers may differ; the produced values may not).
-    after_full = run_program(new_program, memory=memory.copy(), max_instructions=50_000, collect_trace=True)
+    after_full = run_program(new_program, memory=memory.image().memory(), max_instructions=50_000, collect_trace=True)
     for a, b in zip(result.trace, after_full.trace):
         assert a.pc == b.pc and a.result == b.result and a.addr == b.addr

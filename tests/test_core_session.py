@@ -15,7 +15,7 @@ from repro.core import (
     get_metrics,
     get_session,
 )
-from repro.runtime import CampaignSpec, CampaignSupervisor, SuiteCell, run_campaign
+from repro.runtime import CampaignSpec, CampaignSupervisor, RunJournal, SuiteCell, run_campaign
 from repro.runtime.service import derive_cell_timeout
 from repro.uarch.pipeline import simulate
 from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
@@ -191,6 +191,12 @@ def _payloads(report):
     return [json.dumps(r.to_dict(), sort_keys=True) for r in report.results]
 
 
+def _pool_dispatches(report):
+    """Cells handed to a worker process (serial mode journals no dispatch)."""
+    events = RunJournal.open(report.journal_path).events()
+    return sum(1 for event in events if event["event"] == "dispatch")
+
+
 @pytest.fixture(scope="module")
 def suite_reports(tmp_path_factory):
     """The same grid at jobs=1 (in-process) and jobs=2 (worker processes)."""
@@ -204,13 +210,13 @@ def suite_reports(tmp_path_factory):
 def test_suite_runner_serial(suite_reports):
     report = suite_reports[1]
     _check_report(report)
-    assert not report.used_processes
+    assert _pool_dispatches(report) == 0
 
 
 def test_suite_runner_parallel_smoke(suite_reports):
     report = suite_reports[2]
     _check_report(report)
-    assert report.used_processes
+    assert _pool_dispatches(report) == len(SUITE_SPEC.cells())
 
 
 def test_suite_runner_matches_serial_results(suite_reports):
@@ -223,26 +229,10 @@ def test_suite_cell_is_hashable():
 
 
 # ----------------------------------------------------------------------
-# Content digests (the campaign's .batches.json drift sidecar)
+# Content digests (pinned in each campaign's journal header)
 # ----------------------------------------------------------------------
-#: ``li``'s per-input sidecar entries in the older, untagged format: final-state
-#: digests of MAX_INSTS-instruction runs.  Sidecars like this one are still
-#: on disk, and a resume rewrites them.
-LI_GOLDEN_DIGESTS = {
-    "ref": {
-        "digest": "d33e00fb44acbc69729d81166ef57da7ec23d7dbab62689fb597a50c1c55bf42",
-        "instructions": 4_000,
-        "halted": False,
-    },
-    "train": {
-        "digest": "99673a120fc7fb1f30e447c6f7315e475f7972a82dbc17ec25aeb4fad94b7e65",
-        "instructions": 4_000,
-        "halted": False,
-    },
-}
-
 #: Every workload's content digests (base program text and input image) at
-#: scale 1.  Tagged sidecars and result-store keys hold these, so they change
+#: scale 1.  Journal headers and result-store keys hold these, so they change
 #: only with a program or an input.
 CONTENT_DIGESTS = {
     "dotprod": {
@@ -329,29 +319,6 @@ def test_batch_digests_key_includes_inputs():
     assert session.cache_stats()["batch_digests"] == 0
 
 
-def test_resume_rewrites_untagged_batch_sidecar(tmp_path):
-    from repro.core.session import reset_session
-    from repro.runtime import RunJournal, journal_path, resume_campaign
-    from repro.runtime.campaign import BATCH_SCHEMA, batch_sidecar_path
-
-    spec = CampaignSpec(workloads=("li",), configs=("no_predict",), max_instructions=MAX_INSTS)
-    run_campaign(spec, str(tmp_path), run_id="old")
-    path = batch_sidecar_path(str(tmp_path), "old")
-    with open(path, "w") as handle:
-        json.dump({"li": LI_GOLDEN_DIGESTS}, handle)
-
-    reset_session()
-    runs = get_metrics().get("sim.runs")
-    report = resume_campaign(str(tmp_path), "old", jobs=1)
-    assert report.complete and report.restored == 1
-    assert get_metrics().get("sim.runs") == runs
-    with open(path) as handle:
-        assert json.load(handle) == {"schema": BATCH_SCHEMA, "digests": {"li": LI_CONTENT_DIGESTS}}
-    events = RunJournal.open(journal_path(str(tmp_path), "old")).events()
-    notes = [e["was"] for e in events if e["event"] == "batch_sidecar_rewritten"]
-    assert notes == ["untagged"]
-
-
 # ----------------------------------------------------------------------
 # Input images: built once per session, a fresh Memory per run
 # ----------------------------------------------------------------------
@@ -359,7 +326,7 @@ def test_cold_suite_builds_each_input_image_once(tmp_path, monkeypatch):
     from repro.core.session import reset_session
 
     # Marked and reallocated variants run their own ref traces, next to the
-    # train profile and the drift sidecar's digests of both inputs.
+    # train profile and the journal header's digests of both inputs.
     spec = CampaignSpec(
         workloads=("m88ksim", "li"),
         configs=("no_predict", "srvp_dead", "drvp_all_realloc"),
@@ -379,7 +346,7 @@ def test_cold_suite_builds_each_input_image_once(tmp_path, monkeypatch):
         report = run_campaign(spec, str(tmp_path), run_id="cold")
     finally:
         reset_session()
-    assert report.complete and not report.failures and not report.used_processes
+    assert report.complete and not report.failures and _pool_dispatches(report) == 0
     assert built == {
         (name, make_workload(name).seed(input_name)): 1
         for name in spec.workloads
@@ -415,7 +382,7 @@ def test_suite_runner_restores_from_store_without_resimulating(tmp_path):
     assert len(store) == 4  # every fresh result was published
 
     # Drop the in-process session L1 so only the persistent L2 can explain
-    # a zero-simulation warm run, drift sidecar included.
+    # a zero-simulation warm run, header digests included.
     reset_session()
     runs_before = get_metrics().get("sim.runs")
     warm = run_campaign(SUITE_SPEC, str(tmp_path), run_id="warm", store=store)

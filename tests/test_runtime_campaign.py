@@ -4,6 +4,7 @@ re-runs of committed cells, and the CLI surface (`repro run --out-dir/--resume`)
 from __future__ import annotations
 
 import json
+import os
 import signal
 
 import pytest
@@ -15,6 +16,7 @@ from repro.runtime import (
     CampaignSupervisor,
     JournalError,
     RunJournal,
+    config_fingerprint,
     deliver_sigterm_as_interrupt,
     journal_path,
     resume_campaign,
@@ -234,7 +236,7 @@ def test_cli_resume_unknown_run_id_exits_two(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Drift sidecar (one set of content digests per workload)
+# Content digests in the journal header (one set per workload)
 # ----------------------------------------------------------------------
 @pytest.fixture
 def fresh_session():
@@ -245,22 +247,34 @@ def fresh_session():
     reset_session()
 
 
-def test_fresh_campaign_writes_batch_sidecar(tmp_path):
-    from repro.runtime.campaign import BATCH_SCHEMA, batch_sidecar_path
+def _rewrite_header(out_dir, run_id, edit):
+    """Apply ``edit`` to a journal header's config and re-fingerprint it, as
+    another build of the program would have written it."""
+    path = journal_path(str(out_dir), run_id)
+    with open(path) as handle:
+        lines = handle.read().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    edit(header["config"])
+    header["fingerprint"] = config_fingerprint(header["config"])
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+    with open(path, "w") as handle:
+        handle.writelines(lines)
 
+
+def test_fresh_campaign_pins_batch_digests_in_header(tmp_path):
     report = run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="fused")
     assert sorted(report.batch_digests) == ["go", "li"]
-    path = batch_sidecar_path(str(tmp_path), "fused")
-    with open(path) as handle:
-        stored = json.load(handle)
-    assert stored == {"schema": BATCH_SCHEMA, "digests": report.batch_digests}
-    for per_input in stored["digests"].values():
+    journal = RunJournal.find(str(tmp_path), "fused")
+    assert journal.config == {**SPEC.config_dict(), "batch_digests": report.batch_digests}
+    assert journal.header["fingerprint"] == config_fingerprint(journal.config)
+    for per_input in report.batch_digests.values():
         assert sorted(per_input) == ["ref", "train"]
         for digest in per_input.values():
             assert len(digest) == 64  # sha256 hex
+    assert os.listdir(tmp_path) == ["fused.journal.jsonl"]  # one file per run
 
 
-def test_resume_verifies_batch_sidecar_without_reruns(tmp_path):
+def test_resume_verifies_header_digests_without_reruns(tmp_path):
     run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="fused")
     supervisor, harness = _supervisor(tmp_path)
     report = supervisor.resume("fused")
@@ -268,35 +282,31 @@ def test_resume_verifies_batch_sidecar_without_reruns(tmp_path):
     assert sorted(report.batch_digests) == ["go", "li"]
 
 
-def test_resume_backfills_missing_batch_sidecar(tmp_path):
-    import os
+def test_resume_of_a_header_without_digests_exits_two(tmp_path, capsys):
+    # Journals written before the digests moved into the header lack them.
+    argv = ["run", "--workload", "li", "--config", "no_predict", "--max-insts", str(MAX_INSTS),
+            "--out-dir", str(tmp_path), "--run-id", "old"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _rewrite_header(tmp_path, "old", lambda config: config.pop("batch_digests"))
+    with pytest.raises(JournalError, match="no batch digests"):
+        resume_campaign(str(tmp_path), "old", jobs=1)
+    assert main(["run", "--resume", "old", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "repro: journal of run 'old' has no batch digests" in err
+    assert "internal error" not in err
 
-    from repro.runtime.campaign import batch_sidecar_path
 
-    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="old")
-    path = batch_sidecar_path(str(tmp_path), "old")
-    os.remove(path)  # simulate a campaign killed before the sidecar write
-    report = resume_campaign(str(tmp_path), "old", jobs=1)
-    assert report.complete
-    assert os.path.exists(path)
-    events = RunJournal.open(journal_path(str(tmp_path), "old")).events()
-    assert [e["was"] for e in events if e["event"] == "batch_sidecar_rewritten"] == ["missing"]
+def _drift_header(out_dir, run_id):
+    def drift(config):
+        config["batch_digests"]["li"]["ref"] = "0" * 64
 
-
-def _drift_sidecar(out_dir, run_id):
-    from repro.runtime.campaign import batch_sidecar_path
-
-    path = batch_sidecar_path(str(out_dir), run_id)
-    with open(path) as handle:
-        stored = json.load(handle)
-    stored["digests"]["li"]["ref"] = "0" * 64
-    with open(path, "w") as handle:
-        json.dump(stored, handle)
+    _rewrite_header(out_dir, run_id, drift)
 
 
 def test_resume_refuses_drifted_batch_digest(tmp_path):
     run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="drift")
-    _drift_sidecar(tmp_path, "drift")
+    _drift_header(tmp_path, "drift")
     with pytest.raises(JournalError, match="batch digest mismatch.*li"):
         resume_campaign(str(tmp_path), "drift", jobs=2)
 
@@ -325,50 +335,16 @@ def test_resume_refuses_changed_input(tmp_path, monkeypatch, fresh_session):
         resume_campaign(str(tmp_path), "drift", jobs=1)
 
 
-def test_resume_refuses_unknown_sidecar_schema(tmp_path):
-    from repro.runtime.campaign import batch_sidecar_path
-
-    run_campaign(SPEC.with_jobs(1), str(tmp_path), run_id="future")
-    path = batch_sidecar_path(str(tmp_path), "future")
-    with open(path) as handle:
-        stored = json.load(handle)
-    with open(path, "w") as handle:
-        json.dump({**stored, "schema": "repro-batches/99"}, handle)
-    with pytest.raises(JournalError, match="unknown schema"):
-        resume_campaign(str(tmp_path), "future", jobs=1)
-
-
 def test_cli_resume_reports_drifted_batch_digest(tmp_path, capsys):
     argv = ["run", "--workload", "li", "--config", "no_predict", "--max-insts", str(MAX_INSTS),
             "--out-dir", str(tmp_path), "--run-id", "drift"]
     assert main(argv) == 0
     capsys.readouterr()
-    _drift_sidecar(tmp_path, "drift")
+    _drift_header(tmp_path, "drift")
     assert main(["run", "--resume", "drift", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "repro: batch digest mismatch" in err
     assert "internal error" not in err
-
-
-@pytest.mark.parametrize(
-    "text", ['{"schema": "repro-batches/2", "dig', "[1, 2]"], ids=["truncated", "not-an-object"]
-)
-def test_cli_resume_reports_unreadable_batch_sidecar(tmp_path, capsys, text):
-    from repro.runtime.campaign import batch_sidecar_path
-
-    argv = ["run", "--workload", "li", "--config", "no_predict", "--max-insts", str(MAX_INSTS),
-            "--out-dir", str(tmp_path), "--run-id", "torn"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    path = batch_sidecar_path(str(tmp_path), "torn")
-    with open(path, "w") as handle:
-        handle.write(text)
-    assert main(["run", "--resume", "torn", "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"repro: batch sidecar {path} ")
-    assert "internal error" not in err
-    with open(path) as handle:
-        assert handle.read() == text  # refused, not rewritten
 
 
 def test_cli_resume_of_a_journal_without_a_grid_exits_two(tmp_path, capsys):

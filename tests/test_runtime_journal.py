@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from concurrent.futures import TimeoutError as FutureTimeout, process
 
 import pytest
@@ -60,7 +61,7 @@ def test_journal_path_and_listing(tmp_path):
 # Create / append / replay
 # ----------------------------------------------------------------------
 def test_create_open_roundtrip(tmp_path):
-    with _make(tmp_path) as journal:
+    with closing(_make(tmp_path)) as journal:
         journal.record(CELLS[0], "ok", attempts=1, result={"ipc": 1.5})
         journal.record(CELLS[1], "failed", error="boom", error_kind=DETERMINISTIC)
 
@@ -70,7 +71,7 @@ def test_create_open_roundtrip(tmp_path):
     assert replayed.config == CONFIG
     assert replayed.cells == CELLS
     assert not replayed.torn_tail
-    assert replayed.status_of(CELLS[0]) == "ok"
+    assert replayed.states()[CELLS[0]]["status"] == "ok"
     assert replayed.states()[CELLS[0]]["result"] == {"ipc": 1.5}
     assert replayed.states()[CELLS[1]]["error_kind"] == DETERMINISTIC
 
@@ -82,22 +83,22 @@ def test_create_refuses_existing_run_id(tmp_path):
 
 
 def test_record_rejects_unknown_status(tmp_path):
-    with _make(tmp_path) as journal:
+    with closing(_make(tmp_path)) as journal:
         with pytest.raises(ValueError, match="unknown cell status"):
             journal.record(CELLS[0], "exploded")
 
 
 def test_last_record_per_cell_wins(tmp_path):
-    with _make(tmp_path) as journal:
+    with closing(_make(tmp_path)) as journal:
         journal.record(CELLS[0], "failed", error="first try")
         journal.record(CELLS[0], "ok", attempts=2, result={"ipc": 2.0})
     replayed = RunJournal.open(journal.path)
-    assert replayed.status_of(CELLS[0]) == "ok"
+    assert replayed.states()[CELLS[0]]["status"] == "ok"
     assert replayed.states()[CELLS[0]]["attempts"] == 2
 
 
 def test_counts_and_pending_cells(tmp_path):
-    with _make(tmp_path) as journal:
+    with closing(_make(tmp_path)) as journal:
         journal.record(CELLS[0], "ok", result={})
         assert journal.counts() == {"ok": 1, "pending": 1}
         # Never-touched header cells count as pending and must be re-run,
@@ -126,8 +127,8 @@ def test_torn_final_line_is_tolerated(tmp_path):
 
     replayed = RunJournal.open(journal.path)
     assert replayed.torn_tail
-    assert replayed.status_of(CELLS[0]) == "ok"
-    assert replayed.status_of(CELLS[1]) is None  # torn record dropped
+    assert replayed.states()[CELLS[0]]["status"] == "ok"
+    assert CELLS[1] not in replayed.states()  # torn record dropped
 
 
 def test_torn_tail_is_truncated_before_next_append(tmp_path):
@@ -263,7 +264,7 @@ def test_interleaved_records_from_two_appenders_replay_last_wins(tmp_path):
     resumed.close()
 
     final = RunJournal.open(journal.path)
-    assert final.status_of(CELLS[0]) == "ok"
+    assert final.states()[CELLS[0]]["status"] == "ok"
     assert final.states()[CELLS[0]]["result"] == {"ipc": 1.0}
     assert final.states()[CELLS[1]]["result"] == {"ipc": 3.0}  # latest append wins
     assert final.pending_cells() == []
@@ -312,7 +313,7 @@ def test_event_notes_are_replayed_but_never_change_cell_state(tmp_path):
     assert [e["event"] for e in events] == ["cell_timeout", "pool_rebuilt"]
     assert events[0]["cell"] == CELLS[1]
     # Notes are observability only: replayed cell state is untouched.
-    assert replayed.status_of(CELLS[0]) == "ok"
+    assert replayed.states()[CELLS[0]]["status"] == "ok"
     assert replayed.pending_cells() == [CELLS[1]]
 
 

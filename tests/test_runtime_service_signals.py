@@ -282,6 +282,49 @@ def test_sigkilled_supervisor_takes_its_pool_workers_down(tmp_path):
             _signal(pid, signal.SIGKILL)
 
 
+#: A stand-in supervisor: fork one worker that starts its orphan watch only
+#: once the supervisor is dead, print the worker's pid, then wait to be killed.
+_LATE_WATCH = """
+import os, time
+from repro.runtime.service import _exit_when_orphaned
+supervisor = os.getpid()
+worker = os.fork()
+if worker == 0:
+    while os.getppid() == supervisor:
+        time.sleep(0.01)
+    _exit_when_orphaned(supervisor)
+    os._exit(0)
+print(worker, flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see zombies")
+def test_worker_orphaned_before_its_watch_starts_exits():
+    # A worker forked just before its supervisor is SIGKILLed runs its pool
+    # initializer afterwards, while the unreaped supervisor is still a zombie
+    # that answers kill(pid, 0).
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", _LATE_WATCH], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, text=True,
+    )
+    worker = None
+    try:
+        worker = int(supervisor.stdout.readline())
+        supervisor.kill()  # not reaped until the worker is judged
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and _alive(worker):
+            time.sleep(0.05)
+        assert not _alive(worker), "a worker orphaned before its watch started lived on"
+    finally:
+        supervisor.kill()
+        supervisor.wait()
+        supervisor.stdout.close()
+        if worker is not None:
+            _signal(worker, signal.SIGKILL)
+
+
 def test_sigterm_busy_worker_rebuilds_the_pool(tmp_path, pools, serial_payloads):
     pools.when_busy(1, lambda pids: _signal(pids[0], signal.SIGTERM))
     supervisor = _supervise(tmp_path, pools, serial_payloads)

@@ -17,6 +17,8 @@ from repro.core.session import SimSession
 from repro.sim.functional import FunctionalSimulator
 from repro.workloads.suite import WORKLOAD_CLASSES, make_workload
 
+from conftest import image_words
+
 MAX_INSTS = 3_000
 VARIANTS = ("base", "srvp_dead", "realloc")
 INPUTS = ("ref", "train")
@@ -36,7 +38,7 @@ def _final_state_digest(program, memory, engine):
     """
     result = FunctionalSimulator(program, memory=memory, engine=engine).run(max_instructions=MAX_INSTS)
     state = result.state
-    words = sorted((address, value) for address, value in result.memory.nonzero_words() if value)
+    words = sorted((address, value) for address, value in image_words(result.memory.image()) if value)
     payload = (
         state.pc, result.instructions, result.halted,
         tuple(state.int_regs), tuple(state.fp_regs), tuple(words),

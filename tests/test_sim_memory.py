@@ -37,14 +37,14 @@ def test_values_wrap_to_64_bits():
 def test_bulk_write_read():
     m = Memory()
     m.write_words(0x100, range(10))
-    assert m.read_words(0x100, 10) == tuple(range(10))
+    assert tuple(m.load(0x100 + 8 * i) for i in range(10)) == tuple(range(10))
     assert m.load(0x100 + 9 * 8) == 9
 
 
 def test_copy_is_independent():
     m = Memory()
     m.store(0x8, 1)
-    c = m.copy()
+    c = m.image().memory()
     c.store(0x8, 2)
     assert m.load(0x8) == 1 and c.load(0x8) == 2
 
@@ -62,8 +62,9 @@ def test_equality_ignores_explicit_zeros():
 def test_nonzero_words_iteration():
     m = Memory()
     m.write_words(0x40, [1, 0, 3])
-    entries = dict(m.nonzero_words())
-    assert entries[0x40] == 1 and entries[0x50] == 3
+    image = m.image()
+    entries = dict(zip(image.indices.tolist(), image.values.tolist()))
+    assert entries == {0x40 // WORD_BYTES: 1, 0x48 // WORD_BYTES: 0, 0x50 // WORD_BYTES: 3}
 
 
 def test_image_bytes_follow_equality():
@@ -73,12 +74,12 @@ def test_image_bytes_follow_equality():
     a.store(0x10, 7)
     b.store(0x10, 7)
     b.store(0x18, MASK64)  # other write order, same image
-    assert a == b and a.image_bytes() == b.image_bytes()
+    assert a == b and a.image().image_bytes() == b.image().image_bytes()
     # Word indices 2 and 3, then their values, little-endian.
     expected = b"".join(v.to_bytes(8, "little") for v in (2, 3, 7, MASK64))
-    assert a.image_bytes() == expected
+    assert a.image().image_bytes() == expected
     b.store(0x10, 8)
-    assert a.image_bytes() != b.image_bytes()
+    assert a.image().image_bytes() != b.image().image_bytes()
 
 
 @given(st.dictionaries(aligned, words, max_size=20))
@@ -106,6 +107,6 @@ def test_image_round_trip_keeps_written_zeros_and_independence():
     assert not image.indices.flags.writeable and not image.values.flags.writeable
     first, second = image.memory(), image.memory()
     assert first == m and len(first) == len(m) == 3  # the written zero stays
-    assert image.image_bytes() == m.image_bytes()
+    assert image.image_bytes() == first.image().image_bytes()
     first.store(0x40, 9)
     assert second.load(0x40) == 1 and image.memory().load(0x40) == 1

@@ -92,7 +92,8 @@ def test_injected_timeout_is_retried_to_success(tmp_path, monkeypatch):
     report = supervisor.run(run_id="r")
     assert report.complete and not report.failures
     assert len(report.results) == len(CELLS)
-    assert not report.used_processes
+    events = RunJournal.open(report.journal_path).events()
+    assert not [event for event in events if event["event"] == "dispatch"]  # in-process
     assert calls.count(CELLS[0].cell_id) == 2
 
 
@@ -221,7 +222,7 @@ def test_serial_interrupt_leaves_earlier_cells_ok_and_rest_pending(tmp_path, mon
     with pytest.raises(KeyboardInterrupt):
         supervisor.run(run_id="r")
     replayed = RunJournal.find(str(tmp_path), "r")
-    assert replayed.status_of(CELLS[0].cell_id) == "ok"
+    assert replayed.states()[CELLS[0].cell_id]["status"] == "ok"
     assert replayed.pending_cells() == SPEC.cell_ids()[1:]
 
 
@@ -239,7 +240,7 @@ def test_interrupt_cancels_pool_and_flushes_journal(tmp_path):
     assert all(f.cancelled for f in executor.submitted)
     # Slots 0 and 1 committed before the interrupt; their records survived.
     replayed = RunJournal.find(str(tmp_path), "r")
-    assert [replayed.status_of(cell.cell_id) for cell in CELLS[:2]] == ["ok", "ok"]
+    assert [replayed.states()[cell.cell_id]["status"] for cell in CELLS[:2]] == ["ok", "ok"]
     assert replayed.pending_cells() == SPEC.cell_ids()[2:]
 
 
